@@ -31,6 +31,9 @@ class ConfigError(ValueError):
     pass
 
 
+_INF = float("inf")  # a value is finite if it lies strictly within +-inf; NaN never does
+
+
 @dataclass(frozen=True)
 class Config:
     """Flat run configuration; defaults are the reference simulation values."""
@@ -41,13 +44,19 @@ class Config:
     e_mis: float = 0.015
     f_ec: float = 1.16
     q: float = 1.0
-    mu: float | None = None     # None = optimize (curve) / 0.7 (session)
+    mu: float | None = None     # session signal intensity; None = 0.7
     n_pulses: int = 1_000_000
     seed: int = 1
     distances: tuple[float, ...] = tuple(float(x) for x in range(0, 181, 10))
     visibility: float = 0.884
 
     def validate(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and value is not None and not -_INF < value < _INF:
+                raise ConfigError(f"{name} must be finite")
+        if not all(-_INF < d < _INF for d in self.distances):
+            raise ConfigError("distances must be finite")
         if self.alpha_db_per_km < 0:
             raise ConfigError("alpha_db_per_km must be nonnegative")
         if not 0.0 <= self.eta_det <= 1.0:
@@ -235,6 +244,35 @@ def cmd_theory_table(cfg: Config, out: str | None) -> int:
     return 0
 
 
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="flat key=value config file"),
+    "--out": dict(metavar="PATH", help="output file (default: stdout)"),
+    "--seed": dict(type=int, metavar="N"),
+    "--mu": dict(type=float, metavar="X"),
+    "--pulses": dict(type=int, metavar="N", dest="n_pulses"),
+    "--distances": dict(metavar="KM,KM,...", help="comma-separated channel lengths in km"),
+    "--visibility": dict(type=float, metavar="V"),
+    "--samples": dict(type=int, default=1000, help="random states per check (default 1000)"),
+    "--self-test-corrupt": dict(action="store_true",
+                                help="test mode: inject a sign error in the path-c "
+                                     "branch to confirm the checks can fail"),
+}
+
+# each subcommand accepts only the flags it reads, so none is dropped silently
+_COMMANDS = {
+    "keyrate-curve": ("optimized key rates vs distance for both protocols",
+                      ("--config", "--out", "--distances")),
+    "session": ("run one Monte Carlo session and write its report",
+                ("--config", "--out", "--seed", "--mu", "--pulses", "--distances")),
+    "verify-appendix": ("run the model consistency checks",
+                        ("--config", "--seed", "--samples", "--self-test-corrupt")),
+    "theory-table": ("click-probability table at the configured visibility",
+                     ("--config", "--out", "--visibility")),
+}
+
+_OVERRIDES = ("seed", "mu", "n_pulses", "distances", "visibility")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddiqkd",
@@ -242,44 +280,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Bell-state measurement behind a trusted path-encoding network.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, metavar="N")
-        p.add_argument("--mu", type=float, metavar="X")
-        p.add_argument("--pulses", type=int, metavar="N", dest="n_pulses")
-        p.add_argument("--distances", metavar="KM,KM,...",
-                       help="comma-separated channel lengths in km")
-        p.add_argument("--visibility", type=float, metavar="V")
-
-    for name, help_text in [
-        ("keyrate-curve", "optimized key rates vs distance for both protocols"),
-        ("session", "run one Monte Carlo session and write its report"),
-        ("verify-appendix", "run the model consistency checks"),
-        ("theory-table", "click-probability table at the configured visibility"),
-    ]:
+    for name, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        common(p)
-        if name == "verify-appendix":
-            p.add_argument("--samples", type=int, default=1000,
-                           help="random states per check (default 1000)")
-            p.add_argument("--self-test-corrupt", action="store_true",
-                           help="test mode: inject a sign error in the path-c "
-                                "branch to confirm the checks can fail")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "mu": args.mu,
-        "n_pulses": args.n_pulses,
-        "distances": args.distances,
-        "visibility": args.visibility,
-    }
+    overrides = {key: getattr(args, key, None) for key in _OVERRIDES}
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:

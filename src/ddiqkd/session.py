@@ -299,11 +299,11 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
             counts[rows] += rng.multinomial(reg_flip[rows], route[s ^ 1, p])
         clicks[active] = counts > 0
 
-    # dark counts: draw each detector's total, then scatter over pulses
+    # dark counts: draw each detector's total, then scatter it over distinct pulses
     for col in range(4):
         k = int(rng.binomial(n, p_dark))
         if k:
-            clicks[rng.integers(0, n, k), col] = True
+            clicks[rng.choice(n, k, replace=False), col] = True
 
     success = clicks.sum(axis=1) == 1
     detector = np.argmax(clicks, axis=1)  # 0-based; valid where success

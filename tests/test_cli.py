@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its config handling."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -48,6 +49,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("distances = 50,10\n")
 
+    @pytest.mark.parametrize("key", ["alpha_db_per_km", "eta_det", "p_dark", "e_mis",
+                                     "f_ec", "q", "mu", "visibility"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["0,nan", "inf", "10,inf"])
+    def test_non_finite_distances_rejected(self, value):
+        with pytest.raises(ConfigError, match="distances"):
+            parse_config_text(f"distances = {value}\n")
+        with pytest.raises(ConfigError, match="distances"):
+            load_config(None, {"distances": value})
+
     def test_overrides_win(self):
         cfg = load_config(None, {"mu": 0.5, "seed": 4, "distances": "5,15"})
         assert cfg.mu == 0.5
@@ -73,6 +88,10 @@ class TestSessionCommand:
 
     def test_zero_mu_is_usage_error(self, capsys):
         assert main(["session", "--mu", "0", "--pulses", "10"]) == 2
+        assert "mu" in capsys.readouterr().err
+
+    def test_nan_mu_is_usage_error(self, capsys):
+        assert main(["session", "--mu", "nan", "--pulses", "10"]) == 2
         assert "mu" in capsys.readouterr().err
 
     def test_unreadable_config_is_usage_error(self, capsys):
@@ -130,6 +149,18 @@ class TestKeyrateCurveCommand:
         assert summary["cutoff_proposal_km"] == 0.0
         assert summary["cutoff_bb84_km"] == 0.0
 
+    def test_nan_distance_is_usage_error(self, capsys):
+        assert main(["keyrate-curve", "--distances", "0,nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "distances" in captured.err
+
+    def test_nan_loss_in_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("alpha_db_per_km = nan\n")
+        assert main(["keyrate-curve", "--config", str(cfg)]) == 2
+        assert "alpha_db_per_km" in capsys.readouterr().err
+
     def test_single_distance_row(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
         assert main(["keyrate-curve", "--distances", "0", "--out", str(out)]) == 0
@@ -150,6 +181,33 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["session", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flags", [
+        ("keyrate-curve", ["--config", "--out", "--distances"]),
+        ("session", ["--config", "--out", "--seed", "--mu", "--pulses", "--distances"]),
+        ("verify-appendix", ["--config", "--seed", "--samples", "--self-test-corrupt"]),
+        ("theory-table", ["--config", "--out", "--visibility"]),
+    ])
+    def test_each_subcommand_accepts_only_the_flags_it_reads(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(--[a-z-]+)", capsys.readouterr().out)) - {"--help"}
+        assert listed == set(flags)
+        others = {"--out", "--seed", "--mu", "--pulses", "--distances", "--visibility",
+                   "--samples"} - set(flags)
+        for flag in sorted(others):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "1"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_ignored_flags_are_usage_errors(self, capsys):
+        for argv in (["keyrate-curve", "--mu", "0.05"], ["session", "--visibility", "0.5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

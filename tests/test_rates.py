@@ -1,18 +1,24 @@
 """Tests for the analytic yields and the key-rate machinery."""
 
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from ddiqkd.bsm import DetectorParams
+from ddiqkd.channel import poisson_pn
 from ddiqkd.rates import (
     RateParams,
     SecurityRegime,
     YieldTable,
+    _bb84_gains,
+    _proposal_gains,
     bb84_reference_rate,
     binary_entropy,
     key_rate,
+    keyrate_curve,
     optimize_mu,
     optimize_mu_bb84,
     security_regime,
@@ -26,6 +32,48 @@ FIG_PARAMS = RateParams(
     q=1.0,
     f_ec=1.16,
 )
+
+
+N_SUM = 20  # photon-number terms of the reference sums
+
+
+def _proposal_yield_n(n, eta, e, d):
+    """(Y_n, e_n Y_n) of one detector of the proposal, per photon number."""
+    a = 1.0 - eta * (1.0 + e) / 2.0
+    b = 1.0 - eta * (2.0 - e) / 2.0
+    v = 1.0 - eta
+    cube = (1.0 - d) ** 3
+    yield_n = cube * ((a**n + b**n) / 2.0 - v**n * (1.0 - d))
+    return yield_n, cube * ((b**n - v**n) / 2.0 + v**n * d / 2.0)
+
+
+def _bb84_yield_n(n, eta, e, d):
+    """(Y_n, e_n Y_n) of the two-detector receiver; a double click is a random bit."""
+    no_click = (1.0 - eta) ** n * (1.0 - d) ** 2
+    y = 1.0 - no_click
+    wrong_only = (1.0 - eta * (1.0 - e)) ** n * (1.0 - d) - no_click
+    correct_only = (1.0 - eta * e) ** n * (1.0 - d) - no_click
+    return y, wrong_only + 0.5 * (y - wrong_only - correct_only)
+
+
+def _oracle_gains(protocol, eta, e, d, mu):
+    """(Q, E Q) at 40 digits, from sum_n p_n(mu) x^n = exp(-mu (1 - x))."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        eta, e, d, mu = (Decimal(float(v)) for v in (eta, e, d, mu))
+
+        def mix(x):
+            return (-mu * (1 - x)).exp()
+
+        if protocol == "proposal":
+            cube = (1 - d) ** 3
+            a, b, v = mix(1 - eta * (1 + e) / 2), mix(1 - eta * (2 - e) / 2), mix(1 - eta)
+            return cube * ((a + b) / 2 - (1 - d) * v), cube * ((b - v) / 2 + d * v / 2)
+        no_click = (1 - d) ** 2 * mix(1 - eta)
+        wrong_only = (1 - d) * mix(1 - eta * (1 - e)) - no_click
+        correct_only = (1 - d) * mix(1 - eta * e) - no_click
+        gain = 1 - no_click
+        return gain, (gain + wrong_only - correct_only) / 2
 
 
 class TestBinaryEntropy:
@@ -85,14 +133,47 @@ class TestYieldTable:
             assert yt.gains(mu)[0] * yt.qbers(mu)[0] == pytest.approx(eq_exact, abs=1e-12)
 
     def test_gain_is_poisson_mixture_of_yields(self):
-        yt = yield_table(FIG_PARAMS, 50.0)
+        # the closed forms against the truncated photon-number sum, which is
+        # accurate at mu = 0.7 (the tail beyond n = 20 is below 1e-23)
+        eta = FIG_PARAMS.detector.eta_det * 10 ** (-0.2 * 50.0 / 10)
+        e, d = FIG_PARAMS.e_mis, FIG_PARAMS.detector.p_dark
         mu = 0.7
-        from ddiqkd.channel import poisson_pn
+        for closed, per_n in ((_proposal_gains, _proposal_yield_n), (_bb84_gains, _bb84_yield_n)):
+            gain, err_gain = closed(eta, e, d, mu)
+            terms = [(poisson_pn(mu, n), per_n(n, eta, e, d)) for n in range(N_SUM + 1)]
+            assert gain == pytest.approx(sum(p * y for p, (y, _) in terms), rel=1e-12)
+            assert err_gain == pytest.approx(sum(p * ey for p, (_, ey) in terms), rel=1e-12)
+        yt = yield_table(FIG_PARAMS, 50.0)
+        assert yt.gains(mu)[0] == _proposal_gains(yt.eta, e, d, mu)[0]
 
-        mixture = sum(poisson_pn(mu, n) * yt.yield_n(n) for n in range(21))
-        assert yt.gains(mu)[0] == pytest.approx(mixture, abs=1e-15)
-        err_mix = sum(poisson_pn(mu, n) * yt.error_yield_n(n) for n in range(21))
-        assert yt.qbers(mu)[0] * yt.gains(mu)[0] == pytest.approx(err_mix, abs=1e-9)
+    def test_gain_exact_at_large_mu(self):
+        # a 21-term photon-number sum misses almost all of the mass at mu = 30
+        yt = yield_table(FIG_PARAMS, 50.0)
+        e, d = FIG_PARAMS.e_mis, FIG_PARAMS.detector.p_dark
+        exact = _oracle_gains("proposal", yt.eta, e, d, 30.0)
+        assert yt.gains(30.0)[0] == pytest.approx(float(exact[0]), rel=1e-12)
+        assert yt.gains(30.0)[0] == pytest.approx(0.0784, abs=1e-4)
+
+    @pytest.mark.parametrize("protocol", ["proposal", "bb84"])
+    def test_closed_forms_match_decimal_oracle(self, protocol):
+        closed = {"proposal": _proposal_gains, "bb84": _bb84_gains}[protocol]
+        worst_rel = worst_abs = 0.0
+        for eta, e, d, mu in itertools.product(
+            (1.0, 0.145, 1e-2, 1e-4, 1e-6, 1e-9),
+            (0.0, 0.015, 0.11, 0.3, 0.5),
+            (0.0, 3.01e-6, 1e-3, 0.1, 0.5, 0.99),
+            (1e-3, 0.1, 0.7, 2.0, 10.0, 30.0, 100.0),
+        ):
+            got = closed(eta, e, d, mu)
+            for value, exact in zip(got, _oracle_gains(protocol, eta, e, d, mu)):
+                error = abs(Decimal(float(value)) - exact)
+                worst_abs = max(worst_abs, float(error))
+                assert error <= Decimal("1e-15"), (eta, e, d, mu)
+                if mu * eta <= 10.0:
+                    rel = float(error / exact) if exact else float(error)
+                    worst_rel = max(worst_rel, rel)
+                    assert rel <= 1e-12, (eta, e, d, mu)
+        print(f"{protocol}: worst relative {worst_rel:.1e}, worst absolute {worst_abs:.1e}")
 
     def test_total_gain_below_one(self):
         for length in (0.0, 50.0, 120.0):
@@ -158,6 +239,28 @@ class TestKeyRate:
             noisy = key_rate(yield_table(noisier, length), noisier, 0.7)
             assert noisy < clean
 
+    @pytest.mark.parametrize("mu", [0.0, -0.5, math.nan])
+    def test_nonpositive_mu_rejected(self, mu):
+        yt = yield_table(FIG_PARAMS, 50.0)
+        with pytest.raises(ValueError, match="mu"):
+            key_rate(yt, FIG_PARAMS, mu)
+        with pytest.raises(ValueError, match="mu"):
+            bb84_reference_rate(FIG_PARAMS, 50.0, mu)
+        with pytest.raises(ValueError, match="mu"):
+            key_rate(yt, FIG_PARAMS, np.array([0.7, mu]))
+
+    def test_array_evaluation_matches_scalar(self):
+        lengths = np.array([0.0, 35.0, 120.0, 170.0])
+        mus = np.array([[0.05], [0.7], [1.9]])
+        rates = key_rate(yield_table(FIG_PARAMS, lengths), FIG_PARAMS, mus)
+        refs = bb84_reference_rate(FIG_PARAMS, lengths, mus)
+        assert rates.shape == refs.shape == (3, 4)
+        for (i, j), rate in np.ndenumerate(rates):
+            yt = yield_table(FIG_PARAMS, float(lengths[j]))
+            assert rate == pytest.approx(key_rate(yt, FIG_PARAMS, float(mus[i, 0])), rel=1e-14)
+            assert refs[i, j] == pytest.approx(
+                bb84_reference_rate(FIG_PARAMS, float(lengths[j]), float(mus[i, 0])), rel=1e-14)
+
 
 class TestOptimizeMu:
     def test_optimum_near_reference_intensity(self):
@@ -194,6 +297,14 @@ class TestOptimizeMu:
         assert mu == pytest.approx(0.01)
 
 
+    @pytest.mark.parametrize("optimize", [optimize_mu, optimize_mu_bb84])
+    def test_array_of_lengths_matches_scalar_calls(self, optimize):
+        lengths = [0.0, 45.0, 110.0, 158.0, 400.0]
+        mu_opt, rate = optimize(FIG_PARAMS, np.array(lengths))
+        for k, length in enumerate(lengths):
+            assert (mu_opt[k], rate[k]) == optimize(FIG_PARAMS, length)
+
+
 class TestBb84Reference:
     def test_blind_detectors_give_zero(self):
         blind = RateParams(detector=DetectorParams(eta_det=0.0, p_dark=1e-5))
@@ -212,6 +323,65 @@ class TestBb84Reference:
             _, rate = optimize_mu(FIG_PARAMS, length)
             _, ref = optimize_mu_bb84(FIG_PARAMS, length)
             assert 0.5 <= ref / rate <= 2.0
+
+
+def _sequential_cutoff(rate_at, lengths, extend_step=25.0, cap=1000.0):
+    """One-length-at-a-time cutoff search: the reference for the batched one."""
+    positive = [length for length in lengths if rate_at(length) > 0.0]
+    if not positive:
+        return 0.0
+    lo = positive[-1]
+    hi = None
+    for length in lengths:
+        if length > lo and rate_at(length) <= 0.0:
+            hi = length
+            break
+    if hi is None:
+        hi = lo + extend_step
+        while rate_at(hi) > 0.0 and hi < cap:
+            lo = hi
+            hi += extend_step
+        if hi >= cap:
+            return cap
+    while hi - lo > 1.0:
+        mid = 0.5 * (lo + hi)
+        if rate_at(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestKeyrateCurve:
+    @pytest.mark.parametrize("lengths", [
+        [float(x) for x in range(0, 181, 10)],  # bisection between listed lengths
+        [0.0, 50.0, 100.0],                     # extension past the last length
+        [0.0, 3.0, 400.0],                      # a gap wider than one batch of midpoints
+        [120.0, 120.0, 155.0, 155.0],           # repeated lengths
+    ])
+    def test_cutoffs_match_sequential_search(self, lengths):
+        curve = keyrate_curve(FIG_PARAMS, lengths)
+        assert curve.cutoff_proposal_km == _sequential_cutoff(
+            lambda L: optimize_mu(FIG_PARAMS, L)[1], lengths)
+        assert curve.cutoff_bb84_km == _sequential_cutoff(
+            lambda L: optimize_mu_bb84(FIG_PARAMS, L)[1], lengths)
+        for point, length in zip(curve.points, lengths):
+            assert (point.mu_opt, point.rate_proposal) == optimize_mu(FIG_PARAMS, length)
+            assert point.rate_bb84 == optimize_mu_bb84(FIG_PARAMS, length)[1]
+
+    def test_default_cutoffs(self):
+        curve = keyrate_curve(FIG_PARAMS, [float(x) for x in range(0, 181, 10)])
+        assert curve.summary() == {"cutoff_proposal_km": 150.3125, "cutoff_bb84_km": 165.3125}
+
+    def test_cap_when_rate_never_ends(self):
+        lossless = RateParams(alpha_db_per_km=0.0)
+        for lengths in ([0.0, 10.0], [990.0]):
+            curve = keyrate_curve(lossless, lengths)
+            assert curve.summary() == {"cutoff_proposal_km": 1000.0, "cutoff_bb84_km": 1000.0}
+
+    def test_unsorted_lengths_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            keyrate_curve(FIG_PARAMS, [10.0, 0.0])
 
 
 class TestSecurityRegime:

@@ -116,6 +116,21 @@ class TestRunSession:
         assert rep.sifted_length == 0
         assert rep.secret_key_length == 0.0
 
+    def test_vacuum_yield_unbiased_at_high_dark_rate(self):
+        # each detector must dark-fire with probability d per gate; scattering
+        # its dark counts with replacement fires it with about 1 - exp(-d)
+        d = 0.1
+        params = SessionParams(
+            n_pulses=1_000_000, mu=0.05,
+            channel=ChannelParams(0.2, 0.0, 0.015),
+            detector=DetectorParams(eta_det=0.145, p_dark=d),
+        )
+        rep = run_session(params, seed=17)
+        y0 = d * (1 - d) ** 3
+        se = math.sqrt(y0 * (1 - y0) / rep.vacuum_pulses)
+        z = (rep.vacuum_yields() - y0) / se
+        assert np.all(np.abs(z) <= 4.0), z
+
     def test_noiseless_sessions_have_zero_qber(self):
         params = SessionParams(
             n_pulses=200_000, mu=0.7,
