@@ -34,8 +34,10 @@ class ChannelParams:
     e_mis: float = 0.015
 
     def __post_init__(self):
-        if self.alpha_db_per_km < 0 or self.length_km < 0:
-            raise ValueError("loss coefficient and length must be nonnegative")
+        if not (self.alpha_db_per_km >= 0 and self.length_km >= 0):  # NaN fails too
+            raise ValueError("loss coefficient and length must be nonnegative numbers")
+        if math.isnan(self.alpha_db_per_km * self.length_km):
+            raise ValueError("total loss alpha * length is undefined (0 * inf)")
         if not 0.0 <= self.e_mis <= 0.5:
             raise ValueError("e_mis must be in [0, 0.5]")
 
@@ -48,8 +50,8 @@ class SourceParams:
     infinite_decoy: bool = True
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:  # NaN fails too
+            raise ValueError("mu must be positive and finite")
 
 
 def poisson_pn(mu: float, n: int) -> float:

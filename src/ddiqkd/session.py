@@ -6,6 +6,23 @@ seeded by (seed, shard index) and tallies are merged by summation, so a
 report depends only on the configuration and seed.  Error correction and
 privacy amplification are accounted analytically (the sifted length is
 shrunk by the usual f*h(E) and privacy terms), not executed as codes.
+
+A shard is sparse: only the settings draw, the photon-number draw and one
+histogram touch every pulse.  Its stream is consumed in this order:
+
+1. one setting code per pulse, ``4 * alice_state + bob_setting`` in [0, 16);
+2. one photon number per pulse, Poisson(mu);
+3. the registered photons of each nonempty pulse, Bin(n_sent, t * eta_det):
+   channel survival and detector registration are independent per-photon
+   thinnings, so they compose into one;
+4. the misalignment flips of each pulse with a registered photon,
+   Bin(registered, e_mis), independent of both thinnings;
+5. one uniform per registered photon, routing it to a detector by the
+   cumulative click distribution of its (possibly flipped) state;
+6. per detector, a dark total Bin(n, p_dark) and that many distinct pulses.
+
+Click patterns, sifting and tallies are then built only on the pulses with
+a registered photon or a dark count.
 """
 
 from __future__ import annotations
@@ -120,8 +137,8 @@ class SessionParams:
     def __post_init__(self):
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be >= 1")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < np.inf:  # NaN fails too
+            raise ValueError("mu must be positive and finite")
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
 
@@ -258,78 +275,89 @@ def _routing_matrix() -> np.ndarray:
         for p, bob in enumerate(_PATH_ORDER):
             dist = ideal_bsm_distribution(apply_lon(bob, bb84_state(alice)))
             dist[dist < 1e-12] = 0.0
-            route[s, p] = dist / dist.sum()  # exact simplex row for multinomial
+            route[s, p] = dist / dist.sum()  # exact simplex row
     return route
 
 
+# Bob flips his bit when detector d (0-based) clicks in basis b: _FLIP[b, d]
+_FLIP = np.array([[d in flip_detectors(basis) for d in (1, 2, 3, 4)]
+                  for basis in (Basis.RECTILINEAR, Basis.DIAGONAL)])
+
+# clicking detector (0-based) of a 4-bit click pattern; -1 unless exactly one bit is set
+_LONE_CLICK = np.full(16, -1, dtype=np.int8)
+_LONE_CLICK[[1, 2, 4, 8]] = np.arange(4)
+
+
+def _sift_codes(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized `sift` of lone clicks, by setting code and 0-based detector.
+
+    ``code = 4 * alice_state + bob_setting`` in the orders of ALICE_SETTINGS
+    and ``_PATH_ORDER``.  Returns (basis matched, Bob's bit after the flip
+    rule); a pulse is sifted where it is matched.
+    """
+    bob_basis = (code >> 1) & 1
+    matched = (code >> 3) == bob_basis
+    return matched, (code & 1) ^ _FLIP[bob_basis, detector]
+
+
 def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: np.ndarray):
+    """Simulate n pulses and add their tallies to ``report``.
+
+    The draws follow the order in the module docstring.
+    """
     params = report.params
-    t = transmittance(params.channel)
-    e_mis = params.channel.e_mis
-    eta_det = params.detector.eta_det
+    eta = transmittance(params.channel) * params.detector.eta_det
     p_dark = params.detector.p_dark
 
-    alice_basis = rng.integers(0, 2, n)
-    alice_bit = rng.integers(0, 2, n)
-    alice_state = 2 * alice_basis + alice_bit
-    bob_setting = rng.integers(0, 4, n)  # order a, c, b0, bpi
-    bob_basis = bob_setting // 2
-    bob_bit = bob_setting % 2
-
+    code = rng.integers(0, 16, n, dtype=np.uint8)
     n_sent = rng.poisson(params.mu, n)
-    survived = rng.binomial(n_sent, t)
-    flipped = rng.binomial(survived, e_mis)
-    registered_ok = rng.binomial(survived - flipped, eta_det)
-    registered_flip = rng.binomial(flipped, eta_det)
+    hist = np.bincount(3 * code + np.minimum(n_sent, 2), minlength=48).reshape(16, 3)
+    matched_codes, _ = _sift_codes(np.arange(16), 0)
+    pulses = hist[matched_codes].sum(axis=0)  # matched pulses with 0, 1, >= 2 photons
+    report.matched_pulses += int(pulses.sum())
+    report.vacuum_pulses += int(pulses[0])
+    report.single_pulses += int(pulses[1])
 
-    clicks = np.zeros((n, 4), dtype=bool)
+    nonempty = np.flatnonzero(n_sent > 0)
+    registered = rng.binomial(n_sent[nonempty], eta)
+    hit = np.flatnonzero(registered > 0)
+    rows, registered = nonempty[hit], registered[hit]
+    flipped = rng.binomial(registered, params.channel.e_mis)
 
-    # route only the pulses with at least one registered photon
-    active = np.flatnonzero((registered_ok + registered_flip) > 0)
-    if active.size:
-        counts = np.zeros((active.size, 4), dtype=np.int64)
-        group = (4 * alice_state + bob_setting)[active]
-        reg_ok = registered_ok[active]
-        reg_flip = registered_flip[active]
-        for g in np.unique(group):
-            rows = np.flatnonzero(group == g)
-            s, p = divmod(int(g), 4)
-            counts[rows] += rng.multinomial(reg_ok[rows], route[s, p])
-            # a flipped photon behaves as the orthogonal state in the basis
-            counts[rows] += rng.multinomial(reg_flip[rows], route[s ^ 1, p])
-        clicks[active] = counts > 0
+    # one code per photon, row by row; the first `flipped` photons of a row are
+    # its flipped ones, routed as state s ^ 1 (code bit 2 toggled)
+    flip_bit = np.repeat(np.tile(np.uint8([4, 0]), rows.size),
+                         np.column_stack([flipped, registered - flipped]).ravel())
+    group = np.repeat(code[rows], registered) ^ flip_bit
+    u = rng.random(group.size)
+    detector = np.zeros(group.size, dtype=np.uint8)
+    for edge in np.cumsum(route.reshape(16, 4), axis=1).T[:3]:
+        detector += u >= edge[group]
+    mask = np.bitwise_or.reduceat(np.uint8(1) << detector, np.cumsum(registered) - registered)
 
     # dark counts: draw each detector's total, then scatter it over distinct pulses
+    parts, bits = [rows], [mask]
     for col in range(4):
         k = int(rng.binomial(n, p_dark))
-        if k:
-            clicks[rng.choice(n, k, replace=False), col] = True
+        parts.append(rng.choice(n, k, replace=False))
+        bits.append(np.full(k, 1 << col, dtype=np.uint8))
+    rows, inverse = np.unique(np.concatenate(parts), return_inverse=True)
+    pattern = np.zeros(rows.size, dtype=np.uint8)
+    np.bitwise_or.at(pattern, inverse, np.concatenate(bits))
 
-    success = clicks.sum(axis=1) == 1
-    detector = np.argmax(clicks, axis=1)  # 0-based; valid where success
-
-    matched = alice_basis == bob_basis
-    sifted = success & matched
-    flip = np.where(
-        bob_basis == 0,
-        (detector == 2) | (detector == 3),  # rectilinear: D3, D4
-        (detector == 1) | (detector == 3),  # diagonal:    D2, D4
-    )
-    bob_final = bob_bit ^ flip
-    error = sifted & (bob_final != alice_bit)
-
-    report.matched_pulses += int(matched.sum())
-    report.successes += np.bincount(detector[sifted], minlength=4)
-    report.errors += np.bincount(detector[error], minlength=4)
-
-    vac = matched & (n_sent == 0)
-    report.vacuum_pulses += int(vac.sum())
-    report.vacuum_successes += np.bincount(detector[vac & success], minlength=4)
-
-    single = matched & (n_sent == 1)
-    report.single_pulses += int(single.sum())
-    report.single_successes += np.bincount(detector[single & success], minlength=4)
-    report.single_errors += np.bincount(detector[single & error], minlength=4)
+    lone = _LONE_CLICK[pattern]
+    rows, detector = rows[lone >= 0], lone[lone >= 0]
+    c = code[rows]
+    matched, bob_bit = _sift_codes(c, detector)
+    error = bob_bit != ((c >> 2) & 1)
+    # (min(n_sent, 2), error, detector) histogram of the sifted lone clicks
+    key = 8 * np.minimum(n_sent[rows], 2) + 4 * error + detector
+    tally = np.bincount(key[matched], minlength=24).reshape(3, 2, 4)
+    report.successes += tally.sum(axis=(0, 1))
+    report.errors += tally[:, 1].sum(axis=0)
+    report.vacuum_successes += tally[0].sum(axis=0)
+    report.single_successes += tally[1].sum(axis=0)
+    report.single_errors += tally[1, 1]
 
 
 def run_session(params: SessionParams, seed: int) -> SessionReport:

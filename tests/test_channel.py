@@ -1,5 +1,7 @@
 """Tests for the source and fiber channel model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ class TestTransmittance:
             ChannelParams(-0.1, 10.0, 0.0)
         with pytest.raises(ValueError):
             ChannelParams(0.2, 10.0, 0.7)
+
+    @pytest.mark.parametrize("alpha, length", [(math.nan, 10.0), (0.2, math.nan)])
+    def test_nan_loss_rejected(self, alpha, length):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            ChannelParams(alpha, length, 0.0)
+
+    @pytest.mark.parametrize("alpha, length", [(0.0, math.inf), (math.inf, 0.0)])
+    def test_undefined_total_loss_rejected(self, alpha, length):
+        with pytest.raises(ValueError, match="undefined"):
+            ChannelParams(alpha, length, 0.0)
+
+    def test_infinite_length_blocks_everything(self):
+        assert transmittance(ChannelParams(0.2, math.inf, 0.0)) == 0.0
+        assert transmittance(ChannelParams(math.inf, 1.0, 0.0)) == 0.0
 
 
 class TestSamplePulse:
@@ -112,3 +128,8 @@ class TestSamplePulse:
     def test_source_validation(self):
         with pytest.raises(ValueError):
             SourceParams(mu=0.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_source_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SourceParams(mu=mu)

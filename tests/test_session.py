@@ -1,6 +1,7 @@
 """Tests for sifting, the Monte Carlo session, and its agreement with the
 analytic model."""
 
+import dataclasses
 import json
 import math
 
@@ -20,12 +21,17 @@ from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import (
     PulseRecord,
     SessionParams,
+    SessionReport,
+    _routing_matrix,
+    _run_shard,
+    _sift_codes,
     projected_qber_from_visibility,
     run_session,
     sift,
 )
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
+TALLIES = tuple(f.name for f in dataclasses.fields(SessionReport) if f.name not in ("params", "seed"))
 
 FIG_DETECTOR = DetectorParams(eta_det=0.145, p_dark=3.01e-6)
 
@@ -71,6 +77,16 @@ class TestSift:
                     bit = sift(PulseRecord(alice, path, BsmOutcome(det)))
                     assert bit is not None and bit.alice_bit == bit.bob_bit
 
+    def test_vectorized_sift_matches_scalar(self):
+        # every (Alice state, Bob setting) code against every lone detector
+        code, detector = np.divmod(np.arange(64), 4)
+        matched, bob_bit = _sift_codes(code, detector)
+        for c, d, m, b in zip(code, detector, matched, bob_bit):
+            bit = sift(PulseRecord(ALICE_SETTINGS[c >> 2], PATHS[c & 3], BsmOutcome(int(d) + 1)))
+            assert m == (bit is not None), (c, d)
+            if bit is not None:
+                assert b == bit.bob_bit, (c, d)
+
 
 class TestProjectedQber:
     def test_perfect_interference(self):
@@ -97,14 +113,24 @@ class TestRunSession:
         assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
     def test_sharding_does_not_change_totals(self):
-        small = SessionParams(
-            n_pulses=100_000, mu=0.7,
-            channel=ChannelParams(0.2, 0.0, 0.015), detector=FIG_DETECTOR,
+        # a session is the field-wise sum of its shards, each drawn from the
+        # stream [seed, shard], including a short last shard
+        params = SessionParams(
+            n_pulses=25_000, mu=0.7,
+            channel=ChannelParams(0.2, 0.0, 0.015),
+            detector=DetectorParams(eta_det=0.145, p_dark=0.01),
             shard_size=10_000,
         )
-        rep = run_session(small, seed=5)
-        assert rep.matched_pulses + rep.sifted_length > 0
-        assert rep.successes.sum() == rep.sifted_length
+        rep = run_session(params, seed=5)
+        total = {name: 0 for name in TALLIES}
+        for shard, n in enumerate((10_000, 10_000, 5_000)):
+            part = SessionReport(params=params, seed=5)
+            _run_shard(part, n, np.random.default_rng([5, shard]), _routing_matrix())
+            for name in TALLIES:
+                total[name] = total[name] + getattr(part, name)
+        assert rep.sifted_length > 0
+        for name in TALLIES:
+            np.testing.assert_array_equal(getattr(rep, name), total[name], err_msg=name)
 
     def test_dark_free_vacuum_never_clicks(self):
         params = SessionParams(
@@ -149,6 +175,32 @@ class TestRunSession:
             se = math.sqrt(0.25 * 0.75 / rep.single_pulses)
             assert p == pytest.approx(0.25, abs=3 * se)
 
+    def test_multi_photon_rows_match_analytic_model(self):
+        """Several registered photons per row, with coincident flips and dark
+        counts, still reproduce the yield table.
+
+        Seed and bound were fixed before the first run; do not re-pick them.
+        """
+        detector = DetectorParams(eta_det=1.0, p_dark=0.05)
+        params = SessionParams(
+            n_pulses=400_000, mu=3.0,
+            channel=ChannelParams(0.2, 0.0, 0.25), detector=detector,
+        )
+        rep = run_session(params, seed=2718)
+        yt = yield_table(RateParams(detector=detector, e_mis=0.25), 0.0)
+
+        def z(est, true, n):
+            return (est - true) / np.sqrt(true * (1 - true) / n)
+
+        zs = np.concatenate([
+            z(rep.gains(), yt.gains(3.0), rep.matched_pulses),
+            z(rep.qbers(), yt.qbers(3.0), rep.successes),
+            z(rep.vacuum_yields(), yt.y0, rep.vacuum_pulses),
+            z(rep.single_yields(), yt.y1, rep.single_pulses),
+            z(rep.single_qbers(), yt.e1, rep.single_successes),
+        ])
+        assert np.all(np.abs(zs) <= 4.0), zs
+
     def test_sifted_fraction_matches_basis_probability(self):
         params = fig_session(1_000_000)
         rep = run_session(params, seed=21)
@@ -189,6 +241,11 @@ class TestRunSession:
                           channel=ChannelParams(), detector=FIG_DETECTOR)
         with pytest.raises(ValueError):
             run_session(fig_session(10), seed=-1)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fig_session(10, mu=mu)
 
 
 def _rate_terms_from(gains, err_gains, yt, params, mu):
