@@ -112,8 +112,10 @@ def _ratio(num, den, empty: float):
 def _eta(params: RateParams, length_km):
     """eta_det times the channel transmittance 10^(-alpha L / 10)."""
     length_km = np.asarray(length_km, dtype=float)
-    if (length_km < 0.0).any():
-        raise ValueError("length must be nonnegative")
+    if not (length_km >= 0.0).all():  # NaN fails too
+        raise ValueError("length must be a nonnegative number")
+    if params.alpha_db_per_km == 0.0 and np.isinf(length_km).any():
+        raise ValueError("total loss alpha * length is undefined (0 * inf)")
     return params.detector.eta_det * 10.0 ** (-params.alpha_db_per_km * length_km / 10.0)
 
 

@@ -7,22 +7,31 @@ report depends only on the configuration and seed.  Error correction and
 privacy amplification are accounted analytically (the sifted length is
 shrunk by the usual f*h(E) and privacy terms), not executed as codes.
 
-A shard is sparse: only the settings draw, the photon-number draw and one
-histogram touch every pulse.  Its stream is consumed in this order:
+A shard is event-driven: only pulses with a registered photon or a dark
+count are drawn one by one, and the rest of the shard is one multinomial of
+counts.  Channel survival and detector registration are independent
+per-photon thinnings, so with eta = t * eta_det a pulse's photon number is
+n_sent = R + U, with independent R ~ Poisson(mu eta) registered and
+U ~ Poisson(mu (1 - eta)) unregistered photons.  The stream is consumed in
+this order:
 
-1. one setting code per pulse, ``4 * alice_state + bob_setting`` in [0, 16);
-2. one photon number per pulse, Poisson(mu);
-3. the registered photons of each nonempty pulse, Bin(n_sent, t * eta_det):
-   channel survival and detector registration are independent per-photon
-   thinnings, so they compose into one;
-4. the misalignment flips of each pulse with a registered photon,
-   Bin(registered, e_mis), independent of both thinnings;
-5. one uniform per registered photon, routing it to a detector by the
+1. the shard's registered total T ~ Poisson(n mu eta) and one uniform pulse
+   in [0, n) per photon: the exact multinomial split of a Poisson total,
+   so every pulse gets an independent R;
+2. one setting code ``4 * alice_state + bob_setting`` in [0, 16) per pulse
+   with R > 0, in pulse order;
+3. the misalignment flips of each such pulse, Bin(R, e_mis);
+4. one uniform per registered photon, routing it to a detector by the
    cumulative click distribution of its (possibly flipped) state;
-6. per detector, a dark total Bin(n, p_dark) and that many distinct pulses.
+5. per detector, a dark total Bin(n, p_dark) and that many distinct pulses;
+6. one setting code per pulse with a dark count and R = 0, in pulse order;
+7. U for every pulse of the union of 1 and 5, in pulse order;
+8. one multinomial over the n - |union| untouched pulses with cells
+   (matched, U = 0), (matched, U = 1), (matched, U >= 2) and unmatched, at
+   e^-m / 2, m e^-m / 2, (1 - e^-m - m e^-m) / 2 and 1/2, m = mu (1 - eta).
 
-Click patterns, sifting and tallies are then built only on the pulses with
-a registered photon or a dark count.
+Click patterns, sifting and tallies are built on the union only.  No array
+of length n is allocated, except inside the dark-count draws.
 """
 
 from __future__ import annotations
@@ -307,28 +316,20 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
     """
     params = report.params
     eta = transmittance(params.channel) * params.detector.eta_det
+    m = params.mu * (1.0 - eta)  # mean unregistered photons per pulse
     p_dark = params.detector.p_dark
 
-    code = rng.integers(0, 16, n, dtype=np.uint8)
-    n_sent = rng.poisson(params.mu, n)
-    hist = np.bincount(3 * code + np.minimum(n_sent, 2), minlength=48).reshape(16, 3)
-    matched_codes, _ = _sift_codes(np.arange(16), 0)
-    pulses = hist[matched_codes].sum(axis=0)  # matched pulses with 0, 1, >= 2 photons
-    report.matched_pulses += int(pulses.sum())
-    report.vacuum_pulses += int(pulses[0])
-    report.single_pulses += int(pulses[1])
-
-    nonempty = np.flatnonzero(n_sent > 0)
-    registered = rng.binomial(n_sent[nonempty], eta)
-    hit = np.flatnonzero(registered > 0)
-    rows, registered = nonempty[hit], registered[hit]
+    # registered photons: a Poisson total, each photon on a uniform pulse
+    total = rng.poisson(n * params.mu * eta)
+    rows, registered = np.unique(rng.integers(0, n, total), return_counts=True)
+    code = rng.integers(0, 16, rows.size, dtype=np.uint8)
     flipped = rng.binomial(registered, params.channel.e_mis)
 
     # one code per photon, row by row; the first `flipped` photons of a row are
     # its flipped ones, routed as state s ^ 1 (code bit 2 toggled)
     flip_bit = np.repeat(np.tile(np.uint8([4, 0]), rows.size),
                          np.column_stack([flipped, registered - flipped]).ravel())
-    group = np.repeat(code[rows], registered) ^ flip_bit
+    group = np.repeat(code, registered) ^ flip_bit
     u = rng.random(group.size)
     detector = np.zeros(group.size, dtype=np.uint8)
     for edge in np.cumsum(route.reshape(16, 4), axis=1).T[:3]:
@@ -341,17 +342,38 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
         k = int(rng.binomial(n, p_dark))
         parts.append(rng.choice(n, k, replace=False))
         bits.append(np.full(k, 1 << col, dtype=np.uint8))
-    rows, inverse = np.unique(np.concatenate(parts), return_inverse=True)
-    pattern = np.zeros(rows.size, dtype=np.uint8)
+    union, inverse = np.unique(np.concatenate(parts), return_inverse=True)
+    pattern = np.zeros(union.size, dtype=np.uint8)
     np.bitwise_or.at(pattern, inverse, np.concatenate(bits))
 
+    # settings and photon numbers of the union; a dark-only pulse registered nothing
+    hit = inverse[:rows.size]
+    n_sent = np.zeros(union.size, dtype=np.int64)
+    n_sent[hit] = registered
+    dark_only = n_sent == 0
+    code_u = np.empty(union.size, dtype=np.uint8)
+    code_u[hit] = code
+    code_u[dark_only] = rng.integers(0, 16, int(dark_only.sum()), dtype=np.uint8)
+    n_sent = np.minimum(n_sent + rng.poisson(m, union.size), 2)
+
+    # matched pulses with 0, 1, >= 2 photons: the union's counted, the untouched
+    # pulses' drawn as one multinomial over (matched, U = 0), (matched, U = 1),
+    # (matched, U >= 2) and unmatched; half of the 16 setting codes are matched
+    matched, _ = _sift_codes(code_u, 0)
+    p0, p1 = np.exp(-m), m * np.exp(-m)
+    rest = rng.multinomial(n - union.size, [p0 / 2, p1 / 2, (-np.expm1(-m) - p1) / 2, 0.5])
+    pulses = np.bincount(n_sent[matched], minlength=3) + rest[:3]
+    report.matched_pulses += int(pulses.sum())
+    report.vacuum_pulses += int(pulses[0])
+    report.single_pulses += int(pulses[1])
+
     lone = _LONE_CLICK[pattern]
-    rows, detector = rows[lone >= 0], lone[lone >= 0]
-    c = code[rows]
+    sel = lone >= 0
+    c, detector = code_u[sel], lone[sel]
     matched, bob_bit = _sift_codes(c, detector)
     error = bob_bit != ((c >> 2) & 1)
     # (min(n_sent, 2), error, detector) histogram of the sifted lone clicks
-    key = 8 * np.minimum(n_sent[rows], 2) + 4 * error + detector
+    key = 8 * n_sent[sel] + 4 * error + detector
     tally = np.bincount(key[matched], minlength=24).reshape(3, 2, 4)
     report.successes += tally.sum(axis=(0, 1))
     report.errors += tally[:, 1].sum(axis=0)

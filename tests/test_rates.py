@@ -1,5 +1,6 @@
 """Tests for the analytic yields and the key-rate machinery."""
 
+import dataclasses
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -248,6 +249,23 @@ class TestKeyRate:
             bb84_reference_rate(FIG_PARAMS, 50.0, mu)
         with pytest.raises(ValueError, match="mu"):
             key_rate(yt, FIG_PARAMS, np.array([0.7, mu]))
+
+    @pytest.mark.parametrize("length", [math.nan, -1.0])
+    def test_invalid_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length"):
+            yield_table(FIG_PARAMS, length)
+        with pytest.raises(ValueError, match="length"):
+            yield_table(FIG_PARAMS, np.array([10.0, length]))
+        with pytest.raises(ValueError, match="length"):
+            bb84_reference_rate(FIG_PARAMS, length, 0.7)
+
+    def test_infinite_length_has_zero_transmittance(self):
+        yt = yield_table(FIG_PARAMS, math.inf)
+        assert yt.eta == 0.0
+        assert key_rate(yt, FIG_PARAMS, 0.7) == 0.0
+        lossless = dataclasses.replace(FIG_PARAMS, alpha_db_per_km=0.0)
+        with pytest.raises(ValueError, match="undefined"):
+            yield_table(lossless, math.inf)
 
     def test_array_evaluation_matches_scalar(self):
         lengths = np.array([0.0, 35.0, 120.0, 170.0])

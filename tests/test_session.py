@@ -45,6 +45,28 @@ def fig_session(n_pulses, length_km=0.0, mu=0.7):
     )
 
 
+def _assert_tallies_match_model(rep):
+    """|z| <= 4 on every gain, QBER, vacuum and single-photon yield and
+    single-photon QBER of a session against the yield table."""
+    params = rep.params
+    rate_params = RateParams(detector=params.detector, alpha_db_per_km=params.channel.alpha_db_per_km,
+                             e_mis=params.channel.e_mis)
+    yt = yield_table(rate_params, params.channel.length_km)
+    mu = params.mu
+
+    def z(est, true, n):
+        return (est - true) / np.sqrt(true * (1 - true) / n)
+
+    zs = np.concatenate([
+        z(rep.gains(), yt.gains(mu), rep.matched_pulses),
+        z(rep.qbers(), yt.qbers(mu), rep.successes),
+        z(rep.vacuum_yields(), yt.y0, rep.vacuum_pulses),
+        z(rep.single_yields(), yt.y1, rep.single_pulses),
+        z(rep.single_qbers(), yt.e1, rep.single_successes),
+    ])
+    assert np.all(np.abs(zs) <= 4.0), zs
+
+
 class TestSift:
     def test_matched_no_flip(self):
         rec = PulseRecord(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.A, BsmOutcome(1))
@@ -186,20 +208,64 @@ class TestRunSession:
             n_pulses=400_000, mu=3.0,
             channel=ChannelParams(0.2, 0.0, 0.25), detector=detector,
         )
-        rep = run_session(params, seed=2718)
-        yt = yield_table(RateParams(detector=detector, e_mis=0.25), 0.0)
+        _assert_tallies_match_model(run_session(params, seed=2718))
 
-        def z(est, true, n):
-            return (est - true) / np.sqrt(true * (1 - true) / n)
+    def test_unregistered_photons_count_in_photon_number(self):
+        """With eta < 1 a pulse's photon number is its registered plus its
+        unregistered photons, so single-photon pulses mostly stay dark.
 
-        zs = np.concatenate([
-            z(rep.gains(), yt.gains(3.0), rep.matched_pulses),
-            z(rep.qbers(), yt.qbers(3.0), rep.successes),
-            z(rep.vacuum_yields(), yt.y0, rep.vacuum_pulses),
-            z(rep.single_yields(), yt.y1, rep.single_pulses),
-            z(rep.single_qbers(), yt.e1, rep.single_successes),
-        ])
-        assert np.all(np.abs(zs) <= 4.0), zs
+        Seed and bound were fixed before the first run; do not re-pick them.
+        """
+        params = SessionParams(
+            n_pulses=400_000, mu=3.0,
+            channel=ChannelParams(0.2, 10.0, 0.25),
+            detector=DetectorParams(eta_det=0.5, p_dark=0.05),
+        )
+        _assert_tallies_match_model(run_session(params, seed=2719))
+
+    @pytest.mark.parametrize("eta_det, length_km, p_dark", [(0.5, 10.0, 0.3), (1.0, 0.0, 0.01)])
+    def test_pulse_counts_follow_the_source(self, eta_det, length_km, p_dark):
+        """Matched, vacuum and single-photon pulse counts are binomial in the
+        session length with p = 1/2, e^-mu / 2 and mu e^-mu / 2.
+
+        At p_dark = 0.3 most pulses carry a dark count and are drawn one by
+        one; at eta_det = 1, 0 km every photon registers, so the pulses drawn
+        as a block are all vacuum.  Seed and bound were fixed before the
+        first run; do not re-pick them.
+        """
+        mu, n = 1.0, 400_000
+        params = SessionParams(
+            n_pulses=n, mu=mu,
+            channel=ChannelParams(0.2, length_km, 0.015),
+            detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+        )
+        rep = run_session(params, seed=99)
+        counts = np.array([rep.matched_pulses, rep.vacuum_pulses, rep.single_pulses])
+        p = np.array([1.0, math.exp(-mu), mu * math.exp(-mu)]) / 2
+        z = (counts - n * p) / np.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(z) <= 4.0), z
+
+    @pytest.mark.parametrize("n_pulses", [1, 1000])
+    @pytest.mark.parametrize("eta_det, length_km, p_dark", [
+        (0.0, 0.0, 0.01),           # nothing registers
+        (0.145, math.inf, 0.01),    # nothing survives the channel
+        (1.0, 0.0, 0.01),           # every photon registers
+        (0.145, 10.0, 1 - 1e-9),    # every detector dark-fires
+    ])
+    def test_edge_shards_keep_tally_invariants(self, n_pulses, eta_det, length_km, p_dark):
+        params = SessionParams(
+            n_pulses=n_pulses, mu=0.7,
+            channel=ChannelParams(0.2, length_km, 0.015),
+            detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+        )
+        for seed in range(5):
+            rep = run_session(params, seed=seed)
+            json.dumps(rep.to_dict())
+            assert rep.sifted_length == rep.successes.sum()
+            assert rep.vacuum_pulses + rep.single_pulses <= rep.matched_pulses <= n_pulses
+            assert np.all(rep.errors <= rep.successes)
+            assert np.all(rep.vacuum_successes + rep.single_successes <= rep.successes)
+            assert np.all(rep.single_errors <= rep.single_successes)
 
     def test_sifted_fraction_matches_basis_probability(self):
         params = fig_session(1_000_000)
