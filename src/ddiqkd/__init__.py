@@ -7,25 +7,22 @@ The library is organized bottom-up:
 - qstate:   tiny complex linear algebra (pure states, density matrices)
 - encoding: BB84 polarization states, the path-encoding network, and the
             virtual-protocol identities behind the security argument
-- bsm:      ideal and mode-network Bell measurement, threshold detectors
-- channel:  weak-coherent-pulse source and lossy, misaligned fiber
+- bsm:      ideal and mode-network Bell measurement, detector parameters
+- channel:  Poisson photon statistics and lossy, misaligned fiber
 - rates:    analytic yields, secret key rate, intensity optimization,
             distance sweeps, and the two-detector reference system
-- session:  vectorized Monte Carlo of full protocol runs
+- session:  vectorized Monte Carlo of full protocol runs and its sift
 - verify:   the model consistency checks
 - cli:      batch front end (``ddiqkd`` command)
 """
 
 from .bsm import (
-    BsmOutcome,
-    ClickPattern,
     DetectorParams,
-    detect,
     ideal_bsm_distribution,
     mode_network_distribution,
     theory_table,
 )
-from .channel import ChannelParams, SourceParams, poisson_pn, sample_pulse, transmittance
+from .channel import ChannelParams, poisson_pn, transmittance
 from .encoding import (
     ALICE_SETTINGS,
     Basis,
@@ -55,10 +52,8 @@ from .rates import (
     yield_table,
 )
 from .session import (
-    PulseRecord,
     SessionParams,
     SessionReport,
-    SiftedBit,
     projected_qber_from_visibility,
     run_session,
     sift,

@@ -1,4 +1,4 @@
-"""Single-photon Bell-state measurement and the threshold-detector layer.
+"""Single-photon Bell-state measurement.
 
 Two interchangeable models of the ideal measurement are provided: direct
 projection onto the hybrid Bell basis, and an explicit 4-mode network
@@ -6,9 +6,8 @@ projection onto the hybrid Bell basis, and an explicit 4-mode network
 polarizing beamsplitter per arm feeding detectors D1..D4).  They agree
 exactly; the network exists so the optical layout can be audited.
 
-Detectors are threshold devices: inefficiency eta_det per photon, dark
-count probability p_dark per detector per gate, and any multi-click event
-is discarded (no squashing rule is applied).
+``DetectorParams`` holds the efficiency and dark-count probability of the
+four detectors, which the rate model and the Monte Carlo apply.
 """
 
 from __future__ import annotations
@@ -32,12 +31,9 @@ SQ2 = 1.0 / np.sqrt(2.0)
 
 __all__ = [
     "DetectorParams",
-    "ClickPattern",
-    "BsmOutcome",
     "ideal_bsm_distribution",
     "mode_network_matrix",
     "mode_network_distribution",
-    "detect",
     "THEORY_ROWS",
     "theory_table",
 ]
@@ -55,33 +51,6 @@ class DetectorParams:
             raise ValueError("eta_det must be in [0, 1]")
         if not 0.0 <= self.p_dark < 1.0:
             raise ValueError("p_dark must be in [0, 1)")
-
-
-@dataclass(frozen=True)
-class ClickPattern:
-    """Which of D1..D4 fired in one gate."""
-
-    clicks: tuple[bool, bool, bool, bool]
-
-    def successful(self) -> bool:
-        """True iff exactly one detector clicked."""
-        return sum(self.clicks) == 1
-
-    def outcome(self) -> "BsmOutcome":
-        if not self.successful():
-            return BsmOutcome(None)
-        return BsmOutcome(1 + self.clicks.index(True))
-
-
-@dataclass(frozen=True)
-class BsmOutcome:
-    """Successful outcomes carry the clicking detector index (1..4)."""
-
-    detector: int | None
-
-    @property
-    def successful(self) -> bool:
-        return self.detector is not None
 
 
 def ideal_bsm_distribution(state: PureState) -> np.ndarray:
@@ -123,27 +92,6 @@ def mode_network_distribution(state: PureState) -> np.ndarray:
         raise ValueError("expected a two-factor (pol, path) state")
     detector_amps = mode_network_matrix() @ state.amps
     return np.abs(detector_amps) ** 2
-
-
-def detect(
-    photon_detector_assignments: list[int] | tuple[int, ...],
-    params: DetectorParams,
-    rng: np.random.Generator,
-) -> ClickPattern:
-    """Threshold detection of routed photons plus independent dark counts.
-
-    Each entry of photon_detector_assignments is the detector (1..4) an
-    arriving photon was routed to; it registers with probability eta_det.
-    Every detector additionally dark-fires with probability p_dark.
-    """
-    fired = [False] * 4
-    for det in photon_detector_assignments:
-        if det not in (1, 2, 3, 4):
-            raise ValueError("detector indices must be in 1..4")
-        if rng.random() < params.eta_det:
-            fired[det - 1] = True
-    dark = rng.random(4) < params.p_dark
-    return ClickPattern(tuple(bool(f or d) for f, d in zip(fired, dark)))
 
 
 # The eight basis-matched (Alice state, Bob setting) combinations, in the

@@ -1,4 +1,4 @@
-"""Weak-coherent-pulse source and the lossy, misaligned fiber channel.
+"""Weak-coherent-pulse photon statistics and the lossy, misaligned fiber.
 
 Phase randomization is not simulated; it is what justifies treating each
 pulse as a Poisson mixture of photon-number states, which is all the decoy
@@ -12,16 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .encoding import Bb84Setting
-
 __all__ = [
     "ChannelParams",
-    "SourceParams",
     "poisson_pn",
     "transmittance",
-    "sample_pulse",
 ]
 
 
@@ -42,47 +36,15 @@ class ChannelParams:
             raise ValueError("e_mis must be in [0, 0.5]")
 
 
-@dataclass(frozen=True)
-class SourceParams:
-    """Signal intensity; yields are assumed known exactly (infinite decoy)."""
-
-    mu: float
-    infinite_decoy: bool = True
-
-    def __post_init__(self):
-        if not 0 < self.mu < math.inf:  # NaN fails too
-            raise ValueError("mu must be positive and finite")
-
-
 def poisson_pn(mu: float, n: int) -> float:
     """Probability that a pulse of mean photon number mu carries n photons."""
     if n < 0:
         raise ValueError("photon number must be nonnegative")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < math.inf:  # NaN fails too
+        raise ValueError("mu must be positive and finite")
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
 
 
 def transmittance(ch: ChannelParams) -> float:
     """Channel transmittance 10^(-alpha L / 10)."""
     return 10.0 ** (-ch.alpha_db_per_km * ch.length_km / 10.0)
-
-
-def sample_pulse(
-    src: SourceParams,
-    setting: Bb84Setting,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-) -> tuple[int, np.ndarray]:
-    """Draw one pulse: surviving photon count and per-photon flip flags.
-
-    The emitted photon number is Poisson(mu); each photon survives the
-    channel independently with probability transmittance(ch), and each
-    survivor independently carries a flip to the state orthogonal to
-    setting within its basis, with probability e_mis.
-    """
-    n = int(rng.poisson(src.mu))
-    t = transmittance(ch)
-    survived = int(np.count_nonzero(rng.random(n) < t)) if n else 0
-    flips = rng.random(survived) < ch.e_mis
-    return survived, flips

@@ -83,10 +83,12 @@ class RateParams:
     f_ec: float = 1.16
 
     def __post_init__(self):
+        if not self.alpha_db_per_km >= 0.0:  # NaN fails too
+            raise ValueError("loss coefficient must be a nonnegative number")
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must be in (0, 1]")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        if not 1.0 <= self.f_ec < np.inf:
+            raise ValueError("f_ec must be finite and >= 1")
         if not 0.0 <= self.e_mis <= 0.5:
             raise ValueError("e_mis must be in [0, 0.5]")
 

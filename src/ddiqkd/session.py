@@ -40,12 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsm import BsmOutcome, DetectorParams, detect, ideal_bsm_distribution
-from .channel import ChannelParams, SourceParams, poisson_pn, sample_pulse, transmittance
+from .bsm import DetectorParams, ideal_bsm_distribution
+from .channel import ChannelParams, poisson_pn, transmittance
 from .encoding import (
     ALICE_SETTINGS,
     Basis,
-    Bb84Setting,
     PathSetting,
     apply_lon,
     bb84_state,
@@ -54,10 +53,7 @@ from .encoding import (
 from .rates import YieldTable, binary_entropy
 
 __all__ = [
-    "PulseRecord",
-    "SiftedBit",
     "sift",
-    "run_pulse",
     "SessionParams",
     "SessionReport",
     "run_session",
@@ -65,63 +61,6 @@ __all__ = [
 ]
 
 _PATH_ORDER = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    alice: Bb84Setting
-    bob: PathSetting
-    outcome: BsmOutcome
-
-
-@dataclass(frozen=True)
-class SiftedBit:
-    alice_bit: int
-    bob_bit: int  # after the flip rule
-    basis: Basis
-    detector: int
-
-
-def sift(record: PulseRecord) -> SiftedBit | None:
-    """Keep basis-matched successful events, applying Bob's bit flips.
-
-    Bob flips his path bit when the clicking detector demands it for the
-    announced basis (D3/D4 in the rectilinear basis, D2/D4 in the diagonal
-    one); everything else is discarded.
-    """
-    if not record.outcome.successful:
-        return None
-    if record.alice.basis is not record.bob.basis:
-        return None
-    det = record.outcome.detector
-    bob_bit = record.bob.bit
-    if det in flip_detectors(record.alice.basis):
-        bob_bit = 1 - bob_bit
-    return SiftedBit(record.alice.bit, bob_bit, record.alice.basis, det)
-
-
-def run_pulse(
-    alice: Bb84Setting,
-    bob: PathSetting,
-    src: SourceParams,
-    ch: ChannelParams,
-    det: DetectorParams,
-    rng: np.random.Generator,
-) -> PulseRecord:
-    """Simulate one pulse at fixed settings (narrative/scalar path).
-
-    Each surviving photon is routed independently according to the ideal
-    single-photon click distribution of its (possibly flipped) polarization
-    and Bob's setting, then thresholded with dark counts.
-    """
-    survived, flips = sample_pulse(src, alice, ch, rng)
-    assignments = []
-    for flipped in flips:
-        state = alice.flipped() if flipped else alice
-        dist = ideal_bsm_distribution(apply_lon(bob, bb84_state(state)))
-        assignments.append(1 + int(rng.choice(4, p=dist)))
-    pattern = detect(assignments, det, rng)
-    return PulseRecord(alice, bob, pattern.outcome())
 
 
 def projected_qber_from_visibility(visibility: float) -> float:
@@ -148,6 +87,10 @@ class SessionParams:
             raise ValueError("n_pulses must be >= 1")
         if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
+        if not 0.0 < self.q <= 1.0:
+            raise ValueError("q must be in (0, 1]")
+        if not 1.0 <= self.f_ec < np.inf:
+            raise ValueError("f_ec must be finite and >= 1")
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
 
@@ -297,12 +240,12 @@ _LONE_CLICK = np.full(16, -1, dtype=np.int8)
 _LONE_CLICK[[1, 2, 4, 8]] = np.arange(4)
 
 
-def _sift_codes(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `sift` of lone clicks, by setting code and 0-based detector.
+def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sift lone clicks, by setting code and 0-based clicking detector.
 
     ``code = 4 * alice_state + bob_setting`` in the orders of ALICE_SETTINGS
     and ``_PATH_ORDER``.  Returns (basis matched, Bob's bit after the flip
-    rule); a pulse is sifted where it is matched.
+    rule ``_FLIP``); a pulse is kept where it is matched.
     """
     bob_basis = (code >> 1) & 1
     matched = (code >> 3) == bob_basis
@@ -359,7 +302,7 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
     # matched pulses with 0, 1, >= 2 photons: the union's counted, the untouched
     # pulses' drawn as one multinomial over (matched, U = 0), (matched, U = 1),
     # (matched, U >= 2) and unmatched; half of the 16 setting codes are matched
-    matched, _ = _sift_codes(code_u, 0)
+    matched, _ = sift(code_u, 0)
     p0, p1 = np.exp(-m), m * np.exp(-m)
     rest = rng.multinomial(n - union.size, [p0 / 2, p1 / 2, (-np.expm1(-m) - p1) / 2, 0.5])
     pulses = np.bincount(n_sent[matched], minlength=3) + rest[:3]
@@ -370,7 +313,7 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
     lone = _LONE_CLICK[pattern]
     sel = lone >= 0
     c, detector = code_u[sel], lone[sel]
-    matched, bob_bit = _sift_codes(c, detector)
+    matched, bob_bit = sift(c, detector)
     error = bob_bit != ((c >> 2) & 1)
     # (min(n_sent, 2), error, detector) histogram of the sifted lone clicks
     key = 8 * n_sent[sel] + 4 * error + detector

@@ -13,23 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsm import BsmOutcome, ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
+from .bsm import ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
 from .encoding import (
     ALICE_SETTINGS,
-    PathSetting,
     VirtualSource,
-    agreement_detectors,
     apply_lon,
     bb84_state,
     rho_alice,
     rho_bob,
 )
 from .qstate import PureState, haar_amplitudes, random_unitary, trace_distance
-from .session import PulseRecord, sift
+from .session import _PATH_ORDER, _routing_matrix, sift
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
-
-_PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
     """Mode-network and Bell-projector click distributions agree."""
     worst = 0.0
     for alice in ALICE_SETTINGS:
-        for path in _PATHS:
+        for path in _PATH_ORDER:
             state = apply_lon(path, bb84_state(alice))
             worst = max(worst, float(np.max(np.abs(
                 mode_network_distribution(state) - ideal_bsm_distribution(state)))))
@@ -94,23 +90,24 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
                        f"16 settings + {n_samples} Haar states + network unitarity")
 
 
-def check_flip_table(rng=None) -> CheckResult:
-    """Ideal single photons land only on the agreement pair; sifted QBER is 0."""
-    worst = 0.0
-    ok = True
-    for alice in ALICE_SETTINGS:
-        for path in _PATHS:
-            if alice.basis is not path.basis:
-                continue
-            dist = ideal_bsm_distribution(apply_lon(path, bb84_state(alice)))
-            pair = agreement_detectors(alice, path)
-            off_pair = sum(dist[i - 1] for i in range(1, 5) if i not in pair)
-            worst = max(worst, off_pair)
-            for det in pair:
-                bit = sift(PulseRecord(alice, path, BsmOutcome(det)))
-                if bit is None or bit.alice_bit != bit.bob_bit:
-                    ok = False
-    return CheckResult("flip-table-correlations", ok and worst < 1e-12, worst, 1e-12,
+def check_flip_table() -> CheckResult:
+    """Ideal single photons never give Bob a wrong sifted bit.
+
+    Runs the reports' own `sift` and routing table on all 16 setting codes x
+    4 detectors: exactly the 8 basis-matched codes are kept, each has exactly
+    two detectors that restore Alice's bit, and the click mass on detectors
+    that hand Bob the wrong bit is the deviation.
+    """
+    code, detector = np.divmod(np.arange(64), 4)
+    matched, bob_bit = sift(code, detector)
+    matched = matched.reshape(16, 4)
+    agrees = (bob_bit == (code >> 2) & 1).reshape(16, 4)  # Alice's bit is code bit 2
+    basis_matched = np.array([alice.basis is path.basis
+                              for alice in ALICE_SETTINGS for path in _PATH_ORDER])
+    worst = float((_routing_matrix().reshape(16, 4) * (matched & ~agrees)).sum(axis=1).max())
+    ok = ((matched == basis_matched[:, None]).all()
+          and ((matched & agrees).sum(axis=1) == 2 * basis_matched).all())
+    return CheckResult("flip-table-correlations", bool(ok) and worst < 1e-12, worst, 1e-12,
                        "all 8 basis-matched pairs, both agreement detectors")
 
 

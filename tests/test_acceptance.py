@@ -25,7 +25,7 @@ from ddiqkd.encoding import (
     rho_alice,
     rho_bob,
 )
-from ddiqkd.bsm import BsmOutcome, ideal_bsm_distribution, mode_network_distribution
+from ddiqkd.bsm import ideal_bsm_distribution, mode_network_distribution
 from ddiqkd.qstate import PureState, haar_amplitudes, random_unitary, trace_distance
 from ddiqkd.rates import (
     RateParams,
@@ -35,7 +35,6 @@ from ddiqkd.rates import (
     yield_table,
 )
 from ddiqkd.session import (
-    PulseRecord,
     SessionParams,
     projected_qber_from_visibility,
     run_session,
@@ -105,18 +104,18 @@ def test_criterion_3_flip_table_structure():
     """Ideal single photons stay on the bit-restoring pair; QBER exactly 0."""
     t0 = time.monotonic()
     checked = 0
-    for alice in ALICE_SETTINGS:
-        for path in PATHS:
+    for s, alice in enumerate(ALICE_SETTINGS):
+        for p, path in enumerate(PATHS):
             if alice.basis is not path.basis:
                 continue
             dist = np.abs(hybrid_bell_expand(apply_lon(path, bb84_state(alice)))) ** 2
             pair = agreement_detectors(alice, path)
             off = sum(dist[i - 1] for i in range(1, 5) if i not in pair)
             assert off < 1e-12
-            for det in pair:
-                bit = sift(PulseRecord(alice, path, BsmOutcome(det)))
-                assert bit is not None
-                assert bit.alice_bit == bit.bob_bit  # QBER = 0, exactly
+            # the production sift, on the pair's two lone clicks
+            matched, bob_bit = sift(np.full(2, 4 * s + p), np.array(pair) - 1)
+            assert matched.all()
+            assert (bob_bit == alice.bit).all()  # QBER = 0, exactly
             checked += 1
     elapsed = time.monotonic() - t0
     assert checked == 8

@@ -5,14 +5,13 @@ import pytest
 
 from ddiqkd.bsm import (
     THEORY_ROWS,
-    ClickPattern,
     DetectorParams,
-    detect,
     ideal_bsm_distribution,
     mode_network_distribution,
     mode_network_matrix,
     theory_table,
 )
+from ddiqkd.channel import ChannelParams
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
     Basis,
@@ -23,6 +22,8 @@ from ddiqkd.encoding import (
     bb84_state,
 )
 from ddiqkd.qstate import PureState, haar_amplitudes
+from ddiqkd.rates import RateParams, yield_table
+from ddiqkd.session import _LONE_CLICK, SessionParams, _routing_matrix, run_session, sift
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
@@ -83,56 +84,82 @@ class TestModeNetwork:
 
 
 class TestClickPattern:
+    """The session's 4-bit click masks: bit d set means detector D(d+1) fired."""
+
     def test_success_requires_exactly_one(self):
-        assert ClickPattern((True, False, False, False)).successful()
-        assert not ClickPattern((False, False, False, False)).successful()
-        assert not ClickPattern((True, False, True, False)).successful()
+        for pattern in range(16):
+            clicks = bin(pattern).count("1")
+            assert (_LONE_CLICK[pattern] >= 0) == (clicks == 1), pattern
 
     def test_outcome_detector_index(self):
-        assert ClickPattern((False, False, True, False)).outcome().detector == 3
-        assert ClickPattern((True, True, False, False)).outcome().detector is None
+        for detector in range(4):
+            assert _LONE_CLICK[1 << detector] == detector
+        assert _LONE_CLICK[0b0100] == 2
+        assert _LONE_CLICK[0b0011] == -1
+        assert _LONE_CLICK[0] == -1
+
+
+def _session(n_pulses, mu, eta_det, p_dark):
+    """A lossless, perfectly aligned session at the given detector settings."""
+    return SessionParams(
+        n_pulses=n_pulses, mu=mu,
+        channel=ChannelParams(0.2, 0.0, 0.0),
+        detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+    )
 
 
 class TestDetect:
+    """Threshold detection as the session simulates it: each photon registers
+    with probability eta_det, each detector dark-fires with probability
+    p_dark, and only a lone click counts."""
+
     def test_vacuum_noiseless_never_clicks(self):
-        rng = np.random.default_rng(0)
-        params = DetectorParams(eta_det=1.0, p_dark=0.0)
-        for _ in range(100):
-            assert detect([], params, rng).clicks == (False,) * 4
+        rep = run_session(_session(100_000, 0.7, eta_det=1.0, p_dark=0.0), seed=0)
+        assert rep.vacuum_pulses > 0
+        assert rep.vacuum_successes.sum() == 0
 
     def test_perfect_detector_single_photon(self):
-        rng = np.random.default_rng(0)
-        params = DetectorParams(eta_det=1.0, p_dark=0.0)
-        pattern = detect([1], params, rng)
-        assert pattern.clicks == (True, False, False, False)
-        assert pattern.successful()
+        # every basis-matched one-photon pulse gives a lone click on its pair
+        rep = run_session(_session(100_000, 0.7, eta_det=1.0, p_dark=0.0), seed=0)
+        assert rep.single_pulses > 0
+        assert rep.single_successes.sum() == rep.single_pulses
+        assert rep.single_errors.sum() == 0
 
     def test_invalid_detector_index(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            detect([5], DetectorParams(1.0, 0.0), rng)
+        # photons are routed over D1..D4 only, lone clicks name one of them,
+        # and the sift rejects a detector past D4
+        route = _routing_matrix()
+        assert route.shape == (4, 4, 4)
+        assert np.all(route >= 0.0)
+        np.testing.assert_allclose(route.sum(axis=2), 1.0, atol=1e-15)
+        assert set(_LONE_CLICK.tolist()) == {-1, 0, 1, 2, 3}
+        with pytest.raises(IndexError):
+            sift(np.array([0]), np.array([4]))
 
     def test_dark_only_single_click_rate(self):
-        # P(exactly one click) = 4 p (1-p)^3 for independent dark counts
+        # P(exactly one click) = 4 p (1-p)^3 for independent dark counts;
+        # nothing registers, so every sifted bit is a lone dark count
         p = 6.02e-6
-        trials = 1_000_000
-        rng = np.random.default_rng(2024)
-        params = DetectorParams(eta_det=0.0, p_dark=p)
-        hits = sum(detect([], params, rng).successful() for _ in range(trials))
+        rep = run_session(_session(2_000_000, 0.7, eta_det=0.0, p_dark=p), seed=2024)
+        trials = rep.matched_pulses
+        hits = rep.sifted_length
         expected = 4 * p * (1 - p) ** 3
         se = np.sqrt(trials * expected * (1 - expected))
         assert abs(hits - trials * expected) <= 3 * se
 
     def test_inefficiency_drops_photons(self):
-        rng = np.random.default_rng(9)
-        params = DetectorParams(eta_det=0.3, p_dark=0.0)
-        hits = sum(detect([2], params, rng).clicks[1] for _ in range(20_000))
-        se = np.sqrt(20_000 * 0.3 * 0.7)
-        assert abs(hits - 6000) <= 3 * se
+        # a lone photon registers with probability eta_det, on one detector
+        rep = run_session(_session(200_000, 1.0, eta_det=0.3, p_dark=0.0), seed=9)
+        trials = rep.single_pulses
+        assert trials >= 20_000
+        hits = rep.single_successes.sum()
+        se = np.sqrt(trials * 0.3 * 0.7)
+        assert abs(hits - 0.3 * trials) <= 3 * se
 
     def test_success_monotone_in_dark_rate_with_signal_present(self):
         # a photon detected at D1 succeeds iff no other detector dark-fires;
-        # enumerate the dark patterns exactly and cross-check one point by MC
+        # enumerate the dark patterns exactly and cross-check one point
+        # against the analytic yield and by Monte Carlo
         def success_prob(p):
             total = 0.0
             for pattern in range(16):
@@ -147,11 +174,14 @@ class TestDetect:
         assert all(a >= b for a, b in zip(probs, probs[1:]))
         assert probs[0] == 1.0
 
-        rng = np.random.default_rng(77)
-        params = DetectorParams(eta_det=1.0, p_dark=0.05)
-        trials = 50_000
-        hits = sum(detect([1], params, rng).successful() for _ in range(trials))
+        params = _session(300_000, 1.0, eta_det=1.0, p_dark=0.05)
         expected = success_prob(0.05)
+        yt = yield_table(RateParams(detector=params.detector, e_mis=0.0), 0.0)
+        assert yt.y1.sum() == pytest.approx(expected, rel=1e-12)
+        rep = run_session(params, seed=77)
+        trials = rep.single_pulses
+        assert trials >= 50_000
+        hits = rep.single_successes.sum()
         se = np.sqrt(trials * expected * (1 - expected))
         assert abs(hits - trials * expected) <= 3 * se
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.channel import ChannelParams, SourceParams, poisson_pn, sample_pulse, transmittance
-from ddiqkd.encoding import Basis, Bb84Setting
-
-H = Bb84Setting(Basis.RECTILINEAR, 0)
+from ddiqkd.bsm import DetectorParams
+from ddiqkd.channel import ChannelParams, poisson_pn, transmittance
+from ddiqkd.rates import RateParams, yield_table
+from ddiqkd.session import SessionParams, run_session
 
 # chi-square critical value at alpha = 0.001 for 3 degrees of freedom
 CHI2_999_DOF3 = 16.266
@@ -68,31 +68,43 @@ class TestTransmittance:
         assert transmittance(ChannelParams(math.inf, 1.0, 0.0)) == 0.0
 
 
+def _ideal_session(n_pulses, mu, length_km):
+    """A perfectly aligned session with ideal detectors."""
+    return SessionParams(
+        n_pulses=n_pulses, mu=mu,
+        channel=ChannelParams(0.2, length_km, 0.0),
+        detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+    )
+
+
 class TestSamplePulse:
+    """Pulses as the session draws them: Poisson photon numbers, thinned by
+    the channel, with independent per-photon misalignment flips.  With ideal
+    detectors (eta_det = 1, p_dark = 0) and no misalignment, k surviving
+    photons give a lone click with probability 2^(1-k), so the gain per
+    matched pulse is 2 (e^(-lam/2) - e^(-lam)) for Poisson(lam) survivors."""
+
+    @staticmethod
+    def _ideal_gain(lam):
+        return 2.0 * (math.exp(-lam / 2) - math.exp(-lam))
+
     def test_tiny_mu_rarely_survives(self):
-        rng = np.random.default_rng(1)
-        src = SourceParams(mu=1e-6)
-        ch = ChannelParams(0.2, 0.0, 0.0)
-        survivors = sum(sample_pulse(src, H, ch, rng)[0] for _ in range(10_000))
-        assert survivors <= 1
+        # about 0.01 photons in the 10^4 matched pulses
+        rep = run_session(_ideal_session(20_000, 1e-6, 0.0), seed=1)
+        assert rep.matched_pulses - rep.vacuum_pulses <= 1
+        assert rep.sifted_length <= 1
 
     def test_mean_survivors_no_loss(self):
-        rng = np.random.default_rng(2)
-        src = SourceParams(mu=0.7)
-        ch = ChannelParams(0.2, 0.0, 0.0)
-        n = 1_000_000
-        total = sum(sample_pulse(src, H, ch, rng)[0] for _ in range(n))
-        se = np.sqrt(0.7 / n)  # Poisson mean estimator
-        assert total / n == pytest.approx(0.7, abs=3 * se)
+        rep = run_session(_ideal_session(2_000_000, 0.7, 0.0), seed=2)
+        q = self._ideal_gain(0.7)
+        se = np.sqrt(q * (1 - q) / rep.matched_pulses)
+        assert rep.sifted_length / rep.matched_pulses == pytest.approx(q, abs=3 * se)
 
     def test_mean_survivors_ten_db(self):
-        rng = np.random.default_rng(3)
-        src = SourceParams(mu=0.7)
-        ch = ChannelParams(0.2, 50.0, 0.0)
-        n = 1_000_000
-        total = sum(sample_pulse(src, H, ch, rng)[0] for _ in range(n))
-        se = np.sqrt(0.07 / n)
-        assert total / n == pytest.approx(0.07, abs=3 * se)
+        rep = run_session(_ideal_session(2_000_000, 0.7, 50.0), seed=3)
+        q = self._ideal_gain(0.07)
+        se = np.sqrt(q * (1 - q) / rep.matched_pulses)
+        assert rep.sifted_length / rep.matched_pulses == pytest.approx(q, abs=3 * se)
 
     def test_thinning_is_poisson(self):
         # survivors of Poisson(0.7) thinned at t=0.1 must be Poisson(0.07)
@@ -109,27 +121,34 @@ class TestSamplePulse:
         assert chi2 < CHI2_999_DOF3
 
     def test_flips_independent_of_survival(self):
-        rng = np.random.default_rng(5)
-        src = SourceParams(mu=2.0)
-        ch = ChannelParams(0.2, 15.0, 0.10)
-        flips_by_count: dict[int, list[int]] = {}
-        for _ in range(100_000):
-            survived, flags = sample_pulse(src, H, ch, rng)
-            if survived:
-                flips_by_count.setdefault(survived, []).append(int(flags.sum()))
-        # per-photon flip rate must be e_mis regardless of the survivor count
-        for k in (1, 2, 3):
-            flips = np.array(flips_by_count[k])
-            photons = k * flips.size
-            rate = flips.sum() / photons
-            se = np.sqrt(0.10 * 0.90 / photons)
-            assert rate == pytest.approx(0.10, abs=3 * se)
+        # the per-photon flip rate is e_mis for one surviving photon, and the
+        # multi-photon error rate is the analytic one for independent flips
+        e_mis = 0.10
+        params = SessionParams(
+            n_pulses=1_000_000, mu=2.0,
+            channel=ChannelParams(0.2, 15.0, e_mis),
+            detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+        )
+        rep = run_session(params, seed=5)
+        photons = rep.single_successes.sum()
+        se = np.sqrt(e_mis * (1 - e_mis) / photons)
+        assert rep.single_errors.sum() / photons == pytest.approx(e_mis, abs=3 * se)
+        yt = yield_table(RateParams(detector=params.detector, e_mis=e_mis), 15.0)
+        qber = yt.qbers(2.0)[0]
+        se = np.sqrt(qber * (1 - qber) / rep.sifted_length)
+        assert rep.errors.sum() / rep.sifted_length == pytest.approx(qber, abs=3 * se)
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
-            SourceParams(mu=0.0)
+            SessionParams(n_pulses=10, mu=0.0, channel=ChannelParams(),
+                          detector=DetectorParams(eta_det=1.0, p_dark=0.0))
+        with pytest.raises(ValueError):
+            poisson_pn(0.0, 0)
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     def test_source_rejects_non_finite_mu(self, mu):
         with pytest.raises(ValueError, match="positive and finite"):
-            SourceParams(mu=mu)
+            poisson_pn(mu, 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            _ideal_session(10, mu, 0.0)
+

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from ddiqkd import session
 from ddiqkd.cli import Config, ConfigError, load_config, main, parse_config_text
+from ddiqkd.verify import check_flip_table
 
 
 class TestConfig:
@@ -109,6 +111,16 @@ class TestVerifyAppendixCommand:
         assert main(["verify-appendix", "--samples", "50", "--self-test-corrupt"]) == 1
         out = capsys.readouterr().out
         assert "FAIL receiver-state-fixed" in out
+
+    def test_reversed_flip_table_fails(self, monkeypatch, capsys):
+        # the check must run the sift that produces the reports: swapping the
+        # rectilinear and diagonal flip rows hands Bob wrong bits
+        monkeypatch.setattr(session, "_FLIP", session._FLIP[::-1].copy())
+        result = check_flip_table()
+        assert not result.passed
+        assert result.max_deviation == 0.5
+        assert main(["verify-appendix", "--samples", "50"]) == 1
+        assert "FAIL flip-table-correlations" in capsys.readouterr().out
 
 
 class TestTheoryTableCommand:

@@ -259,6 +259,17 @@ class TestKeyRate:
         with pytest.raises(ValueError, match="length"):
             bb84_reference_rate(FIG_PARAMS, length, 0.7)
 
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan])
+    def test_invalid_loss_coefficient_rejected(self, alpha):
+        # a negative alpha used to give eta > 1 and a positive key rate
+        with pytest.raises(ValueError, match="loss coefficient"):
+            RateParams(alpha_db_per_km=alpha)
+
+    @pytest.mark.parametrize("f_ec", [0.9, math.inf, math.nan])
+    def test_invalid_f_ec_rejected(self, f_ec):
+        with pytest.raises(ValueError, match="f_ec"):
+            RateParams(f_ec=f_ec)
+
     def test_infinite_length_has_zero_transmittance(self):
         yt = yield_table(FIG_PARAMS, math.inf)
         assert yt.eta == 0.0

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import BsmOutcome, DetectorParams
+from ddiqkd.bsm import DetectorParams
 from ddiqkd.channel import ChannelParams
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
@@ -19,12 +19,10 @@ from ddiqkd.encoding import (
 )
 from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import (
-    PulseRecord,
     SessionParams,
     SessionReport,
     _routing_matrix,
     _run_shard,
-    _sift_codes,
     projected_qber_from_visibility,
     run_session,
     sift,
@@ -67,27 +65,53 @@ def _assert_tallies_match_model(rep):
     assert np.all(np.abs(zs) <= 4.0), zs
 
 
+def _code(alice, bob):
+    """Setting code 4 * alice_state + bob_setting of one pulse."""
+    return 4 * ALICE_SETTINGS.index(alice) + PATHS.index(bob)
+
+
+def _sift_one(alice, bob, detector):
+    """`sift` of one lone click on 1-based ``detector``: (matched, Bob's bit)."""
+    matched, bob_bit = sift(np.array([_code(alice, bob)]), np.array([detector - 1]))
+    return bool(matched[0]), int(bob_bit[0])
+
+
+def _scalar_sift(alice, bob, detector):
+    """Reference rule, one pulse at a time: discard a basis mismatch; in a
+    matched basis Bob flips his path bit on D3/D4 (rectilinear) or D2/D4
+    (diagonal).  Returns Bob's bit, or None if the pulse is discarded."""
+    if alice.basis is not bob.basis:
+        return None
+    flips = (3, 4) if alice.basis is Basis.RECTILINEAR else (2, 4)
+    return bob.bit ^ (detector in flips)
+
+
 class TestSift:
     def test_matched_no_flip(self):
-        rec = PulseRecord(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.A, BsmOutcome(1))
-        bit = sift(rec)
-        assert bit is not None
-        assert (bit.alice_bit, bit.bob_bit) == (0, 0)
+        matched, bob_bit = _sift_one(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.A, 1)
+        assert matched
+        assert bob_bit == 0
 
     def test_matched_with_flip(self):
         # H against path c clicking D3: Bob's raw bit 1 flips to 0
-        rec = PulseRecord(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.C, BsmOutcome(3))
-        bit = sift(rec)
-        assert bit is not None
-        assert (bit.alice_bit, bit.bob_bit) == (0, 0)
+        matched, bob_bit = _sift_one(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.C, 3)
+        assert matched
+        assert bob_bit == 0
 
     def test_basis_mismatch_discarded(self):
-        rec = PulseRecord(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.B0, BsmOutcome(1))
-        assert sift(rec) is None
+        matched, _ = _sift_one(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.B0, 1)
+        assert not matched
 
     def test_failure_discarded(self):
-        rec = PulseRecord(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.A, BsmOutcome(None))
-        assert sift(rec) is None
+        # every detector fires in every gate: no lone click reaches the sift
+        params = SessionParams(
+            n_pulses=1000, mu=0.7,
+            channel=ChannelParams(0.2, 0.0, 0.015),
+            detector=DetectorParams(eta_det=0.145, p_dark=1 - 1e-9),
+        )
+        rep = run_session(params, seed=0)
+        assert rep.matched_pulses > 0
+        assert rep.sifted_length == 0
 
     def test_agreement_detectors_always_agree(self):
         # exhaustively: every matched pair, both reachable detectors
@@ -96,18 +120,18 @@ class TestSift:
                 if alice.basis is not path.basis:
                     continue
                 for det in agreement_detectors(alice, path):
-                    bit = sift(PulseRecord(alice, path, BsmOutcome(det)))
-                    assert bit is not None and bit.alice_bit == bit.bob_bit
+                    matched, bob_bit = _sift_one(alice, path, det)
+                    assert matched and bob_bit == alice.bit
 
     def test_vectorized_sift_matches_scalar(self):
         # every (Alice state, Bob setting) code against every lone detector
         code, detector = np.divmod(np.arange(64), 4)
-        matched, bob_bit = _sift_codes(code, detector)
+        matched, bob_bit = sift(code, detector)
         for c, d, m, b in zip(code, detector, matched, bob_bit):
-            bit = sift(PulseRecord(ALICE_SETTINGS[c >> 2], PATHS[c & 3], BsmOutcome(int(d) + 1)))
+            bit = _scalar_sift(ALICE_SETTINGS[c >> 2], PATHS[c & 3], int(d) + 1)
             assert m == (bit is not None), (c, d)
             if bit is not None:
-                assert b == bit.bob_bit, (c, d)
+                assert b == bit, (c, d)
 
 
 class TestProjectedQber:
@@ -312,6 +336,16 @@ class TestRunSession:
     def test_non_finite_mu_rejected(self, mu):
         with pytest.raises(ValueError, match="positive and finite"):
             fig_session(10, mu=mu)
+
+    @pytest.mark.parametrize("q", [0.0, 5.0, math.nan])
+    def test_q_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be in"):
+            dataclasses.replace(fig_session(10), q=q)
+
+    @pytest.mark.parametrize("f_ec", [0.9, math.inf, math.nan])
+    def test_invalid_f_ec_rejected(self, f_ec):
+        with pytest.raises(ValueError, match="f_ec"):
+            dataclasses.replace(fig_session(10), f_ec=f_ec)
 
 
 def _rate_terms_from(gains, err_gains, yt, params, mu):
