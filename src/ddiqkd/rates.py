@@ -85,12 +85,17 @@ class RateParams:
     def __post_init__(self):
         if not self.alpha_db_per_km >= 0.0:  # NaN fails too
             raise ValueError("loss coefficient must be a nonnegative number")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        if not 1.0 <= self.f_ec < np.inf:
-            raise ValueError("f_ec must be finite and >= 1")
+        _check_protocol(self.q, self.f_ec)
         if not 0.0 <= self.e_mis <= 0.5:
             raise ValueError("e_mis must be in [0, 0.5]")
+
+
+def _check_protocol(q: float, f_ec: float):
+    """Reject a sifting fraction q outside (0, 1] and an f_ec not finite and >= 1."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must be in (0, 1]")
+    if not 1.0 <= f_ec < np.inf:
+        raise ValueError("f_ec must be finite and >= 1")
 
 
 def binary_entropy(x: float) -> float:
@@ -116,9 +121,10 @@ def _eta(params: RateParams, length_km):
     length_km = np.asarray(length_km, dtype=float)
     if not (length_km >= 0.0).all():  # NaN fails too
         raise ValueError("length must be a nonnegative number")
-    if params.alpha_db_per_km == 0.0 and np.isinf(length_km).any():
+    alpha = params.alpha_db_per_km  # in [0, inf] by RateParams
+    if alpha == 0.0 and np.isinf(length_km).any() or alpha == math.inf and not length_km.all():
         raise ValueError("total loss alpha * length is undefined (0 * inf)")
-    return params.detector.eta_det * 10.0 ** (-params.alpha_db_per_km * length_km / 10.0)
+    return params.detector.eta_det * 10.0 ** (-alpha * length_km / 10.0)
 
 
 def _proposal_gains(eta, e, d, mu):

@@ -50,7 +50,7 @@ from .encoding import (
     bb84_state,
     flip_detectors,
 )
-from .rates import YieldTable, binary_entropy
+from .rates import YieldTable, _check_protocol, binary_entropy
 
 __all__ = [
     "sift",
@@ -87,10 +87,7 @@ class SessionParams:
             raise ValueError("n_pulses must be >= 1")
         if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        if not 1.0 <= self.f_ec < np.inf:
-            raise ValueError("f_ec must be finite and >= 1")
+        _check_protocol(self.q, self.f_ec)
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
 
@@ -247,6 +244,9 @@ def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray
     and ``_PATH_ORDER``.  Returns (basis matched, Bob's bit after the flip
     rule ``_FLIP``); a pulse is kept where it is matched.
     """
+    detector = np.asarray(detector)
+    if not ((detector >= 0) & (detector <= 3)).all():
+        raise ValueError("detector index must be in 0..3")
     bob_basis = (code >> 1) & 1
     matched = (code >> 3) == bob_basis
     return matched, (code & 1) ^ _FLIP[bob_basis, detector]

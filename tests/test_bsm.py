@@ -127,14 +127,15 @@ class TestDetect:
 
     def test_invalid_detector_index(self):
         # photons are routed over D1..D4 only, lone clicks name one of them,
-        # and the sift rejects a detector past D4
+        # and the sift rejects an index outside D1..D4 on either side
         route = _routing_matrix()
         assert route.shape == (4, 4, 4)
         assert np.all(route >= 0.0)
         np.testing.assert_allclose(route.sum(axis=2), 1.0, atol=1e-15)
         assert set(_LONE_CLICK.tolist()) == {-1, 0, 1, 2, 3}
-        with pytest.raises(IndexError):
-            sift(np.array([0]), np.array([4]))
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="detector index"):
+                sift(np.array([0, 0]), np.array([0, bad]))
 
     def test_dark_only_single_click_rate(self):
         # P(exactly one click) = 4 p (1-p)^3 for independent dark counts;
@@ -142,6 +143,7 @@ class TestDetect:
         p = 6.02e-6
         rep = run_session(_session(2_000_000, 0.7, eta_det=0.0, p_dark=p), seed=2024)
         trials = rep.matched_pulses
+        assert trials >= 1_000_000
         hits = rep.sifted_length
         expected = 4 * p * (1 - p) ** 3
         se = np.sqrt(trials * expected * (1 - expected))

@@ -278,6 +278,15 @@ class TestKeyRate:
         with pytest.raises(ValueError, match="undefined"):
             yield_table(lossless, math.inf)
 
+    def test_infinite_loss_coefficient(self):
+        # inf * 0 km is undefined, as in ChannelParams; any length > 0 blocks
+        opaque = dataclasses.replace(FIG_PARAMS, alpha_db_per_km=math.inf)
+        with pytest.raises(ValueError, match="undefined"):
+            yield_table(opaque, 0.0)
+        with pytest.raises(ValueError, match="undefined"):
+            key_rate(yield_table(opaque, np.array([0.0, 10.0])), opaque, 0.7)
+        assert yield_table(opaque, 10.0).eta == 0.0
+
     def test_array_evaluation_matches_scalar(self):
         lengths = np.array([0.0, 35.0, 120.0, 170.0])
         mus = np.array([[0.05], [0.7], [1.9]])
