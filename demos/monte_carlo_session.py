@@ -44,7 +44,7 @@ for name, est, true in rows:
     print(f"{name:18s} {cells} {true[0]:12.3e}")
 
 print(f"\nasymptotic secret key length: {report.secret_key_length:,.0f} bits")
-print(f"rate per pulse (q = {params.q}):  {report.rate_per_pulse:.3e}")
+print(f"secret bits per pulse:        {report.rate_per_pulse:.3e}")
 print(f"effective sifting factor:     {report.q_sift_effective:.3f}")
 
 diffs = np.abs(report.gains() - analytic.gains(MU))

@@ -18,6 +18,7 @@ The library is organized bottom-up:
 
 from .bsm import (
     DetectorParams,
+    click_table,
     ideal_bsm_distribution,
     mode_network_distribution,
     theory_table,
@@ -25,6 +26,7 @@ from .bsm import (
 from .channel import ChannelParams, poisson_pn, transmittance
 from .encoding import (
     ALICE_SETTINGS,
+    PATH_SETTINGS,
     Basis,
     Bb84Setting,
     PathSetting,

@@ -6,6 +6,12 @@ projection onto the hybrid Bell basis, and an explicit 4-mode network
 polarizing beamsplitter per arm feeding detectors D1..D4).  They agree
 exactly; the network exists so the optical layout can be audited.
 
+``click_table`` is the receiver's device model: the per-photon click
+distribution over D1..D4 for every (Alice state, Bob setting) pair, with
+misalignment and interference visibility folded in.  The Monte Carlo routes
+photons by it, ``theory_table`` is a slice of it, and the flip-table check
+reads it.
+
 ``DetectorParams`` holds the efficiency and dark-count probability of the
 four detectors, which the rate model and the Monte Carlo apply.
 """
@@ -18,12 +24,13 @@ import numpy as np
 
 from .encoding import (
     ALICE_SETTINGS,
+    PATH_SETTINGS,
     Bb84Setting,
     PathSetting,
-    apply_lon,
     bb84_state,
     bell_basis_matrix,
     hybrid_bell_expand,
+    lon_isometry,
 )
 from .qstate import PureState
 
@@ -34,6 +41,7 @@ __all__ = [
     "ideal_bsm_distribution",
     "mode_network_matrix",
     "mode_network_distribution",
+    "click_table",
     "THEORY_ROWS",
     "theory_table",
 ]
@@ -94,6 +102,36 @@ def mode_network_distribution(state: PureState) -> np.ndarray:
     return np.abs(detector_amps) ** 2
 
 
+def click_table(e_mis: float = 0.0, visibility: float = 1.0) -> np.ndarray:
+    """16x4 per-photon click table P(detector | code), code = 4 * alice + bob.
+
+    Rows follow ALICE_SETTINGS x PATH_SETTINGS.  Reduced visibility scales
+    the path-coherence terms: the effective state is V |psi><psi| + (1-V)
+    (path-dephased rho), so rows with a definite path are unaffected and the
+    diagonal rows move (1-V)/2 of their mass onto the wrong detector pair.
+    Entries below 1e-12 are zeroed and each row renormalized, so an ideal
+    row is an exact simplex row.  Misalignment flips the photon to the
+    orthogonal state in Alice's basis with probability e_mis, which mixes
+    row c with row c ^ 4 (Alice's bit toggled).
+    """
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must be in [0, 1]")
+    if not 0.0 <= e_mis <= 0.5:
+        raise ValueError("e_mis must be in [0, 0.5]")
+    pol = np.array([bb84_state(alice).amps for alice in ALICE_SETTINGS])
+    lon = np.array([lon_isometry(bob) for bob in PATH_SETTINGS])
+    psi = np.einsum("bij,aj->abi", lon, pol).reshape(16, 4)
+    # (pol, path) index with path the fast factor: coherences between
+    # different paths keep weight V, the rest keep weight 1
+    path = np.arange(4) % 2
+    weight = np.where(path[:, None] == path[None, :], 1.0, visibility)
+    bell = bell_basis_matrix()
+    table = np.einsum("dj,cj,ck,jk,dk->cd", bell.conj(), psi, psi.conj(), weight, bell).real
+    table[table < 1e-12] = 0.0
+    table /= table.sum(axis=1, keepdims=True)
+    return (1.0 - e_mis) * table + e_mis * table[np.arange(16) ^ 4]
+
+
 # The eight basis-matched (Alice state, Bob setting) combinations, in the
 # order the comparison table is reported: rectilinear block then diagonal.
 THEORY_ROWS: tuple[tuple[Bb84Setting, PathSetting], ...] = (
@@ -109,31 +147,13 @@ THEORY_ROWS: tuple[tuple[Bb84Setting, PathSetting], ...] = (
 
 
 def theory_table(visibility: float) -> np.ndarray:
-    """8x4 click-probability table at a given interference visibility.
+    """8x4 click-probability table of THEORY_ROWS at a given visibility.
 
-    Reduced visibility scales the path-coherence terms: the effective state
-    is V |psi><psi| + (1-V) (path-dephased rho).  Rows with a definite path
-    (rectilinear settings, one interferometer arm in use) are unaffected;
-    the diagonal rows move (1-V)/2 of their mass onto the wrong detector
-    pair.  V=1 reproduces the ideal distributions.
+    The rows of ``click_table(0, visibility)``; V=1 reproduces the ideal
+    distributions.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
-    bell = bell_basis_matrix()
-    table = np.zeros((8, 4))
-    for r, (alice, bob) in enumerate(THEORY_ROWS):
-        state = apply_lon(bob, bb84_state(alice))
-        rho = np.outer(state.amps, state.amps.conj())
-        dephased = rho.copy()
-        # zero the path-off-diagonal blocks: indices (pol, path) with path
-        # the fast factor, so entries where path_row != path_col
-        for i in range(4):
-            for j in range(4):
-                if (i % 2) != (j % 2):
-                    dephased[i, j] = 0.0
-        mixed = visibility * rho + (1.0 - visibility) * dephased
-        table[r] = np.real(np.einsum("ij,jk,ik->i", bell.conj(), mixed, bell))
-    return table
+    codes = [4 * alice.index + PATH_SETTINGS.index(bob) for alice, bob in THEORY_ROWS]
+    return click_table(0.0, visibility)[codes]
 
 
 def theory_row_label(alice: Bb84Setting, bob: PathSetting) -> str:

@@ -101,7 +101,6 @@ class Config:
             mu=self.mu if self.mu is not None else 0.7,
             channel=ChannelParams(self.alpha_db_per_km, self.distances[0], self.e_mis),
             detector=self.detector_params(),
-            q=self.q,
             f_ec=self.f_ec,
         )
 

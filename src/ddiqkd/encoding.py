@@ -25,10 +25,10 @@ __all__ = [
     "Bb84Setting",
     "PathSetting",
     "ALICE_SETTINGS",
+    "PATH_SETTINGS",
     "bb84_state",
     "lon_isometry",
     "apply_lon",
-    "BELL_LABELS",
     "bell_basis_matrix",
     "hybrid_bell_expand",
     "VirtualSource",
@@ -60,10 +60,6 @@ class Bb84Setting:
         """Enumeration order H, V, +45, -45."""
         return (0 if self.basis is Basis.RECTILINEAR else 2) + self.bit
 
-    def flipped(self) -> "Bb84Setting":
-        """Orthogonal state in the same basis."""
-        return Bb84Setting(self.basis, 1 - self.bit)
-
 
 class PathSetting(Enum):
     """Bob's LON setting: two rectilinear paths, one diagonal path with phase."""
@@ -81,10 +77,6 @@ class PathSetting(Enum):
     def bit(self) -> int:
         return 0 if self in (PathSetting.A, PathSetting.B0) else 1
 
-    @property
-    def index(self) -> int:
-        return [PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI].index(self)
-
 
 ALICE_SETTINGS = (
     Bb84Setting(Basis.RECTILINEAR, 0),
@@ -92,6 +84,9 @@ ALICE_SETTINGS = (
     Bb84Setting(Basis.DIAGONAL, 0),
     Bb84Setting(Basis.DIAGONAL, 1),
 )
+
+# Bob's settings in register and setting-code order: a, c, b0, bpi
+PATH_SETTINGS = tuple(PathSetting)
 
 _BB84_AMPS = {
     (Basis.RECTILINEAR, 0): np.array([1.0, 0.0], dtype=complex),
@@ -135,8 +130,6 @@ def apply_lon(setting: PathSetting, pol: PureState) -> PureState:
 
 # Hybrid Bell basis over pol (x) path, rows ordered (phi+, phi-, psi+, psi-).
 # Detector D_i projects onto row i-1.
-BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-
 _BELL = np.array(
     [
         [SQ2, 0.0, 0.0, SQ2],    # (|H,inp1> + |V,inp2>)/sqrt2
@@ -232,13 +225,12 @@ def rho_bob(
     if sigma.labels != ("pol",):
         raise ValueError("sigma must be a polarization qubit")
 
-    settings = [PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI]
     basis = np.eye(4, dtype=complex) if register_basis is None else np.asarray(register_basis, dtype=complex)
     if basis.shape != (4, 4) or np.max(np.abs(basis.conj().T @ basis - np.eye(4))) > 1e-12:
         raise ValueError("register basis must be a 4x4 unitary")
 
     joint = np.zeros((4, 4), dtype=complex)  # register (x) optical modes
-    for i, setting in enumerate(settings):
+    for i, setting in enumerate(PATH_SETTINGS):
         optical = lon_isometry(setting) @ sigma.amps
         if _corrupt_path_c_sign and setting is PathSetting.C:
             optical = -optical

@@ -20,13 +20,13 @@ this order:
    so every pulse gets an independent R;
 2. one setting code ``4 * alice_state + bob_setting`` in [0, 16) per pulse
    with R > 0, in pulse order;
-3. the misalignment flips of each such pulse, Bin(R, e_mis);
-4. one uniform per registered photon, routing it to a detector by the
-   cumulative click distribution of its (possibly flipped) state;
-5. per detector, a dark total Bin(n, p_dark) and that many distinct pulses;
-6. one setting code per pulse with a dark count and R = 0, in pulse order;
-7. U for every pulse of the union of 1 and 5, in pulse order;
-8. one multinomial over the n - |union| untouched pulses with cells
+3. one uniform per registered photon, routing it to a detector by the
+   cumulative row of its code in the misalignment-mixed click table
+   ``bsm.click_table(e_mis)``;
+4. per detector, a dark total Bin(n, p_dark) and that many distinct pulses;
+5. one setting code per pulse with a dark count and R = 0, in pulse order;
+6. U for every pulse of the union of 1 and 4, in pulse order;
+7. one multinomial over the n - |union| untouched pulses with cells
    (matched, U = 0), (matched, U = 1), (matched, U >= 2) and unmatched, at
    e^-m / 2, m e^-m / 2, (1 - e^-m - m e^-m) / 2 and 1/2, m = mu (1 - eta).
 
@@ -40,17 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsm import DetectorParams, ideal_bsm_distribution
-from .channel import ChannelParams, poisson_pn, transmittance
-from .encoding import (
-    ALICE_SETTINGS,
-    Basis,
-    PathSetting,
-    apply_lon,
-    bb84_state,
-    flip_detectors,
-)
-from .rates import YieldTable, _check_protocol, binary_entropy
+from .bsm import DetectorParams, click_table
+from .channel import ChannelParams, transmittance
+from .encoding import Basis, flip_detectors
+from .rates import RateParams, _check_f_ec, _secret_rate, yield_table
 
 __all__ = [
     "sift",
@@ -59,9 +52,6 @@ __all__ = [
     "run_session",
     "projected_qber_from_visibility",
 ]
-
-_PATH_ORDER = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
-
 
 def projected_qber_from_visibility(visibility: float) -> float:
     """Error rate (1-V)/2 implied by an interference visibility V."""
@@ -78,7 +68,6 @@ class SessionParams:
     mu: float
     channel: ChannelParams
     detector: DetectorParams
-    q: float = 1.0
     f_ec: float = 1.16
     shard_size: int = 1_000_000
 
@@ -87,7 +76,7 @@ class SessionParams:
             raise ValueError("n_pulses must be >= 1")
         if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
-        _check_protocol(self.q, self.f_ec)
+        _check_f_ec(self.f_ec)
         if self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
 
@@ -141,22 +130,17 @@ class SessionReport:
         return out
 
     def _per_detector_rate_terms(self) -> np.ndarray:
-        """max{.,0} key terms per detector with q=1, from tallies + exact yields."""
-        eta = self.params.detector.eta_det * transmittance(self.params.channel)
-        exact = YieldTable(eta=eta, e_mis=self.params.channel.e_mis,
-                           p_dark=self.params.detector.p_dark)
-        p0 = poisson_pn(self.params.mu, 0)
-        p1 = poisson_pn(self.params.mu, 1)
+        """max{.,0} key terms per detector: the tallied gains and error gains
+        with the model's exact Y0, Y1 and e1.  A detector with no successes
+        has nothing to distill and gives 0."""
+        ch = self.params.channel
+        model = RateParams(detector=self.params.detector, alpha_db_per_km=ch.alpha_db_per_km,
+                           e_mis=ch.e_mis, f_ec=self.params.f_ec)
+        exact = yield_table(model, ch.length_km)
         gains = self.gains()
-        qbers = self.qbers()
-        terms = np.zeros(4)
-        for i in range(4):
-            if gains[i] == 0.0:
-                continue  # no observed detections, nothing to distill
-            privacy = p0 * exact.y0[i] + p1 * exact.y1[i] * (1.0 - binary_entropy(exact.e1[i]))
-            correction = gains[i] * self.params.f_ec * binary_entropy(float(qbers[i]))
-            terms[i] = max(privacy - correction, 0.0)
-        return terms
+        terms = _secret_rate(exact.y0, exact.y1, exact.e1, gains,
+                             self.errors / max(self.matched_pulses, 1), self.params.mu, model)
+        return np.where(gains > 0.0, np.maximum(terms, 0.0), 0.0)
 
     @property
     def q_sift_effective(self) -> float:
@@ -169,8 +153,8 @@ class SessionReport:
 
     @property
     def rate_per_pulse(self) -> float:
-        """Secret bits per emitted pulse at the configured protocol efficiency q."""
-        return float(self.params.q * self._per_detector_rate_terms().sum())
+        """Secret bits per emitted pulse: secret_key_length / n_pulses."""
+        return self.secret_key_length / self.params.n_pulses
 
     def to_dict(self) -> dict:
         ch, det = self.params.channel, self.params.detector
@@ -183,7 +167,6 @@ class SessionReport:
                 "e_mis": ch.e_mis,
                 "eta_det": det.eta_det,
                 "p_dark_per_detector": det.p_dark,
-                "q": self.params.q,
                 "f_ec": self.params.f_ec,
                 "shard_size": self.params.shard_size,
             },
@@ -209,23 +192,11 @@ class SessionReport:
                 },
             },
             "key": {
-                "q_config": self.params.q,
                 "q_sift_effective": self.q_sift_effective,
                 "secret_key_length": self.secret_key_length,
                 "rate_per_pulse": self.rate_per_pulse,
             },
         }
-
-
-def _routing_matrix() -> np.ndarray:
-    """Ideal click distributions for all (Alice state, Bob setting) pairs."""
-    route = np.zeros((4, 4, 4))
-    for s, alice in enumerate(ALICE_SETTINGS):
-        for p, bob in enumerate(_PATH_ORDER):
-            dist = ideal_bsm_distribution(apply_lon(bob, bb84_state(alice)))
-            dist[dist < 1e-12] = 0.0
-            route[s, p] = dist / dist.sum()  # exact simplex row
-    return route
 
 
 # Bob flips his bit when detector d (0-based) clicks in basis b: _FLIP[b, d]
@@ -241,7 +212,7 @@ def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Sift lone clicks, by setting code and 0-based clicking detector.
 
     ``code = 4 * alice_state + bob_setting`` in the orders of ALICE_SETTINGS
-    and ``_PATH_ORDER``.  Returns (basis matched, Bob's bit after the flip
+    and PATH_SETTINGS.  Returns (basis matched, Bob's bit after the flip
     rule ``_FLIP``); a pulse is kept where it is matched.
     """
     detector = np.asarray(detector)
@@ -255,7 +226,8 @@ def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: np.ndarray):
     """Simulate n pulses and add their tallies to ``report``.
 
-    The draws follow the order in the module docstring.
+    ``route`` is the 16x4 click table of the session's misalignment.  The
+    draws follow the order in the module docstring.
     """
     params = report.params
     eta = transmittance(params.channel) * params.detector.eta_det
@@ -266,16 +238,12 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
     total = rng.poisson(n * params.mu * eta)
     rows, registered = np.unique(rng.integers(0, n, total), return_counts=True)
     code = rng.integers(0, 16, rows.size, dtype=np.uint8)
-    flipped = rng.binomial(registered, params.channel.e_mis)
 
-    # one code per photon, row by row; the first `flipped` photons of a row are
-    # its flipped ones, routed as state s ^ 1 (code bit 2 toggled)
-    flip_bit = np.repeat(np.tile(np.uint8([4, 0]), rows.size),
-                         np.column_stack([flipped, registered - flipped]).ravel())
-    group = np.repeat(code, registered) ^ flip_bit
+    # route each photon by one uniform against its code's cumulative row
+    group = np.repeat(code, registered)
     u = rng.random(group.size)
     detector = np.zeros(group.size, dtype=np.uint8)
-    for edge in np.cumsum(route.reshape(16, 4), axis=1).T[:3]:
+    for edge in np.cumsum(route, axis=1).T[:3]:
         detector += u >= edge[group]
     mask = np.bitwise_or.reduceat(np.uint8(1) << detector, np.cumsum(registered) - registered)
 
@@ -330,7 +298,7 @@ def run_session(params: SessionParams, seed: int) -> SessionReport:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     report = SessionReport(params=params, seed=seed)
-    route = _routing_matrix()
+    route = click_table(params.channel.e_mis)
     remaining = params.n_pulses
     shard = 0
     while remaining > 0:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsm import ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
+from .bsm import click_table, ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
 from .encoding import (
     ALICE_SETTINGS,
+    PATH_SETTINGS,
     VirtualSource,
     apply_lon,
     bb84_state,
@@ -23,7 +24,7 @@ from .encoding import (
     rho_bob,
 )
 from .qstate import PureState, haar_amplitudes, random_unitary, trace_distance
-from .session import _PATH_ORDER, _routing_matrix, sift
+from .session import sift
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
 
@@ -75,7 +76,7 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
     """Mode-network and Bell-projector click distributions agree."""
     worst = 0.0
     for alice in ALICE_SETTINGS:
-        for path in _PATH_ORDER:
+        for path in PATH_SETTINGS:
             state = apply_lon(path, bb84_state(alice))
             worst = max(worst, float(np.max(np.abs(
                 mode_network_distribution(state) - ideal_bsm_distribution(state)))))
@@ -93,18 +94,19 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
 def check_flip_table() -> CheckResult:
     """Ideal single photons never give Bob a wrong sifted bit.
 
-    Runs the reports' own `sift` and routing table on all 16 setting codes x
-    4 detectors: exactly the 8 basis-matched codes are kept, each has exactly
-    two detectors that restore Alice's bit, and the click mass on detectors
-    that hand Bob the wrong bit is the deviation.
+    Runs the reports' own `sift` and the ideal click table the sessions
+    route by on all 16 setting codes x 4 detectors: exactly the 8
+    basis-matched codes are kept, each has exactly two detectors that
+    restore Alice's bit, and the click mass on detectors that hand Bob the
+    wrong bit is the deviation.
     """
     code, detector = np.divmod(np.arange(64), 4)
     matched, bob_bit = sift(code, detector)
     matched = matched.reshape(16, 4)
     agrees = (bob_bit == (code >> 2) & 1).reshape(16, 4)  # Alice's bit is code bit 2
     basis_matched = np.array([alice.basis is path.basis
-                              for alice in ALICE_SETTINGS for path in _PATH_ORDER])
-    worst = float((_routing_matrix().reshape(16, 4) * (matched & ~agrees)).sum(axis=1).max())
+                              for alice in ALICE_SETTINGS for path in PATH_SETTINGS])
+    worst = float((click_table() * (matched & ~agrees)).sum(axis=1).max())
     ok = ((matched == basis_matched[:, None]).all()
           and ((matched & agrees).sum(axis=1) == 2 * basis_matched).all())
     return CheckResult("flip-table-correlations", bool(ok) and worst < 1e-12, worst, 1e-12,

@@ -6,6 +6,7 @@ import pytest
 from ddiqkd.bsm import (
     THEORY_ROWS,
     DetectorParams,
+    click_table,
     ideal_bsm_distribution,
     mode_network_distribution,
     mode_network_matrix,
@@ -23,7 +24,7 @@ from ddiqkd.encoding import (
 )
 from ddiqkd.qstate import PureState, haar_amplitudes
 from ddiqkd.rates import RateParams, yield_table
-from ddiqkd.session import _LONE_CLICK, SessionParams, _routing_matrix, run_session, sift
+from ddiqkd.session import _LONE_CLICK, SessionParams, run_session, sift
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
@@ -128,10 +129,10 @@ class TestDetect:
     def test_invalid_detector_index(self):
         # photons are routed over D1..D4 only, lone clicks name one of them,
         # and the sift rejects an index outside D1..D4 on either side
-        route = _routing_matrix()
-        assert route.shape == (4, 4, 4)
+        route = click_table()
+        assert route.shape == (16, 4)
         assert np.all(route >= 0.0)
-        np.testing.assert_allclose(route.sum(axis=2), 1.0, atol=1e-15)
+        np.testing.assert_allclose(route.sum(axis=1), 1.0, atol=1e-15)
         assert set(_LONE_CLICK.tolist()) == {-1, 0, 1, 2, 3}
         for bad in (-1, 4):
             with pytest.raises(ValueError, match="detector index"):

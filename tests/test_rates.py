@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import DetectorParams
+from ddiqkd.bsm import DetectorParams, click_table
 from ddiqkd.channel import poisson_pn
 from ddiqkd.rates import (
     RateParams,
@@ -25,6 +25,7 @@ from ddiqkd.rates import (
     security_regime,
     yield_table,
 )
+from ddiqkd.session import sift
 
 FIG_PARAMS = RateParams(
     detector=DetectorParams(eta_det=0.145, p_dark=3.01e-6),
@@ -176,6 +177,46 @@ class TestYieldTable:
                     assert rel <= 1e-12, (eta, e, d, mu)
         print(f"{protocol}: worst relative {worst_rel:.1e}, worst absolute {worst_abs:.1e}")
 
+    def test_closed_forms_match_click_table(self):
+        """Y1, e1 Y1, Q and E Q of each detector, rebuilt from the click table.
+
+        A photon of code c reaches detector i with probability eta p_ci, so a
+        lone click on i at n photons has probability (1-d)^3 [(1 - eta(1 -
+        p_ci))^n - (1-d)(1-eta)^n].  With sum_n p_n(mu) (1 - eta(1-p))^n =
+        e^{-x(1-p)}, x = mu eta, the gain is (1-d)^3 e^-x [d + expm1(x p_ci)],
+        averaged over the 8 matched codes; the error gains keep the codes in
+        which the sift hands Bob the wrong bit on a lone click on i.
+        """
+        code, detector = np.divmod(np.arange(64), 4)
+        matched, bob_bit = sift(code, detector)
+        matched = matched.reshape(16, 4)[:, 0]
+        wrong = (bob_bit != (code >> 2) & 1).reshape(16, 4)[matched]
+        tables = {e: click_table(e)[matched] for e in (0.0, 0.015, 0.11, 0.3, 0.5)}
+        worst = 0.0
+        for eta, e, d, mu in itertools.product(
+            (1.0, 0.145, 1e-2, 1e-4, 1e-6, 1e-9),
+            tuple(tables),
+            (0.0, 3.01e-6, 1e-3, 0.1, 0.5, 0.99),
+            (1e-3, 0.1, 0.7, 2.0, 10.0, 30.0, 100.0),
+        ):
+            p = tables[e]  # (8 matched codes, 4 detectors)
+            cube = (1.0 - d) ** 3
+            y1 = cube * (eta * p + (1.0 - eta) * d)
+            x = mu * eta
+            gain = cube * np.exp(-x) * (d + np.expm1(x * p))
+            yt = YieldTable(eta=eta, e_mis=e, p_dark=d)
+            closed_gain, closed_err = _proposal_gains(eta, e, d, mu)
+            pairs = [(y1, yt.y1), (wrong * y1, yt.e1 * yt.y1),
+                     (gain, closed_gain), (wrong * gain, closed_err)]
+            for k, (table, closed) in enumerate(pairs):
+                error = np.abs(table.mean(axis=0) - closed)
+                assert (error <= 1e-15).all(), (eta, e, d, mu, k)
+                if k < 2 or x <= 10.0:
+                    rel = np.max(error / np.where(closed > 0.0, closed, 1.0))
+                    worst = max(worst, rel)
+                    assert rel <= 1e-12, (eta, e, d, mu, k)
+        print(f"click table: worst relative {worst:.1e}")
+
     def test_total_gain_below_one(self):
         for length in (0.0, 50.0, 120.0):
             yt = yield_table(FIG_PARAMS, length)
@@ -269,6 +310,11 @@ class TestKeyRate:
     def test_invalid_f_ec_rejected(self, f_ec):
         with pytest.raises(ValueError, match="f_ec"):
             RateParams(f_ec=f_ec)
+
+    @pytest.mark.parametrize("q", [0.0, 5.0, math.nan])
+    def test_q_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be in"):
+            RateParams(q=q)
 
     def test_infinite_length_has_zero_transmittance(self):
         yt = yield_table(FIG_PARAMS, math.inf)

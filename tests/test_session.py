@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import DetectorParams
+from ddiqkd.bsm import DetectorParams, click_table
 from ddiqkd.channel import ChannelParams
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
@@ -21,7 +21,6 @@ from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import (
     SessionParams,
     SessionReport,
-    _routing_matrix,
     _run_shard,
     projected_qber_from_visibility,
     run_session,
@@ -171,7 +170,7 @@ class TestRunSession:
         total = {name: 0 for name in TALLIES}
         for shard, n in enumerate((10_000, 10_000, 5_000)):
             part = SessionReport(params=params, seed=5)
-            _run_shard(part, n, np.random.default_rng([5, shard]), _routing_matrix())
+            _run_shard(part, n, np.random.default_rng([5, shard]), click_table(0.015))
             for name in TALLIES:
                 total[name] = total[name] + getattr(part, name)
         assert rep.sifted_length > 0
@@ -337,15 +336,17 @@ class TestRunSession:
         with pytest.raises(ValueError, match="positive and finite"):
             fig_session(10, mu=mu)
 
-    @pytest.mark.parametrize("q", [0.0, 5.0, math.nan])
-    def test_q_outside_unit_interval_rejected(self, q):
-        with pytest.raises(ValueError, match="q must be in"):
-            dataclasses.replace(fig_session(10), q=q)
-
     @pytest.mark.parametrize("f_ec", [0.9, math.inf, math.nan])
     def test_invalid_f_ec_rejected(self, f_ec):
         with pytest.raises(ValueError, match="f_ec"):
             dataclasses.replace(fig_session(10), f_ec=f_ec)
+
+    def test_rate_per_pulse_is_key_length_per_pulse(self):
+        rep = run_session(fig_session(200_000), seed=8)
+        assert rep.secret_key_length > 0.0
+        assert rep.rate_per_pulse * rep.params.n_pulses == pytest.approx(rep.secret_key_length, rel=1e-15)
+        d = rep.to_dict()
+        assert "q" not in d["config"] and "q_config" not in d["key"]
 
 
 def _rate_terms_from(gains, err_gains, yt, params, mu):
@@ -367,6 +368,20 @@ def _rate_terms_from(gains, err_gains, yt, params, mu):
 
 
 class TestAnalyticRateAgreesWithSessions:
+    def test_key_length_from_hand_set_tallies(self):
+        """The report's key is matched x sum of the clamped per-detector terms;
+        D2 has no successes and gives nothing, D3's QBER is too high for key."""
+        params = fig_session(1_000_000, length_km=25.0)
+        rep = SessionReport(params=params, seed=0, matched_pulses=500_000,
+                            successes=np.array([4000, 0, 3900, 4100]),
+                            errors=np.array([60, 0, 1400, 70]))
+        rate_params = RateParams(detector=FIG_DETECTOR)
+        terms = _rate_terms_from(rep.gains(), rep.errors / rep.matched_pulses,
+                                 yield_table(rate_params, 25.0), rate_params, params.mu)
+        assert terms[1] > 0.0 and terms[2] < 0.0 < min(terms[0], terms[3])
+        expected = rep.matched_pulses * (terms[0] + terms[3])
+        assert rep.secret_key_length == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_rate_from_tallies_matches_analytic_on_grid(self):
         """Key rate recomputed from session tallies tracks the analytic rate.
 
