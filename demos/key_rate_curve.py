@@ -9,7 +9,7 @@ earlier because it collects twice the dark counts.
 """
 
 from ddiqkd.bsm import DetectorParams
-from ddiqkd.channel import ChannelParams, transmittance
+from ddiqkd.channel import transmittance
 from ddiqkd.rates import RateParams, keyrate_curve, security_regime
 
 params = RateParams(
@@ -25,7 +25,7 @@ curve = keyrate_curve(params, lengths)
 
 print(f"{'km':>5s} {'mu_opt':>7s} {'rate (4-det scheme)':>20s} {'rate (2-det ref)':>17s}  regime")
 for p in curve.points:
-    eta_1 = params.detector.eta_det * transmittance(ChannelParams(0.2, p.length_km, 0.015))
+    eta_1 = params.detector.eta_det * transmittance(0.2, p.length_km)
     regime = security_regime(eta_1).value
     print(f"{p.length_km:5.0f} {p.mu_opt:7.3f} {p.rate_proposal:20.3e} "
           f"{p.rate_bb84:17.3e}  {regime}")

@@ -27,10 +27,9 @@ from .encoding import (
     PATH_SETTINGS,
     Bb84Setting,
     PathSetting,
-    bb84_state,
     bell_basis_matrix,
     hybrid_bell_expand,
-    lon_isometry,
+    lon_states,
 )
 from .qstate import PureState
 
@@ -62,7 +61,10 @@ class DetectorParams:
 
 
 def ideal_bsm_distribution(state: PureState) -> np.ndarray:
-    """Click probabilities over D1..D4 for a lossless, noiseless measurement."""
+    """Click probabilities over D1..D4 for a lossless, noiseless measurement.
+
+    Shape (..., 4) for a stack of states.
+    """
     coeffs = hybrid_bell_expand(state)
     return np.abs(coeffs) ** 2
 
@@ -95,11 +97,13 @@ def mode_network_matrix() -> np.ndarray:
 
 
 def mode_network_distribution(state: PureState) -> np.ndarray:
-    """Click probabilities from propagating the amplitude through the network."""
+    """Click probabilities from propagating the amplitudes through the network.
+
+    Shape (..., 4) for a stack of states.
+    """
     if state.dim != 4:
         raise ValueError("expected a two-factor (pol, path) state")
-    detector_amps = mode_network_matrix() @ state.amps
-    return np.abs(detector_amps) ** 2
+    return np.abs(state.amps @ mode_network_matrix().T) ** 2
 
 
 def click_table(e_mis: float = 0.0, visibility: float = 1.0) -> np.ndarray:
@@ -118,9 +122,7 @@ def click_table(e_mis: float = 0.0, visibility: float = 1.0) -> np.ndarray:
         raise ValueError("visibility must be in [0, 1]")
     if not 0.0 <= e_mis <= 0.5:
         raise ValueError("e_mis must be in [0, 0.5]")
-    pol = np.array([bb84_state(alice).amps for alice in ALICE_SETTINGS])
-    lon = np.array([lon_isometry(bob) for bob in PATH_SETTINGS])
-    psi = np.einsum("bij,aj->abi", lon, pol).reshape(16, 4)
+    psi = lon_states().amps
     # (pol, path) index with path the fast factor: coherences between
     # different paths keep weight V, the rest keep weight 1
     path = np.arange(4) % 2

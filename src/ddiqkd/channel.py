@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "ChannelParams",
     "poisson_pn",
@@ -28,10 +30,7 @@ class ChannelParams:
     e_mis: float = 0.015
 
     def __post_init__(self):
-        if not (self.alpha_db_per_km >= 0 and self.length_km >= 0):  # NaN fails too
-            raise ValueError("loss coefficient and length must be nonnegative numbers")
-        if math.isnan(self.alpha_db_per_km * self.length_km):
-            raise ValueError("total loss alpha * length is undefined (0 * inf)")
+        transmittance(self.alpha_db_per_km, self.length_km)  # rejects an undefined loss
         if not 0.0 <= self.e_mis <= 0.5:
             raise ValueError("e_mis must be in [0, 0.5]")
 
@@ -45,6 +44,20 @@ def poisson_pn(mu: float, n: int) -> float:
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
 
 
-def transmittance(ch: ChannelParams) -> float:
-    """Channel transmittance 10^(-alpha L / 10)."""
-    return 10.0 ** (-ch.alpha_db_per_km * ch.length_km / 10.0)
+def transmittance(alpha_db_per_km: float, length_km):
+    """Transmittance 10^(-alpha L / 10) of a fiber at a length or an array of lengths.
+
+    Rejects a negative or NaN alpha or L, and the undefined total losses
+    0 * inf (a lossless fiber of infinite length, an opaque one of zero
+    length).  A scalar length is computed as a 0-d array, which matches
+    the Python float power exactly; numpy's power over a longer array may
+    differ from it in the last bit.
+    """
+    length = np.asarray(length_km, dtype=float)
+    shortest = length.min(initial=math.inf)
+    if not (alpha_db_per_km >= 0.0 and shortest >= 0.0):  # NaN fails too
+        raise ValueError("loss coefficient and length must be nonnegative numbers")
+    if (alpha_db_per_km == 0.0 and length.max(initial=0.0) == math.inf
+            or alpha_db_per_km == math.inf and shortest == 0.0):
+        raise ValueError("total loss alpha * length is undefined (0 * inf)")
+    return 10.0 ** (-alpha_db_per_km * length / 10.0)

@@ -213,6 +213,9 @@ def cmd_session(cfg: Config, out: str | None) -> int:
 
 
 def cmd_verify_appendix(cfg: Config, samples: int, corrupt: bool) -> int:
+    if samples < 1:
+        print("config error: --samples must be >= 1", file=sys.stderr)
+        return 2
     results = appendix_checks(n_samples=samples, seed=cfg.seed,
                               corrupt_path_c_sign=corrupt)
     all_ok = True

@@ -29,6 +29,7 @@ __all__ = [
     "bb84_state",
     "lon_isometry",
     "apply_lon",
+    "lon_states",
     "bell_basis_matrix",
     "hybrid_bell_expand",
     "VirtualSource",
@@ -120,12 +121,23 @@ def lon_isometry(setting: PathSetting) -> np.ndarray:
 
 
 def apply_lon(setting: PathSetting, pol: PureState) -> PureState:
-    """Send a polarization qubit through the LON at the given setting."""
+    """Send a polarization qubit (or a stack of them) through the LON at one setting."""
     if pol.labels != ("pol",):
         raise ValueError("input must be a single polarization qubit")
-    if abs(np.linalg.norm(pol.amps) - 1.0) > 1e-12:
+    if (np.abs(np.linalg.norm(pol.amps, axis=-1) - 1.0) > 1e-12).any():
         raise ValueError("input is not normalized")
-    return PureState(lon_isometry(setting) @ pol.amps, ("pol", "path"))
+    return PureState(pol.amps @ lon_isometry(setting).T, ("pol", "path"))
+
+
+def lon_states() -> PureState:
+    """Alice's four BB84 photons through Bob's four LON settings.
+
+    A (16, 4) stack on pol (x) path, row ``code = 4 * alice + bob`` in the
+    orders of ALICE_SETTINGS and PATH_SETTINGS.
+    """
+    pol = np.array([bb84_state(alice).amps for alice in ALICE_SETTINGS])
+    lon = np.array([lon_isometry(bob) for bob in PATH_SETTINGS])
+    return PureState(np.einsum("bij,aj->abi", lon, pol).reshape(16, 4), ("pol", "path"))
 
 
 # Hybrid Bell basis over pol (x) path, rows ordered (phi+, phi-, psi+, psi-).
@@ -147,10 +159,10 @@ def bell_basis_matrix() -> np.ndarray:
 
 
 def hybrid_bell_expand(state: PureState) -> np.ndarray:
-    """Coefficients of a pol (x) path state in the hybrid Bell basis."""
+    """Coefficients of pol (x) path states in the hybrid Bell basis, shape (..., 4)."""
     if state.dim != 4:
         raise ValueError("expected a two-factor (pol, path) state")
-    return _BELL.conj() @ state.amps
+    return state.amps @ _BELL.conj().T
 
 
 @dataclass(frozen=True)
@@ -187,57 +199,44 @@ def rho_alice(source: VirtualSource) -> DensityMatrix:
 
 
 def rho_bob(
-    sigma: PureState | DensityMatrix,
+    sigma: DensityMatrix,
     source: VirtualSource = VirtualSource(),
     register_basis: np.ndarray | None = None,
     _corrupt_path_c_sign: bool = False,
 ) -> DensityMatrix:
-    """Reduced state of Bob's virtual register after the controlled LON.
+    """Reduced states of Bob's virtual register after the controlled LON.
 
     Bob prepares sum_i sqrt(p_i)|b_i> on a four-state register, then routes
     the incoming qubit sigma through the LON setting controlled by the
     register.  Tracing out the optical modes leaves a register state that is
     independent of sigma and equal to rho_alice(source).
 
-    register_basis optionally replaces the computational |b_i> by the
-    columns of a 4x4 unitary (the identity is basis-independent up to a
-    spectrum-preserving rotation).  _corrupt_path_c_sign is a test hook that
-    negates the path-c branch to demonstrate the identity actually bites.
+    sigma is a (..., 2, 2) stack of qubit states; a pure state enters as the
+    outer product of its amplitudes.  register_basis optionally replaces the
+    computational |b_i> by the columns of a 4x4 unitary, or of each unitary
+    in a (..., 4, 4) stack that broadcasts against sigma (the identity is
+    basis-independent up to a spectrum-preserving rotation).  Returns the
+    (..., 4, 4) stack of register states.  _corrupt_path_c_sign is a test
+    hook that negates the path-c branch to demonstrate the identity
+    actually bites.
     """
-    if isinstance(sigma, DensityMatrix):
-        # mix the pure-branch results; enough by linearity of the trace
-        if sigma.dim != 2:
-            raise ValueError("sigma must be a qubit state")
-        vals, vecs = np.linalg.eigh(sigma.mat)
-        out = np.zeros((4, 4), dtype=complex)
-        for w, v in zip(vals, vecs.T):
-            if w < 1e-15:
-                continue
-            branch = rho_bob(
-                PureState(v, ("pol",)),
-                source,
-                register_basis,
-                _corrupt_path_c_sign,
-            )
-            out = out + w * branch.mat
-        return DensityMatrix(out)
-
-    if sigma.labels != ("pol",):
-        raise ValueError("sigma must be a polarization qubit")
-
-    basis = np.eye(4, dtype=complex) if register_basis is None else np.asarray(register_basis, dtype=complex)
-    if basis.shape != (4, 4) or np.max(np.abs(basis.conj().T @ basis - np.eye(4))) > 1e-12:
-        raise ValueError("register basis must be a 4x4 unitary")
-
-    joint = np.zeros((4, 4), dtype=complex)  # register (x) optical modes
-    for i, setting in enumerate(PATH_SETTINGS):
-        optical = lon_isometry(setting) @ sigma.amps
-        if _corrupt_path_c_sign and setting is PathSetting.C:
-            optical = -optical
-        joint += np.sqrt(source.probs[i]) * np.outer(basis[:, i], optical)
-    flat = joint.reshape(-1)
-    rho = np.outer(flat, flat.conj())
-    return DensityMatrix(reduce_density(rho, (4, 4), (0,)))
+    if sigma.dim != 2:
+        raise ValueError("sigma must be a qubit state")
+    # branch amplitude times LON isometry: (setting i, optical mode m, polarization a)
+    amp = np.sqrt(source.probs)
+    if _corrupt_path_c_sign:
+        amp[PATH_SETTINGS.index(PathSetting.C)] *= -1.0
+    lon = np.array([w * lon_isometry(setting) for w, setting in zip(amp, PATH_SETTINGS)])
+    # <b_i| rho_B |b_j> = tr_modes(L_i sigma L_j^dagger): the partial trace over
+    # the modes m of the joint register (x) modes state, for the whole stack
+    register = np.einsum("ima,...ab,jmb->...ij", lon, sigma.mat, lon.conj())
+    if register_basis is not None:
+        basis = np.asarray(register_basis, dtype=complex)
+        if basis.shape[-2:] != (4, 4) or (np.abs(
+                basis.conj().swapaxes(-1, -2) @ basis - np.eye(4)) > 1e-12).any():
+            raise ValueError("register basis must be a 4x4 unitary")
+        register = basis @ register @ basis.conj().swapaxes(-1, -2)
+    return DensityMatrix(register)
 
 
 def agreement_detectors(alice: Bb84Setting, bob: PathSetting) -> tuple[int, int]:

@@ -4,11 +4,16 @@ Everything here lives in tiny labeled tensor-product spaces (a handful of
 two-level factors), stored dense.  Basis ordering is fixed globally: the
 first label is the slowest-varying index, so for a polarization+path state
 the amplitude order is (H,inp1), (H,inp2), (V,inp1), (V,inp2).
+
+States are arrays with the state axes last: amplitudes (..., d) and density
+matrices (..., d, d).  Every function broadcasts over the leading axes, so
+a stack of states is one array and a single state is a stack with no
+leading axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +22,6 @@ NORM_TOL = 1e-12
 __all__ = [
     "PureState",
     "DensityMatrix",
-    "tensor",
-    "partial_trace",
     "reduce_density",
     "trace_distance",
     "haar_amplitudes",
@@ -28,9 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm state vector over named two-level factors.
+    """Unit-norm state vectors over named two-level factors.
 
-    amps   -- complex amplitudes, length 2**len(labels)
+    amps   -- complex amplitudes, shape (..., 2**len(labels)); each vector
+              along the last axis is one state
     labels -- ordered factor names, e.g. ("pol",) or ("pol", "path")
     """
 
@@ -41,74 +45,49 @@ class PureState:
         amps = np.asarray(self.amps, dtype=complex)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be a vector")
-        if amps.size != 2 ** len(self.labels):
+        if amps.ndim == 0:
+            raise ValueError("amplitudes must be a vector or a stack of vectors")
+        if amps.shape[-1] != 2 ** len(self.labels):
             raise ValueError(
-                f"dimension {amps.size} does not match factors {self.labels}"
+                f"dimension {amps.shape[-1]} does not match factors {self.labels}"
             )
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if (np.abs(np.linalg.norm(amps, axis=-1) - 1.0) > NORM_TOL).any():
             raise ValueError("state is not normalized")
 
     @property
     def dim(self) -> int:
-        return self.amps.size
-
-    def density(self) -> "DensityMatrix":
-        """Rank-one projector |psi><psi| as a DensityMatrix."""
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()), self.labels)
-
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return complex(np.vdot(self.amps, other.amps))
+        return self.amps.shape[-1]
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix (2x2 or 4x4).
+    """Hermitian, unit-trace, positive-semidefinite matrices, shape (..., d, d).
 
-    labels names the tensor factors when the operator acts on a labeled
-    product space; it may be None for anonymous matrices.
+    Every matrix of a stack is validated.
     """
 
     mat: np.ndarray
-    labels: tuple[str, ...] | None = field(default=None)
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
             raise ValueError("density matrix must be square")
-        if self.labels is not None and mat.shape[0] != 2 ** len(self.labels):
-            raise ValueError("dimension does not match factor labels")
-        if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
+        if (np.abs(mat - mat.conj().swapaxes(-1, -2)) > NORM_TOL).any():
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > NORM_TOL or abs(np.trace(mat).imag) > NORM_TOL:
+        trace = np.trace(mat, axis1=-2, axis2=-1)
+        if (np.abs(trace.real - 1.0) > NORM_TOL).any() or (np.abs(trace.imag) > NORM_TOL).any():
             raise ValueError("density matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -NORM_TOL:
+        if (np.linalg.eigvalsh(mat) < -NORM_TOL).any():
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def eigenvalues(self) -> np.ndarray:
-        """Real spectrum in ascending order."""
+        """Real spectra in ascending order, shape (..., d)."""
         return np.linalg.eigvalsh(self.mat)
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker product of two pure states; labels concatenate."""
-    if a.dim * b.dim > 16:
-        raise ValueError("combined dimension exceeds 16")
-    shared = set(a.labels) & set(b.labels)
-    if shared:
-        raise ValueError(f"duplicate factor labels {sorted(shared)}")
-    return PureState(np.kron(a.amps, b.amps), a.labels + b.labels)
 
 
 def reduce_density(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
@@ -133,35 +112,27 @@ def reduce_density(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]
     return tens.reshape(d_keep, d_keep)
 
 
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduce a labeled density matrix to the single named factor."""
-    if rho.labels is None:
-        raise ValueError("density matrix has no factor labels")
-    if keep not in rho.labels:
-        raise ValueError(f"unknown factor name {keep!r}")
-    idx = rho.labels.index(keep)
-    dims = (2,) * len(rho.labels)
-    reduced = reduce_density(rho.mat, dims, (idx,))
-    return DensityMatrix(reduced, (keep,))
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> np.ndarray:
+    """Half the sum of absolute eigenvalues of a - b, in [0, 1].
 
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of a - b; in [0, 1]."""
+    The stacks broadcast against each other; all distances come from one
+    stacked ``eigvalsh``.
+    """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    eigs = np.linalg.eigvalsh(a.mat - b.mat)
-    return 0.5 * float(np.sum(np.abs(eigs)))
+    return 0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum(axis=-1)
 
 
-def haar_amplitudes(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector in C^dim."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def haar_amplitudes(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-random unit vectors in C^dim, shape (*shape, dim)."""
+    v = rng.normal(size=(*shape, dim)) + 1j * rng.normal(size=(*shape, dim))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-random unitaries via QR of Ginibre matrices, shape (*shape, dim, dim)."""
+    z = rng.normal(size=(*shape, dim, dim)) + 1j * rng.normal(size=(*shape, dim, dim))
     q, r = np.linalg.qr(z)
     # fix the phase ambiguity of QR so the distribution is Haar
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

@@ -51,6 +51,7 @@ from enum import Enum
 import numpy as np
 
 from .bsm import DetectorParams
+from .channel import transmittance
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -119,14 +120,8 @@ def _ratio(num, den, empty: float):
 
 
 def _eta(params: RateParams, length_km):
-    """eta_det times the channel transmittance 10^(-alpha L / 10)."""
-    length_km = np.asarray(length_km, dtype=float)
-    if not (length_km >= 0.0).all():  # NaN fails too
-        raise ValueError("length must be a nonnegative number")
-    alpha = params.alpha_db_per_km  # in [0, inf] by RateParams
-    if alpha == 0.0 and np.isinf(length_km).any() or alpha == math.inf and not length_km.all():
-        raise ValueError("total loss alpha * length is undefined (0 * inf)")
-    return params.detector.eta_det * 10.0 ** (-alpha * length_km / 10.0)
+    """eta_det times the channel transmittance."""
+    return params.detector.eta_det * transmittance(params.alpha_db_per_km, length_km)
 
 
 def _proposal_gains(eta, e, d, mu):

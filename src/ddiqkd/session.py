@@ -230,7 +230,8 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
     draws follow the order in the module docstring.
     """
     params = report.params
-    eta = transmittance(params.channel) * params.detector.eta_det
+    ch = params.channel
+    eta = transmittance(ch.alpha_db_per_km, ch.length_km) * params.detector.eta_det
     m = params.mu * (1.0 - eta)  # mean unregistered photons per pulse
     p_dark = params.detector.p_dark
 

@@ -14,16 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsm import click_table, ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
-from .encoding import (
-    ALICE_SETTINGS,
-    PATH_SETTINGS,
-    VirtualSource,
-    apply_lon,
-    bb84_state,
-    rho_alice,
-    rho_bob,
-)
-from .qstate import PureState, haar_amplitudes, random_unitary, trace_distance
+from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
+from .qstate import DensityMatrix, PureState, haar_amplitudes, random_unitary, trace_distance
 from .session import sift
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
@@ -38,52 +30,40 @@ class CheckResult:
     detail: str = ""
 
 
-def _haar_qubit(rng) -> PureState:
-    return PureState(haar_amplitudes(2, rng), ("pol",))
+def _haar_qubits(n: int, rng) -> DensityMatrix:
+    """n Haar-random pure polarization states as one (n, 2, 2) density stack."""
+    amps = haar_amplitudes(2, rng, (n,))
+    return DensityMatrix(amps[:, :, None] * amps[:, None, :].conj())
 
 
 def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool = False) -> CheckResult:
     """rho_B equals rho_A for Haar-random inputs, and is input-independent."""
     source = VirtualSource()
-    target = rho_alice(source)
-    worst = 0.0
-    first = None
-    for _ in range(n_samples):
-        rho = rho_bob(_haar_qubit(rng), source, _corrupt_path_c_sign=corrupt)
-        if first is None:
-            first = rho
-        worst = max(worst, trace_distance(rho, target), trace_distance(rho, first))
+    rho = rho_bob(_haar_qubits(n_samples, rng), source, _corrupt_path_c_sign=corrupt)
+    # every sample against the sender state and against the first sample
+    refs = DensityMatrix(np.stack([rho_alice(source).mat, rho.mat[0]])[:, None])
+    worst = float(trace_distance(rho, refs).max())
     return CheckResult("receiver-state-fixed", worst < 1e-12, worst, 1e-12,
                        f"{n_samples} Haar-random inputs vs sender state and each other")
 
 
 def check_basis_independence(n_samples: int, rng, corrupt: bool = False) -> CheckResult:
     """Register-basis rotations leave the spectrum of rho_B unchanged."""
-    source = VirtualSource()
-    base = rho_bob(_haar_qubit(rng), source, _corrupt_path_c_sign=corrupt)
-    ref_spectrum = base.eigenvalues()
-    worst = 0.0
-    for _ in range(n_samples):
-        basis = random_unitary(4, rng)
-        rotated = rho_bob(_haar_qubit(rng), source, register_basis=basis,
-                          _corrupt_path_c_sign=corrupt)
-        worst = max(worst, float(np.max(np.abs(rotated.eigenvalues() - ref_spectrum))))
+    # sample 0 keeps the computational basis and gives the reference spectrum
+    bases = np.concatenate([np.eye(4)[None], random_unitary(4, rng, (n_samples,))])
+    spectra = rho_bob(_haar_qubits(n_samples + 1, rng), VirtualSource(), register_basis=bases,
+                      _corrupt_path_c_sign=corrupt).eigenvalues()
+    worst = float(np.max(np.abs(spectra[1:] - spectra[0])))
     return CheckResult("register-basis-independence", worst < 1e-12, worst, 1e-12,
                        f"{n_samples} random register bases, spectrum drift")
 
 
 def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
     """Mode-network and Bell-projector click distributions agree."""
-    worst = 0.0
-    for alice in ALICE_SETTINGS:
-        for path in PATH_SETTINGS:
-            state = apply_lon(path, bb84_state(alice))
-            worst = max(worst, float(np.max(np.abs(
-                mode_network_distribution(state) - ideal_bsm_distribution(state)))))
-    for _ in range(n_samples):
-        state = PureState(haar_amplitudes(4, rng), ("pol", "path"))
-        worst = max(worst, float(np.max(np.abs(
-            mode_network_distribution(state) - ideal_bsm_distribution(state)))))
+    states = PureState(np.concatenate([lon_states().amps, haar_amplitudes(4, rng, (n_samples,))]),
+                       ("pol", "path"))
+    worst = float(np.max(np.abs(
+        mode_network_distribution(states) - ideal_bsm_distribution(states))))
     m = mode_network_matrix()
     unit = float(np.max(np.abs(m @ m.conj().T - np.eye(4))))
     worst = max(worst, unit)

@@ -39,13 +39,13 @@ class TestPoissonPn:
 
 class TestTransmittance:
     def test_zero_distance(self):
-        assert transmittance(ChannelParams(0.2, 0.0, 0.0)) == 1.0
+        assert transmittance(0.2, 0.0) == 1.0
 
     def test_fifty_km(self):
-        assert transmittance(ChannelParams(0.2, 50.0, 0.0)) == pytest.approx(0.1, abs=1e-15)
+        assert transmittance(0.2, 50.0) == pytest.approx(0.1, abs=1e-15)
 
     def test_hundred_fifty_km(self):
-        assert transmittance(ChannelParams(0.2, 150.0, 0.0)) == pytest.approx(1e-3, abs=1e-18)
+        assert transmittance(0.2, 150.0) == pytest.approx(1e-3, abs=1e-18)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,8 +64,27 @@ class TestTransmittance:
             ChannelParams(alpha, length, 0.0)
 
     def test_infinite_length_blocks_everything(self):
-        assert transmittance(ChannelParams(0.2, math.inf, 0.0)) == 0.0
-        assert transmittance(ChannelParams(math.inf, 1.0, 0.0)) == 0.0
+        assert transmittance(0.2, math.inf) == 0.0
+        assert transmittance(math.inf, 1.0) == 0.0
+
+    def test_lengths_broadcast(self):
+        got = transmittance(0.2, np.array([0.0, 50.0, 150.0, math.inf]))
+        np.testing.assert_allclose(got, [1.0, 0.1, 1e-3, 0.0], rtol=1e-15, atol=0)
+        with pytest.raises(ValueError, match="undefined"):
+            transmittance(0.0, np.array([10.0, math.inf]))
+        with pytest.raises(ValueError, match="undefined"):
+            transmittance(math.inf, np.array([10.0, 0.0]))
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="nonnegative numbers"):
+                transmittance(0.2, np.array([10.0, bad]))
+
+    def test_scalar_matches_float_power(self):
+        # a session's eta comes from a scalar call; it must be the float power
+        # exactly, so session reports stay byte-identical for a (config, seed)
+        rng = np.random.default_rng(3)
+        for alpha, length in zip(rng.uniform(0, 1, 2000), rng.uniform(0, 300, 2000)):
+            alpha, length = float(alpha), float(length)
+            assert transmittance(alpha, length) == 10.0 ** (-alpha * length / 10.0)
 
 
 def _ideal_session(n_pulses, mu, length_km):

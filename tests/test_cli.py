@@ -107,6 +107,11 @@ class TestVerifyAppendixCommand:
         assert out.count("PASS") == 4
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_rejected(self, samples, capsys):
+        assert main(["verify-appendix", "--samples", samples]) == 2
+        assert "--samples must be >= 1" in capsys.readouterr().err
+
     def test_injected_sign_error_fails_named_checks(self, capsys):
         assert main(["verify-appendix", "--samples", "50", "--self-test-corrupt"]) == 1
         out = capsys.readouterr().out

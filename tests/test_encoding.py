@@ -6,6 +6,7 @@ import pytest
 
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
+    PATH_SETTINGS,
     Basis,
     Bb84Setting,
     PathSetting,
@@ -16,10 +17,18 @@ from ddiqkd.encoding import (
     bell_basis_matrix,
     hybrid_bell_expand,
     lon_isometry,
+    lon_states,
     rho_alice,
     rho_bob,
 )
-from ddiqkd.qstate import DensityMatrix, PureState, haar_amplitudes, random_unitary, trace_distance
+from ddiqkd.qstate import (
+    DensityMatrix,
+    PureState,
+    haar_amplitudes,
+    random_unitary,
+    reduce_density,
+    trace_distance,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
@@ -27,6 +36,30 @@ PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
 def haar_qubit(rng):
     return PureState(haar_amplitudes(2, rng), ("pol",))
+
+
+def projector(amps):
+    """|psi><psi| for each amplitude vector along the last axis."""
+    amps = np.asarray(amps, dtype=complex)
+    return amps[..., :, None] * amps[..., None, :].conj()
+
+
+def qubits(amps) -> DensityMatrix:
+    """Pure polarization states (one, or a stack) as a density stack."""
+    return DensityMatrix(projector(amps))
+
+
+def _rho_bob_oracle(amps, source, basis, corrupt=False):
+    """One pure input, one register basis: the joint register (x) modes state
+    built setting by setting, then an explicit partial trace over the modes."""
+    joint = np.zeros((4, 4), dtype=complex)
+    for i, setting in enumerate(PATH_SETTINGS):
+        optical = lon_isometry(setting) @ amps
+        if corrupt and setting is PathSetting.C:
+            optical = -optical
+        joint += np.sqrt(source.probs[i]) * np.outer(basis[:, i], optical)
+    flat = joint.reshape(-1)
+    return reduce_density(np.outer(flat, flat.conj()), (4, 4), (0,))
 
 
 class TestBb84States:
@@ -41,7 +74,7 @@ class TestBb84States:
     def test_mutually_unbiased(self):
         h = bb84_state(Bb84Setting(Basis.RECTILINEAR, 0))
         plus = bb84_state(Bb84Setting(Basis.DIAGONAL, 0))
-        assert abs(h.overlap(plus)) ** 2 == pytest.approx(0.5, abs=1e-14)
+        assert abs(np.vdot(h.amps, plus.amps)) ** 2 == pytest.approx(0.5, abs=1e-14)
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
@@ -69,6 +102,17 @@ class TestLonIsometry:
                 assert np.linalg.norm(apply_lon(path, qubit).amps) == pytest.approx(
                     1.0, abs=1e-12
                 )
+
+    def test_lon_states_match_apply_lon(self):
+        states = lon_states()
+        assert states.amps.shape == (16, 4)
+        for a, alice in enumerate(ALICE_SETTINGS):
+            for b, path in enumerate(PATH_SETTINGS):
+                np.testing.assert_array_equal(states.amps[4 * a + b],
+                                              apply_lon(path, bb84_state(alice)).amps)
+        pols = PureState([bb84_state(alice).amps for alice in ALICE_SETTINGS], ("pol",))
+        for b, path in enumerate(PATH_SETTINGS):
+            np.testing.assert_array_equal(apply_lon(path, pols).amps, states.amps[b::4])
 
     def test_isometry_matrices(self):
         for path in PATHS:
@@ -112,23 +156,21 @@ class TestBellExpansion:
 class TestReceiverState:
     def test_equals_sender_state_for_h_input(self):
         source = VirtualSource()
-        sigma = bb84_state(Bb84Setting(Basis.RECTILINEAR, 0))
+        sigma = qubits(bb84_state(Bb84Setting(Basis.RECTILINEAR, 0)).amps)
         assert trace_distance(rho_bob(sigma, source), rho_alice(source)) < 1e-12
 
     def test_identical_for_h_and_v(self):
         source = VirtualSource()
-        r_h = rho_bob(bb84_state(Bb84Setting(Basis.RECTILINEAR, 0)), source)
-        r_v = rho_bob(bb84_state(Bb84Setting(Basis.RECTILINEAR, 1)), source)
+        r_h = rho_bob(qubits([1, 0]), source)
+        r_v = rho_bob(qubits([0, 1]), source)
         assert trace_distance(r_h, r_v) < 1e-12
 
     def test_input_independent_over_haar_samples(self):
         source = VirtualSource()
-        target = rho_alice(source)
         rng = np.random.default_rng(13)
-        worst = 0.0
-        for _ in range(300):
-            worst = max(worst, trace_distance(rho_bob(haar_qubit(rng), source), target))
-        assert worst < 1e-12
+        rho = rho_bob(qubits(haar_amplitudes(2, rng, (300,))), source)
+        assert rho.mat.shape == (300, 4, 4)
+        assert trace_distance(rho, rho_alice(source)).max() < 1e-12
 
     def test_rank_two(self):
         eigs = rho_alice(VirtualSource()).eigenvalues()
@@ -142,29 +184,103 @@ class TestReceiverState:
     def test_nonuniform_probabilities(self):
         source = VirtualSource((0.4, 0.3, 0.2, 0.1))
         rng = np.random.default_rng(19)
-        target = rho_alice(source)
-        for _ in range(50):
-            assert trace_distance(rho_bob(haar_qubit(rng), source), target) < 1e-12
+        rho = rho_bob(qubits(haar_amplitudes(2, rng, (50,))), source)
+        assert trace_distance(rho, rho_alice(source)).max() < 1e-12
 
     def test_basis_independence_of_spectrum(self):
         source = VirtualSource()
         rng = np.random.default_rng(29)
-        ref = rho_bob(haar_qubit(rng), source).eigenvalues()
-        for _ in range(50):
-            rotated = rho_bob(haar_qubit(rng), source, register_basis=random_unitary(4, rng))
-            assert np.max(np.abs(rotated.eigenvalues() - ref)) < 1e-12
+        ref = rho_bob(qubits(haar_amplitudes(2, rng)), source).eigenvalues()
+        rotated = rho_bob(qubits(haar_amplitudes(2, rng, (50,))), source,
+                          register_basis=random_unitary(4, rng, (50,)))
+        assert np.max(np.abs(rotated.eigenvalues() - ref)) < 1e-12
 
     def test_corruption_hook_breaks_identity(self):
         source = VirtualSource()
-        sigma = bb84_state(Bb84Setting(Basis.DIAGONAL, 0))
+        sigma = qubits(bb84_state(Bb84Setting(Basis.DIAGONAL, 0)).amps)
         broken = rho_bob(sigma, source, _corrupt_path_c_sign=True)
         assert trace_distance(broken, rho_alice(source)) > 1e-3
+
+    def test_corrupted_batch_fails_on_every_sample(self):
+        source = VirtualSource()
+        rng = np.random.default_rng(47)
+        broken = rho_bob(qubits(haar_amplitudes(2, rng, (200,))), source,
+                         register_basis=random_unitary(4, rng, (200,)), _corrupt_path_c_sign=True)
+        assert (trace_distance(broken, rho_alice(source)) > 1e-3).all()
+        broken = rho_bob(qubits(haar_amplitudes(2, rng, (200,))), source, _corrupt_path_c_sign=True)
+        assert (trace_distance(broken, rho_alice(source)) > 1e-3).all()
+
+    def test_non_unitary_basis_anywhere_in_batch_rejected(self):
+        rng = np.random.default_rng(53)
+        sigma = qubits(haar_amplitudes(2, rng, (20,)))
+        for bad in (1.001 * np.eye(4), np.ones((4, 4)) / 2, np.diag([1, 1, 1, 0])):
+            bases = random_unitary(4, rng, (20,))
+            bases[17] = bad
+            with pytest.raises(ValueError, match="unitary"):
+                rho_bob(sigma, register_basis=bases)
+        with pytest.raises(ValueError, match="unitary"):
+            rho_bob(sigma, register_basis=np.eye(3))
+
+    def test_qubit_input_required(self):
+        with pytest.raises(ValueError, match="qubit"):
+            rho_bob(DensityMatrix(np.eye(4) / 4))
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
             VirtualSource((0.5, 0.5, 0.5, -0.5))
         with pytest.raises(ValueError):
             VirtualSource((0.5, 0.4, 0.05, 0.04))
+
+
+class TestReceiverStateOracle:
+    """The batched rho_bob against the setting-by-setting construction with an
+    explicit partial trace, state by state, to 1e-15."""
+
+    SOURCES = (VirtualSource(), VirtualSource((0.4, 0.3, 0.2, 0.1)),
+               VirtualSource((0.7, 0.0, 0.2, 0.1)))
+
+    @pytest.mark.parametrize("source", SOURCES)
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_pure_inputs(self, source, corrupt):
+        rng = np.random.default_rng(59)
+        amps = haar_amplitudes(2, rng, (40,))
+        rho = rho_bob(qubits(amps), source, _corrupt_path_c_sign=corrupt)
+        for k in range(40):
+            expected = _rho_bob_oracle(amps[k], source, np.eye(4), corrupt)
+            np.testing.assert_allclose(rho.mat[k], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_pure_inputs_in_random_register_bases(self, source):
+        rng = np.random.default_rng(61)
+        amps = haar_amplitudes(2, rng, (40,))
+        bases = random_unitary(4, rng, (40,))
+        rho = rho_bob(qubits(amps), source, register_basis=bases)
+        for k in range(40):
+            expected = _rho_bob_oracle(amps[k], source, bases[k])
+            np.testing.assert_allclose(rho.mat[k], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_mixed_inputs(self, source):
+        # sigma = w |a><a| + (1 - w) |b><b|; the oracle mixes the pure branches
+        rng = np.random.default_rng(67)
+        a, b = haar_amplitudes(2, rng, (2, 30))
+        w = rng.random(30)
+        sigma = w[:, None, None] * projector(a) + (1 - w[:, None, None]) * projector(b)
+        bases = random_unitary(4, rng, (30,))
+        rho = rho_bob(DensityMatrix(sigma), source, register_basis=bases)
+        for k in range(30):
+            expected = (w[k] * _rho_bob_oracle(a[k], source, bases[k])
+                        + (1 - w[k]) * _rho_bob_oracle(b[k], source, bases[k]))
+            np.testing.assert_allclose(rho.mat[k], expected, rtol=0, atol=1e-15)
+
+    def test_single_state_is_a_stack_without_leading_axes(self):
+        rng = np.random.default_rng(71)
+        amps = haar_amplitudes(2, rng)
+        basis = random_unitary(4, rng)
+        rho = rho_bob(qubits(amps), register_basis=basis)
+        assert rho.mat.shape == (4, 4)
+        np.testing.assert_allclose(rho.mat, _rho_bob_oracle(amps, VirtualSource(), basis),
+                                   rtol=0, atol=1e-15)
 
 
 class TestFlipStructure:

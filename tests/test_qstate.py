@@ -7,10 +7,8 @@ from ddiqkd.qstate import (
     DensityMatrix,
     PureState,
     haar_amplitudes,
-    partial_trace,
     random_unitary,
     reduce_density,
-    tensor,
     trace_distance,
 )
 
@@ -21,42 +19,31 @@ def ket(*amps, labels=("pol",)):
     return PureState(np.array(amps, dtype=complex), labels)
 
 
+def projector(amps):
+    """|psi><psi| for each amplitude vector along the last axis."""
+    amps = np.asarray(amps, dtype=complex)
+    return amps[..., :, None] * amps[..., None, :].conj()
+
+
 H = ket(1, 0)
 V = ket(0, 1)
 PLUS = ket(SQ2, SQ2)
-INP1 = ket(1, 0, labels=("path",))
 
 
 class TestPureState:
-    def test_basis_product(self):
-        out = tensor(H, INP1)
-        assert out.labels == ("pol", "path")
-        np.testing.assert_allclose(out.amps, [1, 0, 0, 0])
-
-    def test_superposition_product(self):
-        out = tensor(PLUS, INP1)
-        np.testing.assert_allclose(out.amps, [SQ2, 0, SQ2, 0], atol=1e-15)
-
-    def test_norm_multiplicative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            a = PureState(haar_amplitudes(2, rng), ("pol",))
-            b = PureState(haar_amplitudes(2, rng), ("path",))
-            assert np.linalg.norm(tensor(a, b).amps) == pytest.approx(1.0, abs=1e-12)
-
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             ket(1, 1)
 
-    def test_dimension_overflow(self):
-        four = tensor(tensor(H, INP1), ket(1, 0, labels=("x",)))
-        five = ket(1, 0, labels=("y",))
-        with pytest.raises(ValueError, match="16"):
-            tensor(tensor(four, ket(1, 0, labels=("z",))), five)
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            tensor(H, V)
+    def test_stack_validates_every_state(self):
+        rng = np.random.default_rng(13)
+        amps = haar_amplitudes(4, rng, (3, 5))
+        assert PureState(amps, ("pol", "path")).dim == 4
+        amps[2, 4] *= 1.01
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(amps, ("pol", "path"))
+        with pytest.raises(ValueError, match="does not match"):
+            PureState(amps, ("pol",))
 
 
 class TestDensityMatrix:
@@ -68,17 +55,28 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.array([[1.5, 0], [0, -0.5]]))
 
+    def test_invariants_enforced_on_every_matrix_of_a_stack(self):
+        good = np.broadcast_to(np.eye(2) / 2, (4, 2, 2))
+        for bad in (np.array([[0.5, 0.5j], [0.5j, 0.5]]), np.eye(2), np.diag([1.5, -0.5])):
+            stack = good.copy().astype(complex)
+            stack[3] = bad
+            with pytest.raises(ValueError):
+                DensityMatrix(stack)
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.ones((3, 2, 4)) / 2)
+
     def test_pure_projector(self):
-        rho = PLUS.density()
-        np.testing.assert_allclose(rho.mat, 0.5 * np.ones((2, 2)), atol=1e-15)
+        rho = DensityMatrix(projector([[SQ2, SQ2], [1.0, 0.0]]))
+        np.testing.assert_allclose(rho.mat[0], 0.5 * np.ones((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(rho.eigenvalues(), [[0.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
 
-def _partial_trace_oracle(rho4: np.ndarray, keep: str) -> np.ndarray:
-    """Explicit index summation; pol is the slow factor, path the fast one."""
+def _partial_trace_oracle(rho4: np.ndarray, keep: int) -> np.ndarray:
+    """Explicit index summation; factor 0 is the slow one, factor 1 the fast one."""
     out = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
-            if keep == "pol":
+            if keep == 0:
                 out[i, j] = sum(rho4[2 * i + k, 2 * j + k] for k in range(2))
             else:
                 out[i, j] = sum(rho4[2 * k + i, 2 * k + j] for k in range(2))
@@ -87,43 +85,34 @@ def _partial_trace_oracle(rho4: np.ndarray, keep: str) -> np.ndarray:
 
 class TestPartialTrace:
     def test_maximally_entangled_gives_identity(self):
-        phi_plus = PureState(np.array([SQ2, 0, 0, SQ2]), ("pol", "path"))
-        reduced = partial_trace(phi_plus.density(), "pol")
-        np.testing.assert_allclose(reduced.mat, np.eye(2) / 2, atol=1e-14)
+        reduced = reduce_density(projector([SQ2, 0, 0, SQ2]), (2, 2), (0,))
+        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-14)
 
     def test_product_state_recovers_factor(self):
         rng = np.random.default_rng(5)
-        a = PureState(haar_amplitudes(2, rng), ("pol",))
-        b = PureState(haar_amplitudes(2, rng), ("path",))
-        reduced = partial_trace(tensor(a, b).density(), "pol")
-        np.testing.assert_allclose(reduced.mat, a.density().mat, atol=1e-13)
+        a, b = haar_amplitudes(2, rng), haar_amplitudes(2, rng)
+        reduced = reduce_density(projector(np.kron(a, b)), (2, 2), (0,))
+        np.testing.assert_allclose(reduced, projector(a), atol=1e-13)
 
     def test_matches_index_summation_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            state = PureState(haar_amplitudes(4, rng), ("pol", "path"))
-            rho = state.density()
-            for keep in ("pol", "path"):
+            rho = projector(haar_amplitudes(4, rng))
+            for keep in (0, 1):
                 np.testing.assert_allclose(
-                    partial_trace(rho, keep).mat,
-                    _partial_trace_oracle(rho.mat, keep),
+                    reduce_density(rho, (2, 2), (keep,)),
+                    _partial_trace_oracle(rho, keep),
                     atol=1e-13,
                 )
-
-    def test_unknown_factor_name(self):
-        rho = tensor(H, INP1).density()
-        with pytest.raises(ValueError, match="unknown factor"):
-            partial_trace(rho, "momentum")
 
     def test_linear_and_trace_preserving(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            s1 = PureState(haar_amplitudes(4, rng), ("pol", "path")).density()
-            s2 = PureState(haar_amplitudes(4, rng), ("pol", "path")).density()
+            s1 = projector(haar_amplitudes(4, rng))
+            s2 = projector(haar_amplitudes(4, rng))
             w = rng.random()
-            mixed = DensityMatrix(w * s1.mat + (1 - w) * s2.mat, ("pol", "path"))
-            lhs = partial_trace(mixed, "path").mat
-            rhs = w * partial_trace(s1, "path").mat + (1 - w) * partial_trace(s2, "path").mat
+            lhs = reduce_density(w * s1 + (1 - w) * s2, (2, 2), (1,))
+            rhs = w * reduce_density(s1, (2, 2), (1,)) + (1 - w) * reduce_density(s2, (2, 2), (1,))
             np.testing.assert_allclose(lhs, rhs, atol=1e-13)
             assert np.trace(lhs).real == pytest.approx(1.0, abs=1e-12)
 
@@ -132,31 +121,41 @@ class TestPartialTrace:
             reduce_density(np.eye(3), (2, 2), (0,))
 
 
+def density(state: PureState) -> DensityMatrix:
+    return DensityMatrix(projector(state.amps))
+
+
 class TestTraceDistance:
     def test_identical_states(self):
-        rho = PLUS.density()
+        rho = density(PLUS)
         assert trace_distance(rho, rho) == 0.0
 
     def test_orthogonal_pure_states(self):
-        assert trace_distance(H.density(), V.density()) == pytest.approx(1.0, abs=1e-14)
+        assert trace_distance(density(H), density(V)) == pytest.approx(1.0, abs=1e-14)
 
     def test_mixed_vs_pure_half(self):
         # eigenvalues of I/2 - |H><H| are -1/2 and +1/2, so the distance is 0.5
         mixed = DensityMatrix(np.eye(2) / 2)
-        assert trace_distance(mixed, H.density()) == pytest.approx(0.5, abs=1e-14)
+        assert trace_distance(mixed, density(H)) == pytest.approx(0.5, abs=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            trace_distance(H.density(), tensor(H, INP1).density())
+            trace_distance(density(H), DensityMatrix(projector([1, 0, 0, 0])))
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(31)
-        for _ in range(200):
-            a, b, c = (
-                PureState(haar_amplitudes(4, rng), ("pol", "path")).density()
-                for _ in range(3)
-            )
-            assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-10
+        a, b, c = (DensityMatrix(projector(haar_amplitudes(4, rng, (200,)))) for _ in range(3))
+        assert (trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-10).all()
+
+    def test_stacks_broadcast_like_single_pairs(self):
+        rng = np.random.default_rng(37)
+        a = DensityMatrix(projector(haar_amplitudes(4, rng, (5,))))
+        b = DensityMatrix(projector(haar_amplitudes(4, rng, (3, 1))))
+        stacked = trace_distance(a, b)
+        assert stacked.shape == (3, 5)
+        for i, j in np.ndindex(3, 5):
+            single = trace_distance(DensityMatrix(a.mat[j]), DensityMatrix(b.mat[i, 0]))
+            assert stacked[i, j] == pytest.approx(single, abs=1e-15)
 
 
 class TestRandomHelpers:
@@ -164,9 +163,17 @@ class TestRandomHelpers:
         rng = np.random.default_rng(41)
         for dim in (2, 4):
             v = haar_amplitudes(dim, rng)
+            assert v.shape == (dim,)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            stack = haar_amplitudes(dim, rng, (7, 3))
+            assert stack.shape == (7, 3, dim)
+            np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, atol=1e-12)
 
     def test_random_unitary_is_unitary(self):
         rng = np.random.default_rng(43)
         u = random_unitary(4, rng)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+        stack = random_unitary(4, rng, (50,))
+        assert stack.shape == (50, 4, 4)
+        np.testing.assert_allclose(stack @ stack.conj().swapaxes(-1, -2),
+                                   np.broadcast_to(np.eye(4), (50, 4, 4)), atol=1e-12)
