@@ -262,7 +262,11 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
     length_km and mu may be arrays that broadcast against each other.
     """
-    eta = _eta(params, length_km)
+    return _bb84_rate(_eta(params, length_km), params, mu)
+
+
+def _bb84_rate(eta, params: RateParams, mu):
+    """bb84_reference_rate at eta = eta_det times the channel transmittance."""
     e, d = params.e_mis, params.detector.p_dark
     gain, err_gain = _bb84_gains(eta, e, d, mu)
     dark = d * (2.0 - d)  # Y_0: either detector dark-fires
@@ -274,9 +278,8 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
 def optimize_mu_bb84(params: RateParams, length_km):
     """(mu_opt, rate) for the two-detector reference at a distance or array of them."""
-    lengths = np.atleast_1d(length_km)
-    return _optimize(lambda mu: bb84_reference_rate(params, lengths, mu),
-                     np.ndim(length_km) == 0)
+    eta = _eta(params, np.atleast_1d(length_km))
+    return _optimize(lambda mu: _bb84_rate(eta, params, mu), np.ndim(length_km) == 0)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,20 @@ this order:
    (matched, U = 0), (matched, U = 1), (matched, U >= 2) and unmatched, at
    e^-m / 2, m e^-m / 2, (1 - e^-m - m e^-m) / 2 and 1/2, m = mu (1 - eta).
 
-Click patterns, sifting and tallies are built on the union only.  No array
-of length n is allocated, except inside the dark-count draws.
+The hit pulses of 1 come out of one ``np.unique``, sorted and with their R.
+The dark pulses of 4 are deduplicated on their own and merged into them
+without a second sort: ``np.searchsorted`` finds each one's place, a dark
+count on a hit pulse ORs its bit into that pulse's click pattern, and the
+dark-only pulses are inserted in pulse order with R = 0.  The tallies are
+one histogram of the merged pulses over the 16 x 3 x 16 cells (setting code,
+min(R + U, 2), click pattern), which the sift turns into counts as a table
+of weights made by one ``sift`` call on every (code, lone click) pair.
+No array of length n is allocated, except inside the dark-count draws.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +166,7 @@ class SessionReport:
 
     def to_dict(self) -> dict:
         ch, det = self.params.channel, self.params.detector
+        key_length = self.secret_key_length
         return {
             "config": {
                 "n_pulses": self.params.n_pulses,
@@ -193,8 +202,8 @@ class SessionReport:
             },
             "key": {
                 "q_sift_effective": self.q_sift_effective,
-                "secret_key_length": self.secret_key_length,
-                "rate_per_pulse": self.rate_per_pulse,
+                "secret_key_length": key_length,
+                "rate_per_pulse": key_length / self.params.n_pulses,
             },
         }
 
@@ -223,6 +232,29 @@ def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return matched, (code & 1) ^ _FLIP[bob_basis, detector]
 
 
+@functools.cache
+def _sift_cells() -> tuple[np.ndarray, np.ndarray]:
+    """The sift of the shard's (code, photon class, click pattern) cells, from
+    one `sift` call on every (code, lone click) pair, made on first use.
+
+    Returns (matched, sifted): ``matched[code]`` marks the basis-matched
+    codes, and ``sifted[code, pattern, error, detector]`` is 1 where the lone
+    click ``pattern`` on ``detector`` is kept, with Bob's bit wrong (error 1)
+    or right (error 0).
+    """
+    code, pattern = np.indices((16, 16), dtype=np.uint8)
+    lone = _LONE_CLICK[pattern] >= 0
+    code, pattern = code[lone], pattern[lone]
+    detector = _LONE_CLICK[pattern]
+    matched, bob_bit = sift(code, detector)
+    error = bob_bit != ((code >> 2) & 1)
+    sifted = np.zeros((16, 16, 2, 4), dtype=np.int64)
+    sifted[code, pattern, error.astype(np.intp), detector] = matched
+    matched_code = np.zeros(16, dtype=bool)
+    matched_code[code] = matched  # matching depends on the code alone
+    return matched_code, sifted
+
+
 def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: np.ndarray):
     """Simulate n pulses and add their tallies to ``report``.
 
@@ -248,45 +280,48 @@ def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: n
         detector += u >= edge[group]
     mask = np.bitwise_or.reduceat(np.uint8(1) << detector, np.cumsum(registered) - registered)
 
-    # dark counts: draw each detector's total, then scatter it over distinct pulses
-    parts, bits = [rows], [mask]
-    for col in range(4):
-        k = int(rng.binomial(n, p_dark))
-        parts.append(rng.choice(n, k, replace=False))
-        bits.append(np.full(k, 1 << col, dtype=np.uint8))
-    union, inverse = np.unique(np.concatenate(parts), return_inverse=True)
-    pattern = np.zeros(union.size, dtype=np.uint8)
-    np.bitwise_or.at(pattern, inverse, np.concatenate(bits))
+    # dark counts: each detector's total scattered over distinct pulses, then
+    # the bits of each dark pulse OR-ed (summed: they are distinct powers of two)
+    parts = [rng.choice(n, rng.binomial(n, p_dark), replace=False) for _ in range(4)]
+    dark, inverse = np.unique(np.concatenate(parts), return_inverse=True)
+    weights = np.repeat(1 << np.arange(4), [part.size for part in parts])
+    bits = np.bincount(inverse, weights, minlength=dark.size).astype(np.uint8)
 
-    # settings and photon numbers of the union; a dark-only pulse registered nothing
-    hit = inverse[:rows.size]
-    n_sent = np.zeros(union.size, dtype=np.int64)
-    n_sent[hit] = registered
-    dark_only = n_sent == 0
-    code_u = np.empty(union.size, dtype=np.uint8)
-    code_u[hit] = code
-    code_u[dark_only] = rng.integers(0, 16, int(dark_only.sum()), dtype=np.uint8)
-    n_sent = np.minimum(n_sent + rng.poisson(m, union.size), 2)
+    # merge into the sorted hit pulses: a dark count on a hit pulse adds its
+    # bits there, a dark-only pulse is inserted in pulse order with R = 0
+    at = np.searchsorted(rows, dark)
+    on_hit = at < rows.size
+    on_hit[on_hit] = rows[at[on_hit]] == dark[on_hit]
+    mask[at[on_hit]] |= bits[on_hit]
+    at, bits = at[~on_hit], bits[~on_hit]
+    mask = np.insert(mask, at, bits)
+    registered = np.insert(registered, at, 0)
+    code = np.insert(code, at, rng.integers(0, 16, at.size, dtype=np.uint8))
 
-    # matched pulses with 0, 1, >= 2 photons: the union's counted, the untouched
-    # pulses' drawn as one multinomial over (matched, U = 0), (matched, U = 1),
-    # (matched, U >= 2) and unmatched; half of the 16 setting codes are matched
-    matched, _ = sift(code_u, 0)
+    # one histogram of the merged pulses over the cells (setting code,
+    # min(n_sent, 2), click pattern); the cell index is built in place, so no
+    # further temporaries of the merged size are allocated
+    cell = registered + rng.poisson(m, mask.size)
+    np.minimum(cell, 2, out=cell)
+    cell += 3 * code
+    cell *= 16
+    cell += mask
+    cells = np.bincount(cell, minlength=768).reshape(16, 3, 16)
+    matched, sifted = _sift_cells()
+
+    # matched pulses with 0, 1, >= 2 photons: the merged pulses' counted, the
+    # untouched pulses' drawn as one multinomial over (matched, U = 0),
+    # (matched, U = 1), (matched, U >= 2) and unmatched; half of the 16 setting
+    # codes are matched
     p0, p1 = np.exp(-m), m * np.exp(-m)
-    rest = rng.multinomial(n - union.size, [p0 / 2, p1 / 2, (-np.expm1(-m) - p1) / 2, 0.5])
-    pulses = np.bincount(n_sent[matched], minlength=3) + rest[:3]
+    rest = rng.multinomial(n - mask.size, [p0 / 2, p1 / 2, (-np.expm1(-m) - p1) / 2, 0.5])
+    pulses = cells[matched].sum(axis=(0, 2)) + rest[:3]
     report.matched_pulses += int(pulses.sum())
     report.vacuum_pulses += int(pulses[0])
     report.single_pulses += int(pulses[1])
 
-    lone = _LONE_CLICK[pattern]
-    sel = lone >= 0
-    c, detector = code_u[sel], lone[sel]
-    matched, bob_bit = sift(c, detector)
-    error = bob_bit != ((c >> 2) & 1)
-    # (min(n_sent, 2), error, detector) histogram of the sifted lone clicks
-    key = 8 * n_sent[sel] + 4 * error + detector
-    tally = np.bincount(key[matched], minlength=24).reshape(3, 2, 4)
+    # (min(n_sent, 2), error, detector) tally of the sifted lone clicks
+    tally = np.tensordot(cells, sifted, axes=([0, 2], [0, 1]))
     report.successes += tally.sum(axis=(0, 1))
     report.errors += tally[:, 1].sum(axis=0)
     report.vacuum_successes += tally[0].sum(axis=0)

@@ -8,6 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from ddiqkd import rates
 from ddiqkd.bsm import DetectorParams, click_table
 from ddiqkd.channel import poisson_pn
 from ddiqkd.rates import (
@@ -387,6 +388,21 @@ class TestOptimizeMu:
         mu_opt, rate = optimize(FIG_PARAMS, np.array(lengths))
         for k, length in enumerate(lengths):
             assert (mu_opt[k], rate[k]) == optimize(FIG_PARAMS, length)
+
+    @pytest.mark.parametrize("optimize, rate_at", [
+        (optimize_mu, lambda params, lengths, mu: key_rate(yield_table(params, lengths), params, mu)),
+        (optimize_mu_bb84, bb84_reference_rate),
+    ])
+    def test_eta_computed_once_per_search(self, optimize, rate_at, monkeypatch):
+        # the golden-section steps reuse one eta per search, and the optimum's
+        # rate is the public rate function's at mu_opt, bit for bit
+        calls = []
+        eta = rates._eta
+        monkeypatch.setattr(rates, "_eta", lambda *args: calls.append(args) or eta(*args))
+        lengths = np.array([0.0, 45.0, 110.0, 158.0])
+        mu_opt, rate = optimize(FIG_PARAMS, lengths)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(rate, rate_at(FIG_PARAMS, lengths, mu_opt))
 
 
 class TestBb84Reference:

@@ -2,6 +2,7 @@
 analytic model."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 
 from ddiqkd.bsm import DetectorParams, click_table
 from ddiqkd.channel import ChannelParams
+from ddiqkd.cli import Config
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
     Basis,
@@ -347,6 +349,56 @@ class TestRunSession:
         assert rep.rate_per_pulse * rep.params.n_pulses == pytest.approx(rep.secret_key_length, rel=1e-15)
         d = rep.to_dict()
         assert "q" not in d["config"] and "q_config" not in d["key"]
+
+
+def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=0.01,
+            shard_size=1_000_000):
+    return SessionParams(
+        n_pulses=n_pulses, mu=mu,
+        channel=ChannelParams(0.2, length_km, e_mis),
+        detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+        shard_size=shard_size,
+    )
+
+
+# (params, seed, sha256 of the report's sorted-key JSON).  Recorded with
+# numpy 2.4; the stream order of the session module docstring fixes them, so
+# a change to that order has to update them on purpose.
+PINNED_REPORTS = {
+    "cli_defaults_0km": (
+        Config(distances=(0.0,)).session_params(), 1,
+        "69d534ac0a938347d5676202235e3049217451192e41670335afcf1a02ebd186"),
+    "cli_defaults_100km": (
+        Config(distances=(100.0,)).session_params(), 1,
+        "b9d01adea23c22a38472d7a699dbd2e321d0389a0dddbb9538136afa3450ef39"),
+    "bright_noisy": (
+        _pinned(50_000, mu=5.0, e_mis=0.5, p_dark=0.9, shard_size=20_000), 2,
+        "e990728a1fbf2dc67280953508a736b303b8352fc86719a2e07f384368057c5f"),
+    "saturated_dark": (
+        _pinned(3000, length_km=10.0, p_dark=1 - 1e-9, shard_size=1000), 3,
+        "70a74ff3bbfa674dafa1225eceafcb017171a96ad6e195be1fd09ba7c7bb7386"),
+    "blind_detectors": (
+        _pinned(100_000, eta_det=0.0), 4,
+        "7f27614c91038163e0462f3fd9de2ea8091e3e1094884798197a3fe603d0f4fe"),
+    "infinite_length": (
+        _pinned(100_000, length_km=math.inf), 5,
+        "ea94183a9b0de7b14a2a4a37cd8076441877d7a5f9c6ab5c2cc53b4f2538ed0b"),
+    "one_pulse": (
+        _pinned(1, mu=3.0, eta_det=1.0, p_dark=0.3, shard_size=1), 18,
+        "582b8b9553d53d83fe52a576ccd45b62b95f621747312d389d85dc71c3a99c4a"),
+    "two_pulse_shards": (
+        _pinned(2, mu=3.0, eta_det=1.0, p_dark=0.3, shard_size=1), 18,
+        "e12e827d31b5c0e7e049823a1e550a2129c5790c31f9e15d347a2c85b5d8978d"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_report_bytes_are_pinned(name):
+    """Same (config, seed), same report bytes: the shard's draws and tallies
+    may be reorganized only in ways that keep every report identical."""
+    params, seed, digest = PINNED_REPORTS[name]
+    text = json.dumps(run_session(params, seed).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _rate_terms_from(gains, err_gains, yt, params, mu):
