@@ -8,9 +8,9 @@ exactly; the network exists so the optical layout can be audited.
 
 ``click_table`` is the receiver's device model: the per-photon click
 distribution over D1..D4 for every (Alice state, Bob setting) pair, with
-misalignment and interference visibility folded in.  The Monte Carlo routes
-photons by it, ``theory_table`` is a slice of it, and the flip-table check
-reads it.
+misalignment and interference visibility folded in.  The Monte Carlo builds
+its exact cell probabilities from it, ``theory_table`` is a slice of it,
+and the flip-table check reads it.
 
 ``DetectorParams`` holds the efficiency and dark-count probability of the
 four detectors, which the rate model and the Monte Carlo apply.

@@ -7,43 +7,33 @@ report depends only on the configuration and seed.  Error correction and
 privacy amplification are accounted analytically (the sifted length is
 shrunk by the usual f*h(E) and privacy terms), not executed as codes.
 
-A shard is event-driven: only pulses with a registered photon or a dark
-count are drawn one by one, and the rest of the shard is one multinomial of
-counts.  Channel survival and detector registration are independent
-per-photon thinnings, so with eta = t * eta_det a pulse's photon number is
-n_sent = R + U, with independent R ~ Poisson(mu eta) registered and
-U ~ Poisson(mu (1 - eta)) unregistered photons.  The stream is consumed in
-this order:
+The session samples the report's counts from the exact per-pulse
+distribution instead of routing photons one by one.  Pulses are
+independent and identically distributed and a report reads 28 counts, so
+a shard is one multinomial of its n pulses over 28 cells.  For each photon
+class k = min(n_sent, 2) = 0, 1, 2 in turn come the eight sifted lone
+clicks (error 0 on D1..D4, then error 1 on D1..D4) and one cell of
+basis-matched pulses that are not sifted (no click or several); the last
+cell holds the unmatched pulses, with probability exactly 1/2.
 
-1. the shard's registered total T ~ Poisson(n mu eta) and one uniform pulse
-   in [0, n) per photon: the exact multinomial split of a Poisson total,
-   so every pulse gets an independent R;
-2. one setting code ``4 * alice_state + bob_setting`` in [0, 16) per pulse
-   with R > 0, in pulse order;
-3. one uniform per registered photon, routing it to a detector by the
-   cumulative row of its code in the misalignment-mixed click table
-   ``bsm.click_table(e_mis)``;
-4. per detector, a dark total Bin(n, p_dark) and that many distinct pulses;
-5. one setting code per pulse with a dark count and R = 0, in pulse order;
-6. U for every pulse of the union of 1 and 4, in pulse order;
-7. one multinomial over the n - |union| untouched pulses with cells
-   (matched, U = 0), (matched, U = 1), (matched, U >= 2) and unmatched, at
-   e^-m / 2, m e^-m / 2, (1 - e^-m - m e^-m) / 2 and 1/2, m = mu (1 - eta).
-
-The hit pulses of 1 come out of one ``np.unique``, sorted and with their R.
-The dark pulses of 4 are deduplicated on their own and merged into them
-without a second sort: ``np.searchsorted`` finds each one's place, a dark
-count on a hit pulse ORs its bit into that pulse's click pattern, and the
-dark-only pulses are inserted in pulse order with R = 0.  The tallies are
-one histogram of the merged pulses over the 16 x 3 x 16 cells (setting code,
-min(R + U, 2), click pattern), which the sift turns into counts as a table
-of weights made by one ``sift`` call on every (code, lone click) pair.
-No array of length n is allocated, except inside the dark-count draws.
+The cell probabilities are exact.  A pulse draws a setting code
+c = 4 * alice_state + bob_setting uniformly from 16, and with
+eta = t * eta_det and x = mu eta, Poisson thinning of its Poisson(mu)
+photons gives independent registered counts N_j ~ Poisson(x T[c, j]) on
+the detectors, T = ``bsm.click_table(e_mis)``, and U ~ Poisson(mu (1 - eta))
+unregistered photons, so n_sent = N_1 + ... + N_4 + U.  Dark counts OR in
+as independent Bernoulli(p_dark) bits.  A lone click on d needs the other
+three detectors silent, (1 - p_dark)^3 exp(-x (1 - T[c, d])), and d to
+fire; splitting N_d and U at 0, 1 and >= 2 photons gives its class.  The
+mean over the 16 codes, weighted by ``sift`` of every (code, detector)
+pair, gives the sifted cells, and a class's not-sifted cell is its matched
+share P(n_sent class k) / 2 less its sifted cells.  Every factor is a
+probability, so the table stays finite at any mu (the form
+exp(-x) expm1(x T) would overflow once x T exceeds ~710).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,96 +222,48 @@ def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return matched, (code & 1) ^ _FLIP[bob_basis, detector]
 
 
-@functools.cache
-def _sift_cells() -> tuple[np.ndarray, np.ndarray]:
-    """The sift of the shard's (code, photon class, click pattern) cells, from
-    one `sift` call on every (code, lone click) pair, made on first use.
+def _poisson_classes(y):
+    """P(Y = 0), P(Y = 1) and P(Y >= 2) of Y ~ Poisson(y), stacked on a new first axis."""
+    e = np.exp(-y)
+    return np.stack([e, y * e, -np.expm1(-y) - y * e])
 
-    Returns (matched, sifted): ``matched[code]`` marks the basis-matched
-    codes, and ``sifted[code, pattern, error, detector]`` is 1 where the lone
-    click ``pattern`` on ``detector`` is kept, with Bob's bit wrong (error 1)
-    or right (error 0).
-    """
-    code, pattern = np.indices((16, 16), dtype=np.uint8)
-    lone = _LONE_CLICK[pattern] >= 0
-    code, pattern = code[lone], pattern[lone]
-    detector = _LONE_CLICK[pattern]
+
+def _cell_probabilities(params: SessionParams) -> np.ndarray:
+    """The 28 cell probabilities of one pulse, in the order of the module docstring."""
+    ch, d = params.channel, params.detector.p_dark
+    eta = transmittance(ch.alpha_db_per_km, ch.length_km) * params.detector.eta_det
+    table = click_table(ch.e_mis)
+    n0, n1, n2 = _poisson_classes(params.mu * eta * table)  # min(N_d, 2) per (code, detector)
+    u0, u1, u2 = _poisson_classes(params.mu * (1.0 - eta))  # min(U, 2)
+    fired_dark = d * n0  # the detector fires on its dark count alone
+    lone = np.stack([fired_dark * u0,
+                     fired_dark * u1 + n1 * u0,
+                     fired_dark * u2 + n1 * (u1 + u2) + n2])  # (class, code, detector)
+    # times P(the other three detectors stay silent)
+    lone *= (1.0 - d) ** 3 * np.exp(-params.mu * eta * (1.0 - table))
+
+    # (error, code, detector) weights of the sift, with the code's 1/16
+    code, detector = np.divmod(np.arange(64), 4)
     matched, bob_bit = sift(code, detector)
     error = bob_bit != ((code >> 2) & 1)
-    sifted = np.zeros((16, 16, 2, 4), dtype=np.int64)
-    sifted[code, pattern, error.astype(np.intp), detector] = matched
-    matched_code = np.zeros(16, dtype=bool)
-    matched_code[code] = matched  # matching depends on the code alone
-    return matched_code, sifted
+    weight = np.stack([matched & ~error, matched & error]).reshape(2, 16, 4) / 16.0
+    sifted = np.einsum("kcd,ecd->ked", lone, weight).reshape(3, 8)
+
+    share = _poisson_classes(params.mu) / 2.0  # matched pulses of each photon class
+    # rounding leaves ~ -1e-17 where a class's matched pulses are all sifted
+    rest = np.maximum(share - sifted.sum(axis=1), 0.0)
+    return np.append(np.column_stack([sifted, rest]), 0.5)
 
 
-def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, route: np.ndarray):
-    """Simulate n pulses and add their tallies to ``report``.
-
-    ``route`` is the 16x4 click table of the session's misalignment.  The
-    draws follow the order in the module docstring.
-    """
-    params = report.params
-    ch = params.channel
-    eta = transmittance(ch.alpha_db_per_km, ch.length_km) * params.detector.eta_det
-    m = params.mu * (1.0 - eta)  # mean unregistered photons per pulse
-    p_dark = params.detector.p_dark
-
-    # registered photons: a Poisson total, each photon on a uniform pulse
-    total = rng.poisson(n * params.mu * eta)
-    rows, registered = np.unique(rng.integers(0, n, total), return_counts=True)
-    code = rng.integers(0, 16, rows.size, dtype=np.uint8)
-
-    # route each photon by one uniform against its code's cumulative row
-    group = np.repeat(code, registered)
-    u = rng.random(group.size)
-    detector = np.zeros(group.size, dtype=np.uint8)
-    for edge in np.cumsum(route, axis=1).T[:3]:
-        detector += u >= edge[group]
-    mask = np.bitwise_or.reduceat(np.uint8(1) << detector, np.cumsum(registered) - registered)
-
-    # dark counts: each detector's total scattered over distinct pulses, then
-    # the bits of each dark pulse OR-ed (summed: they are distinct powers of two)
-    parts = [rng.choice(n, rng.binomial(n, p_dark), replace=False) for _ in range(4)]
-    dark, inverse = np.unique(np.concatenate(parts), return_inverse=True)
-    weights = np.repeat(1 << np.arange(4), [part.size for part in parts])
-    bits = np.bincount(inverse, weights, minlength=dark.size).astype(np.uint8)
-
-    # merge into the sorted hit pulses: a dark count on a hit pulse adds its
-    # bits there, a dark-only pulse is inserted in pulse order with R = 0
-    at = np.searchsorted(rows, dark)
-    on_hit = at < rows.size
-    on_hit[on_hit] = rows[at[on_hit]] == dark[on_hit]
-    mask[at[on_hit]] |= bits[on_hit]
-    at, bits = at[~on_hit], bits[~on_hit]
-    mask = np.insert(mask, at, bits)
-    registered = np.insert(registered, at, 0)
-    code = np.insert(code, at, rng.integers(0, 16, at.size, dtype=np.uint8))
-
-    # one histogram of the merged pulses over the cells (setting code,
-    # min(n_sent, 2), click pattern); the cell index is built in place, so no
-    # further temporaries of the merged size are allocated
-    cell = registered + rng.poisson(m, mask.size)
-    np.minimum(cell, 2, out=cell)
-    cell += 3 * code
-    cell *= 16
-    cell += mask
-    cells = np.bincount(cell, minlength=768).reshape(16, 3, 16)
-    matched, sifted = _sift_cells()
-
-    # matched pulses with 0, 1, >= 2 photons: the merged pulses' counted, the
-    # untouched pulses' drawn as one multinomial over (matched, U = 0),
-    # (matched, U = 1), (matched, U >= 2) and unmatched; half of the 16 setting
-    # codes are matched
-    p0, p1 = np.exp(-m), m * np.exp(-m)
-    rest = rng.multinomial(n - mask.size, [p0 / 2, p1 / 2, (-np.expm1(-m) - p1) / 2, 0.5])
-    pulses = cells[matched].sum(axis=(0, 2)) + rest[:3]
+def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, cells: np.ndarray):
+    """Draw the counts of n pulses over the 28 probabilities ``cells`` and
+    add them to ``report``."""
+    counts = rng.multinomial(n, cells)[:27].reshape(3, 9)
+    pulses = counts.sum(axis=1)  # matched pulses of each photon class
+    tally = counts[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
     report.matched_pulses += int(pulses.sum())
     report.vacuum_pulses += int(pulses[0])
     report.single_pulses += int(pulses[1])
-
-    # (min(n_sent, 2), error, detector) tally of the sifted lone clicks
-    tally = np.tensordot(cells, sifted, axes=([0, 2], [0, 1]))
     report.successes += tally.sum(axis=(0, 1))
     report.errors += tally[:, 1].sum(axis=0)
     report.vacuum_successes += tally[0].sum(axis=0)
@@ -334,13 +276,13 @@ def run_session(params: SessionParams, seed: int) -> SessionReport:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     report = SessionReport(params=params, seed=seed)
-    route = click_table(params.channel.e_mis)
+    cells = _cell_probabilities(params)
     remaining = params.n_pulses
     shard = 0
     while remaining > 0:
         n = min(params.shard_size, remaining)
         rng = np.random.default_rng([seed, shard])
-        _run_shard(report, n, rng, route)
+        _run_shard(report, n, rng, cells)
         remaining -= n
         shard += 1
     return report

@@ -74,11 +74,11 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
 def check_flip_table() -> CheckResult:
     """Ideal single photons never give Bob a wrong sifted bit.
 
-    Runs the reports' own `sift` and the ideal click table the sessions
-    route by on all 16 setting codes x 4 detectors: exactly the 8
-    basis-matched codes are kept, each has exactly two detectors that
-    restore Alice's bit, and the click mass on detectors that hand Bob the
-    wrong bit is the deviation.
+    Runs the reports' own `sift` and the ideal click table that the
+    sessions' cell probabilities are built from on all 16 setting codes x 4
+    detectors: exactly the 8 basis-matched codes are kept, each has exactly
+    two detectors that restore Alice's bit, and the click mass on detectors
+    that hand Bob the wrong bit is the deviation.
     """
     code, detector = np.divmod(np.arange(64), 4)
     matched, bob_bit = sift(code, detector)

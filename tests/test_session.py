@@ -2,14 +2,16 @@
 analytic model."""
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import DetectorParams, click_table
+from ddiqkd.bsm import DetectorParams
 from ddiqkd.channel import ChannelParams
 from ddiqkd.cli import Config
 from ddiqkd.encoding import (
@@ -23,6 +25,7 @@ from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import (
     SessionParams,
     SessionReport,
+    _cell_probabilities,
     _run_shard,
     projected_qber_from_visibility,
     run_session,
@@ -172,7 +175,7 @@ class TestRunSession:
         total = {name: 0 for name in TALLIES}
         for shard, n in enumerate((10_000, 10_000, 5_000)):
             part = SessionReport(params=params, seed=5)
-            _run_shard(part, n, np.random.default_rng([5, shard]), click_table(0.015))
+            _run_shard(part, n, np.random.default_rng([5, shard]), _cell_probabilities(params))
             for name in TALLIES:
                 total[name] = total[name] + getattr(part, name)
         assert rep.sifted_length > 0
@@ -351,6 +354,57 @@ class TestRunSession:
         assert "q" not in d["config"] and "q_config" not in d["key"]
 
 
+class TestCellProbabilities:
+    def test_cells_reproduce_yield_table(self):
+        """Summed per photon class and detector, the 28 cell probabilities
+        give the yield table's Q, E Q, Y0, Y1 and e1 Y1, and per class the
+        matched shares 1/2, e^-mu / 2 and mu e^-mu / 2, to 1e-12 relative."""
+        grid = itertools.product((1e-6, 0.05, 0.7, 5.0, 30.0), (0.0, 3e-6, 0.01, 0.5, 0.9),
+                                 (0.0, 0.015, 0.25, 0.5), (0.0, 50.0, 200.0, math.inf),
+                                 (0.0, 0.145, 1.0))
+        for mu, p_dark, e_mis, length_km, eta_det in grid:
+            detector = DetectorParams(eta_det=eta_det, p_dark=p_dark)
+            cells = _cell_probabilities(SessionParams(
+                n_pulses=1, mu=mu, channel=ChannelParams(0.2, length_km, e_mis), detector=detector))
+            classes = cells[:27].reshape(3, 9)
+            sifted = classes[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
+            yt = yield_table(RateParams(detector=detector, e_mis=e_mis), length_km)
+            gain = yt.gains(mu)
+            vacuum, single = math.exp(-mu) / 2, mu * math.exp(-mu) / 2
+            close = functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=0.0,
+                                      err_msg=str((mu, p_dark, e_mis, length_km, eta_det)))
+            assert np.all(cells >= 0.0)
+            close(2 * sifted.sum(axis=(0, 1)), gain)
+            close(2 * sifted[:, 1].sum(axis=0), gain * yt.qbers(mu))
+            close(sifted[0].sum(axis=0), vacuum * yt.y0)
+            close(sifted[1].sum(axis=0), single * yt.y1)
+            close(sifted[1, 1], single * yt.e1 * yt.y1)
+            close(classes[:2].sum(axis=1), [vacuum, single])
+            close([classes.sum(), cells[27]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("mu", [1.0, 710.0, 1420.0, 1e4])
+    @pytest.mark.parametrize("e_mis", [0.0, 0.015, 0.5])
+    def test_bright_cells_stay_finite(self, mu, e_mis):
+        cells = _cell_probabilities(SessionParams(
+            n_pulses=1, mu=mu, channel=ChannelParams(0.2, 0.0, e_mis),
+            detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6)))
+        assert np.all(np.isfinite(cells)) and np.all(cells >= 0.0)
+        assert cells.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_bright_session_completes(self):
+        """mu eta = 1e4: 10^7 pulses run with RuntimeWarnings raised as errors
+        (the pytest configuration), and every pulse lights several detectors."""
+        params = SessionParams(
+            n_pulses=10_000_000, mu=1e4,
+            channel=ChannelParams(0.2, 0.0, 0.015),
+            detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6),
+        )
+        rep = run_session(params, seed=6)
+        json.dumps(rep.to_dict())
+        assert rep.matched_pulses > 0
+        assert rep.vacuum_pulses == rep.single_pulses == rep.sifted_length == 0
+
+
 def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=0.01,
             shard_size=1_000_000):
     return SessionParams(
@@ -362,33 +416,33 @@ def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=
 
 
 # (params, seed, sha256 of the report's sorted-key JSON).  Recorded with
-# numpy 2.4; the stream order of the session module docstring fixes them, so
+# numpy 2.4; the cell order of the session module docstring fixes them, so
 # a change to that order has to update them on purpose.
 PINNED_REPORTS = {
     "cli_defaults_0km": (
         Config(distances=(0.0,)).session_params(), 1,
-        "69d534ac0a938347d5676202235e3049217451192e41670335afcf1a02ebd186"),
+        "02a62203f0bce6b85530d2d6d40eed87400342a1799b0383ea84dc27f3e30688"),
     "cli_defaults_100km": (
         Config(distances=(100.0,)).session_params(), 1,
-        "b9d01adea23c22a38472d7a699dbd2e321d0389a0dddbb9538136afa3450ef39"),
+        "d06a40cf2c4228a337fcda64ffd84c478b3c3c8c20e39f0af12c327ecf86ff9f"),
     "bright_noisy": (
         _pinned(50_000, mu=5.0, e_mis=0.5, p_dark=0.9, shard_size=20_000), 2,
-        "e990728a1fbf2dc67280953508a736b303b8352fc86719a2e07f384368057c5f"),
+        "232e7d6798967f2f40666764a9808fb9e23faf221a014254ee37d80578bbe6e2"),
     "saturated_dark": (
         _pinned(3000, length_km=10.0, p_dark=1 - 1e-9, shard_size=1000), 3,
-        "70a74ff3bbfa674dafa1225eceafcb017171a96ad6e195be1fd09ba7c7bb7386"),
+        "e1004e7a9f5429c5a280ba62a9cb1b04336389d6732552f8eb3329a8a4243ac0"),
     "blind_detectors": (
         _pinned(100_000, eta_det=0.0), 4,
-        "7f27614c91038163e0462f3fd9de2ea8091e3e1094884798197a3fe603d0f4fe"),
+        "c5c01290c8c0b6f253c105d61a8b9e7bb8a58789654e874a76c65619017ba7e7"),
     "infinite_length": (
         _pinned(100_000, length_km=math.inf), 5,
-        "ea94183a9b0de7b14a2a4a37cd8076441877d7a5f9c6ab5c2cc53b4f2538ed0b"),
+        "16452938804f554cea8d150c63a6ca48032fe9e3b10217a2ee6de4b2b9bcec00"),
     "one_pulse": (
         _pinned(1, mu=3.0, eta_det=1.0, p_dark=0.3, shard_size=1), 18,
-        "582b8b9553d53d83fe52a576ccd45b62b95f621747312d389d85dc71c3a99c4a"),
+        "3a7c3bf3e036aeb88e6a80b68d63750f170d1a814a1c9f7d7f23ea1f3a8ee3c1"),
     "two_pulse_shards": (
         _pinned(2, mu=3.0, eta_det=1.0, p_dark=0.3, shard_size=1), 18,
-        "e12e827d31b5c0e7e049823a1e550a2129c5790c31f9e15d347a2c85b5d8978d"),
+        "7144fa97c7a52328e409e258f6e18da0a26147dc5d434776cdae227ebda4641f"),
 }
 
 
