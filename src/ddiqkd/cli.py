@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from .bsm import THEORY_ROWS, DetectorParams, theory_row_label, theory_table
 from .channel import ChannelParams
 from .rates import RateParams, keyrate_curve
-from .session import SessionParams, run_session
+from .session import MAX_PULSES, SessionParams, run_session
 from .verify import appendix_checks
 
 __all__ = ["Config", "ConfigError", "main", "entry"]
@@ -71,8 +71,8 @@ class Config:
             raise ConfigError("q must be in (0, 1]")
         if self.mu is not None and self.mu <= 0:
             raise ConfigError("mu must be positive")
-        if self.n_pulses < 1:
-            raise ConfigError("n_pulses must be >= 1")
+        if not 1 <= self.n_pulses <= MAX_PULSES:
+            raise ConfigError(f"n_pulses must be in [1, {MAX_PULSES}]")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if not self.distances or any(d < 0 for d in self.distances):
@@ -182,6 +182,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _emit(text: str, out: str | None):
+    """Write ``text`` to the file ``out``, or to stdout if none is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_keyrate_curve(cfg: Config, out: str | None) -> int:
     params = cfg.rate_params()
     curve = keyrate_curve(params, list(cfg.distances))
@@ -190,25 +199,16 @@ def cmd_keyrate_curve(cfg: Config, out: str | None) -> int:
         lines.append(
             f"{_fmt(p.length_km)},{_fmt(p.mu_opt)},{_fmt(p.rate_proposal)},{_fmt(p.rate_bb84)}"
         )
-    csv_text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit("\n".join(lines) + "\n", out)
     print(json.dumps(curve.summary(), sort_keys=True))
     return 0
 
 
 def cmd_session(cfg: Config, out: str | None) -> int:
     report = run_session(cfg.session_params(), cfg.seed)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", out)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"report written to {out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -237,12 +237,7 @@ def cmd_theory_table(cfg: Config, out: str | None) -> int:
             lines.append(f"{_fmt(vis)},{label}," + ",".join(_fmt(x) for x in row))
         if vis == 1.0:
             break  # configured visibility may itself be 1
-    csv_text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 

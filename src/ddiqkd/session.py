@@ -1,16 +1,15 @@
 """End-to-end Monte Carlo of the protocol: settings, channel, measurement,
 sifting, and asymptotic key accounting.
 
-Large sessions are sharded; each shard draws from an independent stream
-seeded by (seed, shard index) and tallies are merged by summation, so a
-report depends only on the configuration and seed.  Error correction and
-privacy amplification are accounted analytically (the sifted length is
-shrunk by the usual f*h(E) and privacy terms), not executed as codes.
+A session draws all its counts at once from the stream
+``default_rng([seed, 0])``, so a report depends only on the configuration
+and seed.  Error correction and privacy amplification are accounted
+analytically (the sifted length is shrunk by the usual f*h(E) and privacy
+terms), not executed as codes.
 
-The session samples the report's counts from the exact per-pulse
-distribution instead of routing photons one by one.  Pulses are
-independent and identically distributed and a report reads 28 counts, so
-a shard is one multinomial of its n pulses over 28 cells.  For each photon
+Pulses are independent and identically distributed and a report reads 28
+counts, so a session is one multinomial of its n pulses over 28 cells,
+sampled from the exact per-pulse distribution.  For each photon
 class k = min(n_sent, 2) = 0, 1, 2 in turn come the eight sifted lone
 clicks (error 0 on D1..D4, then error 1 on D1..D4) and one cell of
 basis-matched pulses that are not sifted (no click or several); the last
@@ -51,6 +50,9 @@ __all__ = [
     "projected_qber_from_visibility",
 ]
 
+MAX_PULSES = 2**63 - 1  # the largest count ``Generator.multinomial`` takes
+
+
 def projected_qber_from_visibility(visibility: float) -> float:
     """Error rate (1-V)/2 implied by an interference visibility V."""
     if not 0.0 <= visibility <= 1.0:
@@ -67,16 +69,13 @@ class SessionParams:
     channel: ChannelParams
     detector: DetectorParams
     f_ec: float = 1.16
-    shard_size: int = 1_000_000
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
+        if not 1 <= self.n_pulses <= MAX_PULSES:
+            raise ValueError(f"n_pulses must be in [1, {MAX_PULSES}]")
         if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
         _check_f_ec(self.f_ec)
-        if self.shard_size < 1:
-            raise ValueError("shard_size must be >= 1")
 
 
 @dataclass
@@ -167,7 +166,6 @@ class SessionReport:
                 "eta_det": det.eta_det,
                 "p_dark_per_detector": det.p_dark,
                 "f_ec": self.params.f_ec,
-                "shard_size": self.params.shard_size,
             },
             "seed": self.seed,
             "matched_pulses": self.matched_pulses,
@@ -201,10 +199,6 @@ class SessionReport:
 # Bob flips his bit when detector d (0-based) clicks in basis b: _FLIP[b, d]
 _FLIP = np.array([[d in flip_detectors(basis) for d in (1, 2, 3, 4)]
                   for basis in (Basis.RECTILINEAR, Basis.DIAGONAL)])
-
-# clicking detector (0-based) of a 4-bit click pattern; -1 unless exactly one bit is set
-_LONE_CLICK = np.full(16, -1, dtype=np.int8)
-_LONE_CLICK[[1, 2, 4, 8]] = np.arange(4)
 
 
 def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,13 +270,6 @@ def run_session(params: SessionParams, seed: int) -> SessionReport:
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     report = SessionReport(params=params, seed=seed)
-    cells = _cell_probabilities(params)
-    remaining = params.n_pulses
-    shard = 0
-    while remaining > 0:
-        n = min(params.shard_size, remaining)
-        rng = np.random.default_rng([seed, shard])
-        _run_shard(report, n, rng, cells)
-        remaining -= n
-        shard += 1
+    # the stream [seed, 0] keeps the counts that sessions of up to 10^6 pulses always drew
+    _run_shard(report, params.n_pulses, np.random.default_rng([seed, 0]), _cell_probabilities(params))
     return report

@@ -24,7 +24,7 @@ from ddiqkd.encoding import (
 )
 from ddiqkd.qstate import PureState, haar_amplitudes
 from ddiqkd.rates import RateParams, yield_table
-from ddiqkd.session import _LONE_CLICK, SessionParams, run_session, sift
+from ddiqkd.session import SessionParams, run_session, sift
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
@@ -84,22 +84,6 @@ class TestModeNetwork:
         np.testing.assert_allclose(mode_network_distribution(state), [0.5, 0.5, 0, 0], atol=1e-14)
 
 
-class TestClickPattern:
-    """The session's 4-bit click masks: bit d set means detector D(d+1) fired."""
-
-    def test_success_requires_exactly_one(self):
-        for pattern in range(16):
-            clicks = bin(pattern).count("1")
-            assert (_LONE_CLICK[pattern] >= 0) == (clicks == 1), pattern
-
-    def test_outcome_detector_index(self):
-        for detector in range(4):
-            assert _LONE_CLICK[1 << detector] == detector
-        assert _LONE_CLICK[0b0100] == 2
-        assert _LONE_CLICK[0b0011] == -1
-        assert _LONE_CLICK[0] == -1
-
-
 def _session(n_pulses, mu, eta_det, p_dark):
     """A lossless, perfectly aligned session at the given detector settings."""
     return SessionParams(
@@ -127,13 +111,12 @@ class TestDetect:
         assert rep.single_errors.sum() == 0
 
     def test_invalid_detector_index(self):
-        # photons are routed over D1..D4 only, lone clicks name one of them,
-        # and the sift rejects an index outside D1..D4 on either side
+        # every photon's clicks fall on D1..D4, and the sift rejects an
+        # index outside D1..D4 on either side
         route = click_table()
         assert route.shape == (16, 4)
         assert np.all(route >= 0.0)
         np.testing.assert_allclose(route.sum(axis=1), 1.0, atol=1e-15)
-        assert set(_LONE_CLICK.tolist()) == {-1, 0, 1, 2, 3}
         for bad in (-1, 4):
             with pytest.raises(ValueError, match="detector index"):
                 sift(np.array([0, 0]), np.array([0, bad]))

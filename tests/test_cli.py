@@ -96,6 +96,13 @@ class TestSessionCommand:
         assert main(["session", "--mu", "nan", "--pulses", "10"]) == 2
         assert "mu" in capsys.readouterr().err
 
+    def test_too_many_pulses_is_usage_error(self, capsys):
+        # 2**63 - 1 is the largest count one multinomial draw takes
+        assert main(["session", "--pulses", str(2**63)]) == 2
+        assert "n_pulses" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="n_pulses"):
+            parse_config_text("n_pulses = 10000000000000000000\n")
+
     def test_unreadable_config_is_usage_error(self, capsys):
         assert main(["session", "--config", "/nonexistent/x.cfg"]) == 2
 

@@ -26,14 +26,12 @@ from ddiqkd.session import (
     SessionParams,
     SessionReport,
     _cell_probabilities,
-    _run_shard,
     projected_qber_from_visibility,
     run_session,
     sift,
 )
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
-TALLIES = tuple(f.name for f in dataclasses.fields(SessionReport) if f.name not in ("params", "seed"))
 
 FIG_DETECTOR = DetectorParams(eta_det=0.145, p_dark=3.01e-6)
 
@@ -67,6 +65,16 @@ def _assert_tallies_match_model(rep):
         z(rep.single_qbers(), yt.e1, rep.single_successes),
     ])
     assert np.all(np.abs(zs) <= 4.0), zs
+
+
+def _assert_tally_invariants(rep):
+    """The report serializes and its tallies nest as counts of one session."""
+    json.dumps(rep.to_dict())
+    assert rep.sifted_length == rep.successes.sum()
+    assert rep.vacuum_pulses + rep.single_pulses <= rep.matched_pulses <= rep.params.n_pulses
+    assert np.all(rep.errors <= rep.successes)
+    assert np.all(rep.vacuum_successes + rep.single_successes <= rep.successes)
+    assert np.all(rep.single_errors <= rep.single_successes)
 
 
 def _code(alice, bob):
@@ -162,25 +170,26 @@ class TestRunSession:
         c = run_session(params, seed=43).to_dict()
         assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
-    def test_sharding_does_not_change_totals(self):
-        # a session is the field-wise sum of its shards, each drawn from the
-        # stream [seed, shard], including a short last shard
+    @pytest.mark.parametrize("n_pulses", [25_000, 2_500_000])
+    def test_session_is_one_multinomial_draw(self, n_pulses):
+        # the whole session is one draw of its 28 cell counts from the stream [seed, 0]
         params = SessionParams(
-            n_pulses=25_000, mu=0.7,
+            n_pulses=n_pulses, mu=0.7,
             channel=ChannelParams(0.2, 0.0, 0.015),
             detector=DetectorParams(eta_det=0.145, p_dark=0.01),
-            shard_size=10_000,
         )
         rep = run_session(params, seed=5)
-        total = {name: 0 for name in TALLIES}
-        for shard, n in enumerate((10_000, 10_000, 5_000)):
-            part = SessionReport(params=params, seed=5)
-            _run_shard(part, n, np.random.default_rng([5, shard]), _cell_probabilities(params))
-            for name in TALLIES:
-                total[name] = total[name] + getattr(part, name)
+        counts = np.random.default_rng([5, 0]).multinomial(n_pulses, _cell_probabilities(params))
+        classes = counts[:27].reshape(3, 9)
+        tally = classes[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
         assert rep.sifted_length > 0
-        for name in TALLIES:
-            np.testing.assert_array_equal(getattr(rep, name), total[name], err_msg=name)
+        assert rep.matched_pulses == classes.sum()
+        assert (rep.vacuum_pulses, rep.single_pulses) == tuple(classes[:2].sum(axis=1))
+        np.testing.assert_array_equal(rep.successes, tally.sum(axis=(0, 1)))
+        np.testing.assert_array_equal(rep.errors, tally[:, 1].sum(axis=0))
+        np.testing.assert_array_equal(rep.vacuum_successes, tally[0].sum(axis=0))
+        np.testing.assert_array_equal(rep.single_successes, tally[1].sum(axis=0))
+        np.testing.assert_array_equal(rep.single_errors, tally[1, 1])
 
     def test_dark_free_vacuum_never_clicks(self):
         params = SessionParams(
@@ -193,8 +202,8 @@ class TestRunSession:
         assert rep.secret_key_length == 0.0
 
     def test_vacuum_yield_unbiased_at_high_dark_rate(self):
-        # each detector must dark-fire with probability d per gate; scattering
-        # its dark counts with replacement fires it with about 1 - exp(-d)
+        # a vacuum pulse gives a lone click when exactly one detector
+        # dark-fires, each with probability d per gate
         d = 0.1
         params = SessionParams(
             n_pulses=1_000_000, mu=0.05,
@@ -256,10 +265,9 @@ class TestRunSession:
         """Matched, vacuum and single-photon pulse counts are binomial in the
         session length with p = 1/2, e^-mu / 2 and mu e^-mu / 2.
 
-        At p_dark = 0.3 most pulses carry a dark count and are drawn one by
-        one; at eta_det = 1, 0 km every photon registers, so the pulses drawn
-        as a block are all vacuum.  Seed and bound were fixed before the
-        first run; do not re-pick them.
+        At p_dark = 0.3 most pulses carry a dark count; at eta_det = 1, 0 km
+        every photon registers, so only vacuum pulses stay dark.  Seed and
+        bound were fixed before the first run; do not re-pick them.
         """
         mu, n = 1.0, 400_000
         params = SessionParams(
@@ -280,20 +288,14 @@ class TestRunSession:
         (1.0, 0.0, 0.01),           # every photon registers
         (0.145, 10.0, 1 - 1e-9),    # every detector dark-fires
     ])
-    def test_edge_shards_keep_tally_invariants(self, n_pulses, eta_det, length_km, p_dark):
+    def test_edge_sessions_keep_tally_invariants(self, n_pulses, eta_det, length_km, p_dark):
         params = SessionParams(
             n_pulses=n_pulses, mu=0.7,
             channel=ChannelParams(0.2, length_km, 0.015),
             detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
         )
         for seed in range(5):
-            rep = run_session(params, seed=seed)
-            json.dumps(rep.to_dict())
-            assert rep.sifted_length == rep.successes.sum()
-            assert rep.vacuum_pulses + rep.single_pulses <= rep.matched_pulses <= n_pulses
-            assert np.all(rep.errors <= rep.successes)
-            assert np.all(rep.vacuum_successes + rep.single_successes <= rep.successes)
-            assert np.all(rep.single_errors <= rep.single_successes)
+            _assert_tally_invariants(run_session(params, seed=seed))
 
     def test_sifted_fraction_matches_basis_probability(self):
         params = fig_session(1_000_000)
@@ -335,6 +337,13 @@ class TestRunSession:
                           channel=ChannelParams(), detector=FIG_DETECTOR)
         with pytest.raises(ValueError):
             run_session(fig_session(10), seed=-1)
+        with pytest.raises(ValueError, match="n_pulses"):
+            fig_session(2**63)  # more than one multinomial draw takes
+
+    def test_largest_session_completes(self):
+        rep = run_session(fig_session(2**63 - 1), seed=4)
+        _assert_tally_invariants(rep)
+        assert rep.q_sift_effective == pytest.approx(0.5, abs=1e-6)
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     def test_non_finite_mu_rejected(self, mu):
@@ -405,50 +414,45 @@ class TestCellProbabilities:
         assert rep.vacuum_pulses == rep.single_pulses == rep.sifted_length == 0
 
 
-def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=0.01,
-            shard_size=1_000_000):
+def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=0.01):
     return SessionParams(
         n_pulses=n_pulses, mu=mu,
         channel=ChannelParams(0.2, length_km, e_mis),
         detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
-        shard_size=shard_size,
     )
 
 
 # (params, seed, sha256 of the report's sorted-key JSON).  Recorded with
-# numpy 2.4; the cell order of the session module docstring fixes them, so
-# a change to that order has to update them on purpose.
+# numpy 2.4; the stream [seed, 0] and the cell order of the session module
+# docstring fix them, so a change to either has to update them on purpose.
 PINNED_REPORTS = {
     "cli_defaults_0km": (
         Config(distances=(0.0,)).session_params(), 1,
-        "02a62203f0bce6b85530d2d6d40eed87400342a1799b0383ea84dc27f3e30688"),
+        "59b61b8edf7a2be8596153a6ce2f681f7fab68921a172f1893551169f4d0885a"),
     "cli_defaults_100km": (
         Config(distances=(100.0,)).session_params(), 1,
-        "d06a40cf2c4228a337fcda64ffd84c478b3c3c8c20e39f0af12c327ecf86ff9f"),
+        "f02f6eb91244c6f9789885a9523b953b5fc9d760ef5f8774be9fd45b137af4df"),
     "bright_noisy": (
-        _pinned(50_000, mu=5.0, e_mis=0.5, p_dark=0.9, shard_size=20_000), 2,
-        "232e7d6798967f2f40666764a9808fb9e23faf221a014254ee37d80578bbe6e2"),
+        _pinned(50_000, mu=5.0, e_mis=0.5, p_dark=0.9), 2,
+        "da06d7c8a50b1584798ce4c31fcb555a07b7fabece43cafd831e5495d06ace24"),
     "saturated_dark": (
-        _pinned(3000, length_km=10.0, p_dark=1 - 1e-9, shard_size=1000), 3,
-        "e1004e7a9f5429c5a280ba62a9cb1b04336389d6732552f8eb3329a8a4243ac0"),
+        _pinned(3000, length_km=10.0, p_dark=1 - 1e-9), 3,
+        "c9d8523bca437feeb8430ba9db481081267e4f6542ab2db907e11bd17c9750c5"),
     "blind_detectors": (
         _pinned(100_000, eta_det=0.0), 4,
-        "c5c01290c8c0b6f253c105d61a8b9e7bb8a58789654e874a76c65619017ba7e7"),
+        "c695ad630e1bb9df216136ec9039e057ff127afb1b91ffd5eb7e9e8f0f85a86a"),
     "infinite_length": (
         _pinned(100_000, length_km=math.inf), 5,
-        "16452938804f554cea8d150c63a6ca48032fe9e3b10217a2ee6de4b2b9bcec00"),
+        "579d913afe769042d2f094522e7091263bf6b2176330e96bd1579e8633fa2aa9"),
     "one_pulse": (
-        _pinned(1, mu=3.0, eta_det=1.0, p_dark=0.3, shard_size=1), 18,
-        "3a7c3bf3e036aeb88e6a80b68d63750f170d1a814a1c9f7d7f23ea1f3a8ee3c1"),
-    "two_pulse_shards": (
-        _pinned(2, mu=3.0, eta_det=1.0, p_dark=0.3, shard_size=1), 18,
-        "7144fa97c7a52328e409e258f6e18da0a26147dc5d434776cdae227ebda4641f"),
+        _pinned(1, mu=3.0, eta_det=1.0, p_dark=0.3), 18,
+        "345c45b3a00e3b2099af95f1f651264836d4f4a9d6441c8a30a13d7dc5df6186"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_REPORTS)
 def test_report_bytes_are_pinned(name):
-    """Same (config, seed), same report bytes: the shard's draws and tallies
+    """Same (config, seed), same report bytes: the session's draw and tallies
     may be reorganized only in ways that keep every report identical."""
     params, seed, digest = PINNED_REPORTS[name]
     text = json.dumps(run_session(params, seed).to_dict(), sort_keys=True)
