@@ -281,13 +281,13 @@ class TestRunSession:
         z = (counts - n * p) / np.sqrt(n * p * (1 - p))
         assert np.all(np.abs(z) <= 4.0), z
 
-    @pytest.mark.parametrize("n_pulses", [1, 1000])
     @pytest.mark.parametrize("eta_det, length_km, p_dark", [
         (0.0, 0.0, 0.01),           # nothing registers
         (0.145, math.inf, 0.01),    # nothing survives the channel
         (1.0, 0.0, 0.01),           # every photon registers
         (0.145, 10.0, 1 - 1e-9),    # every detector dark-fires
     ])
+    @pytest.mark.parametrize("n_pulses", [1, 1000])
     def test_edge_sessions_keep_tally_invariants(self, n_pulses, eta_det, length_km, p_dark):
         params = SessionParams(
             n_pulses=n_pulses, mu=0.7,
