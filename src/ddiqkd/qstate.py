@@ -51,7 +51,7 @@ class PureState:
             raise ValueError(
                 f"dimension {amps.shape[-1]} does not match factors {self.labels}"
             )
-        if (np.abs(np.linalg.norm(amps, axis=-1) - 1.0) > NORM_TOL).any():
+        if not (np.abs(np.linalg.norm(amps, axis=-1) - 1.0) <= NORM_TOL).all():  # NaN fails
             raise ValueError("state is not normalized")
 
     @property
@@ -73,12 +73,12 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
             raise ValueError("density matrix must be square")
-        if (np.abs(mat - mat.conj().swapaxes(-1, -2)) > NORM_TOL).any():
+        if not (np.abs(mat - mat.conj().swapaxes(-1, -2)) <= NORM_TOL).all():  # NaN fails
             raise ValueError("density matrix is not Hermitian")
         trace = np.trace(mat, axis1=-2, axis2=-1)
-        if (np.abs(trace.real - 1.0) > NORM_TOL).any() or (np.abs(trace.imag) > NORM_TOL).any():
+        if not ((np.abs(trace.real - 1.0) <= NORM_TOL) & (np.abs(trace.imag) <= NORM_TOL)).all():
             raise ValueError("density matrix trace is not 1")
-        if (np.linalg.eigvalsh(mat) < -NORM_TOL).any():
+        if not (np.linalg.eigvalsh(mat) >= -NORM_TOL).all():
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property

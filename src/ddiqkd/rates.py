@@ -56,6 +56,7 @@ from .channel import transmittance
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 MU_SEARCH_RANGE = (0.01, 2.0)
+_MU_GRID = np.linspace(*MU_SEARCH_RANGE, 41)  # every search's coarse bracket
 _TINY = 2.2250738585072014e-308  # smallest normal double: floors log2 so 0 log 0 = 0
 
 __all__ = [
@@ -221,18 +222,20 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
 
 
 def _optimize(rate_of_mu, scalar: bool, tol: float = 1e-4):
-    """Coarse bracket then golden-section refinement over the mu range.
+    """Coarse bracket on _MU_GRID, then golden-section refinement.
 
     ``rate_of_mu`` takes one intensity per channel length along the last
     axis.  Each length takes exactly the steps of a scalar search on its own
     bracket, and keeps its state once the bracket is narrower than ``tol``.
+    A search never ends below its own grid: where the refined rate is lower
+    than the best grid rate, the best grid point is the optimum.  So the
+    optimized rate is positive exactly where the grid maximum is.
     Returns (mu_opt, rate) arrays, or floats if ``scalar``.
     """
-    grid = np.linspace(*MU_SEARCH_RANGE, 41)
-    vals = rate_of_mu(grid[:, None])
+    vals = rate_of_mu(_MU_GRID[:, None])
     best = np.argmax(vals, axis=0)
-    lo = grid[np.maximum(best - 1, 0)]
-    hi = grid[np.minimum(best + 1, len(grid) - 1)]
+    lo = _MU_GRID[np.maximum(best - 1, 0)]
+    hi = _MU_GRID[np.minimum(best + 1, len(_MU_GRID) - 1)]
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     state = np.array([lo, hi, c, d, rate_of_mu(c), rate_of_mu(d)])
@@ -246,15 +249,29 @@ def _optimize(rate_of_mu, scalar: bool, tol: float = 1e-4):
                 np.where(left, fp, fd), np.where(left, fc, fp)]
         state = np.where(active, step, state)
     mu = 0.5 * (state[0] + state[1])
-    none = vals.max(axis=0) <= 0.0
-    mu, rate = np.where(none, grid[0], mu), np.where(none, 0.0, rate_of_mu(mu))
+    rate, grid_best = rate_of_mu(mu), vals.max(axis=0)
+    if (below := rate < grid_best).any():
+        mu = np.where(below, _MU_GRID[best], mu)
+        rate = rate_of_mu(mu)
+    none = grid_best <= 0.0
+    mu, rate = np.where(none, _MU_GRID[0], mu), np.where(none, 0.0, rate)
     return (float(mu[0]), float(rate[0])) if scalar else (mu, rate)
+
+
+def _grid_max(rate_of_mu):
+    """The best rate on _MU_GRID at each length: its sign is the optimized rate's."""
+    return rate_of_mu(_MU_GRID[:, None]).max(axis=0)
+
+
+def _proposal_rate(params: RateParams, length_km):
+    """The proposal's key rate as a function of mu, one mu per length."""
+    yields = yield_table(params, length_km)
+    return lambda mu: key_rate(yields, params, mu)
 
 
 def optimize_mu(params: RateParams, length_km):
     """(mu_opt, rate) maximizing the key rate at a distance or array of them."""
-    yields = yield_table(params, np.atleast_1d(length_km))
-    return _optimize(lambda mu: key_rate(yields, params, mu), np.ndim(length_km) == 0)
+    return _optimize(_proposal_rate(params, np.atleast_1d(length_km)), np.ndim(length_km) == 0)
 
 
 def bb84_reference_rate(params: RateParams, length_km, mu):
@@ -276,10 +293,15 @@ def _bb84_rate(eta, params: RateParams, mu):
     return np.maximum(rate, 0.0)
 
 
+def _reference_rate(params: RateParams, length_km):
+    """The two-detector reference's key rate as a function of mu, one mu per length."""
+    eta = _eta(params, length_km)
+    return lambda mu: _bb84_rate(eta, params, mu)
+
+
 def optimize_mu_bb84(params: RateParams, length_km):
     """(mu_opt, rate) for the two-detector reference at a distance or array of them."""
-    eta = _eta(params, np.atleast_1d(length_km))
-    return _optimize(lambda mu: _bb84_rate(eta, params, mu), np.ndim(length_km) == 0)
+    return _optimize(_reference_rate(params, np.atleast_1d(length_km)), np.ndim(length_km) == 0)
 
 
 @dataclass(frozen=True)
@@ -315,9 +337,12 @@ def _cutoff(rate_at, lengths: list[float], rates, extend_step: float = 25.0,
             cap: float = 1000.0, tol: float = 1.0) -> float:
     """Largest length with positive optimized rate, bisected to +-0.5 km.
 
-    ``rates`` are the optimized rates at ``lengths``; ``rate_at`` optimizes
-    an array of lengths at once.  The lengths the sequential search may
-    visit are optimized ahead in batches (all extension steps, then the
+    ``rates`` are the optimized rates at ``lengths``.  ``rate_at`` gives,
+    for an array of lengths at once, any rate with the optimized rate's
+    sign: ``keyrate_curve`` passes the best rate on _MU_GRID, which is
+    positive exactly where the optimized rate is, because ``_optimize``
+    never ends below its grid.  The lengths the sequential search may
+    visit are evaluated ahead in batches (all extension steps, then the
     bisection midpoints five levels deep), and the search runs on those.
     """
     positive = [length for length, rate in zip(lengths, rates) if rate > 0.0]
@@ -356,8 +381,8 @@ def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
     _, rate_ref = optimize_mu_bb84(params, km)
     points = tuple(KeyRatePoint(length, float(m), float(r), float(b))
                    for length, m, r, b in zip(lengths, mu_opt, rate, rate_ref))
-    cut_prop = _cutoff(lambda L: optimize_mu(params, L)[1], lengths, rate)
-    cut_ref = _cutoff(lambda L: optimize_mu_bb84(params, L)[1], lengths, rate_ref)
+    cut_prop = _cutoff(lambda L: _grid_max(_proposal_rate(params, L)), lengths, rate)
+    cut_ref = _cutoff(lambda L: _grid_max(_reference_rate(params, L)), lengths, rate_ref)
     return KeyRateCurve(points, cut_prop, cut_ref)
 
 

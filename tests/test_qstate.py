@@ -45,6 +45,14 @@ class TestPureState:
         with pytest.raises(ValueError, match="does not match"):
             PureState(amps, ("pol",))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(np.array([np.nan, 0]), ("pol",))
+        amps = haar_amplitudes(2, np.random.default_rng(3), (4,))
+        amps[1, 0] = np.nan
+        with pytest.raises(ValueError, match="normalized"):
+            PureState(amps, ("pol",))
+
 
 class TestDensityMatrix:
     def test_invariants_enforced(self):
@@ -64,6 +72,14 @@ class TestDensityMatrix:
                 DensityMatrix(stack)
         with pytest.raises(ValueError, match="square"):
             DensityMatrix(np.ones((3, 2, 4)) / 2)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan))
+        stack = np.broadcast_to(np.eye(2) / 2, (4, 2, 2)).astype(complex)
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(stack)
 
     def test_pure_projector(self):
         rho = DensityMatrix(projector([[SQ2, SQ2], [1.0, 0.0]]))

@@ -36,6 +36,14 @@ FIG_PARAMS = RateParams(
     f_ec=1.16,
 )
 
+# the rate peaks at mu = 0.01, the low edge of MU_SEARCH_RANGE, and is positive
+# only close to it, so a golden-section step off that edge finds no key
+EDGE_PARAMS = RateParams(
+    detector=DetectorParams(eta_det=0.145, p_dark=6e-8),
+    alpha_db_per_km=0.2,
+    e_mis=0.097,
+)
+
 
 N_SUM = 20  # photon-number terms of the reference sums
 
@@ -347,6 +355,13 @@ class TestKeyRate:
                 bb84_reference_rate(FIG_PARAMS, float(lengths[j]), float(mus[i, 0])), rel=1e-14)
 
 
+# each optimizer with the public rate function it maximizes
+OPTIMIZERS = [
+    (optimize_mu, lambda params, lengths, mu: key_rate(yield_table(params, lengths), params, mu)),
+    (optimize_mu_bb84, bb84_reference_rate),
+]
+
+
 class TestOptimizeMu:
     def test_optimum_near_reference_intensity(self):
         mu_opt, rate = optimize_mu(FIG_PARAMS, 50.0)
@@ -389,10 +404,7 @@ class TestOptimizeMu:
         for k, length in enumerate(lengths):
             assert (mu_opt[k], rate[k]) == optimize(FIG_PARAMS, length)
 
-    @pytest.mark.parametrize("optimize, rate_at", [
-        (optimize_mu, lambda params, lengths, mu: key_rate(yield_table(params, lengths), params, mu)),
-        (optimize_mu_bb84, bb84_reference_rate),
-    ])
+    @pytest.mark.parametrize("optimize, rate_at", OPTIMIZERS)
     def test_eta_computed_once_per_search(self, optimize, rate_at, monkeypatch):
         # the golden-section steps reuse one eta per search, and the optimum's
         # rate is the public rate function's at mu_opt, bit for bit
@@ -403,6 +415,17 @@ class TestOptimizeMu:
         mu_opt, rate = optimize(FIG_PARAMS, lengths)
         assert len(calls) == 1
         np.testing.assert_array_equal(rate, rate_at(FIG_PARAMS, lengths, mu_opt))
+
+    @pytest.mark.parametrize("optimize, rate_at", OPTIMIZERS)
+    # length is innermost, so it leads the ID and IDs cut at 100 characters stay distinct
+    @pytest.mark.parametrize("length", [0.0, 10.0, 30.0])
+    def test_never_below_its_grid(self, optimize, rate_at, length):
+        grid = np.linspace(*rates.MU_SEARCH_RANGE, 41)
+        best = max(float(rate_at(EDGE_PARAMS, length, mu)) for mu in grid)
+        assert best > 0.0
+        mu_opt, rate = optimize(EDGE_PARAMS, length)
+        assert rate >= best
+        assert rate == rate_at(EDGE_PARAMS, length, mu_opt)
 
 
 class TestBb84Reference:
@@ -452,26 +475,52 @@ def _sequential_cutoff(rate_at, lengths, extend_step=25.0, cap=1000.0):
     return 0.5 * (lo + hi)
 
 
+DEFAULT_LENGTHS = [float(x) for x in range(0, 181, 10)]
+
+
+def _assert_curve_matches_searches(params, lengths):
+    """keyrate_curve agrees with optimize_mu and the one-length-at-a-time cutoffs."""
+    curve = keyrate_curve(params, lengths)
+    assert curve.cutoff_proposal_km == _sequential_cutoff(
+        lambda L: optimize_mu(params, L)[1], lengths)
+    assert curve.cutoff_bb84_km == _sequential_cutoff(
+        lambda L: optimize_mu_bb84(params, L)[1], lengths)
+    for point, length in zip(curve.points, lengths):
+        assert (point.mu_opt, point.rate_proposal) == optimize_mu(params, length)
+        assert point.rate_bb84 == optimize_mu_bb84(params, length)[1]
+    return curve
+
+
 class TestKeyrateCurve:
     @pytest.mark.parametrize("lengths", [
-        [float(x) for x in range(0, 181, 10)],  # bisection between listed lengths
+        DEFAULT_LENGTHS,                        # bisection between listed lengths
         [0.0, 50.0, 100.0],                     # extension past the last length
         [0.0, 3.0, 400.0],                      # a gap wider than one batch of midpoints
         [120.0, 120.0, 155.0, 155.0],           # repeated lengths
     ])
     def test_cutoffs_match_sequential_search(self, lengths):
-        curve = keyrate_curve(FIG_PARAMS, lengths)
-        assert curve.cutoff_proposal_km == _sequential_cutoff(
-            lambda L: optimize_mu(FIG_PARAMS, L)[1], lengths)
-        assert curve.cutoff_bb84_km == _sequential_cutoff(
-            lambda L: optimize_mu_bb84(FIG_PARAMS, L)[1], lengths)
-        for point, length in zip(curve.points, lengths):
-            assert (point.mu_opt, point.rate_proposal) == optimize_mu(FIG_PARAMS, length)
-            assert point.rate_bb84 == optimize_mu_bb84(FIG_PARAMS, length)[1]
+        _assert_curve_matches_searches(FIG_PARAMS, lengths)
+
+    def test_cutoffs_match_sequential_search_at_low_mu_edge(self):
+        curve = _assert_curve_matches_searches(EDGE_PARAMS, DEFAULT_LENGTHS)
+        assert curve.cutoff_proposal_km > 0.0
+        assert curve.cutoff_bb84_km > 0.0
 
     def test_default_cutoffs(self):
-        curve = keyrate_curve(FIG_PARAMS, [float(x) for x in range(0, 181, 10)])
+        curve = keyrate_curve(FIG_PARAMS, DEFAULT_LENGTHS)
         assert curve.summary() == {"cutoff_proposal_km": 150.3125, "cutoff_bb84_km": 165.3125}
+
+    def test_cutoffs_run_no_optimization(self, monkeypatch):
+        # one search per protocol, for the listed lengths; the cutoff batches
+        # read only the sign of the mu grid
+        calls = []
+        optimize = rates._optimize
+        monkeypatch.setattr(rates, "_optimize", lambda *args: calls.append(args) or optimize(*args))
+        for params, lengths in ((FIG_PARAMS, DEFAULT_LENGTHS), (FIG_PARAMS, [0.0, 3.0, 400.0]),
+                                (RateParams(alpha_db_per_km=0.0), [0.0, 10.0])):
+            calls.clear()
+            keyrate_curve(params, lengths)
+            assert len(calls) == 2
 
     def test_cap_when_rate_never_ends(self):
         lossless = RateParams(alpha_db_per_km=0.0)
