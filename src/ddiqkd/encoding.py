@@ -96,13 +96,24 @@ _BB84_AMPS = {
     (Basis.DIAGONAL, 1): np.array([SQ2, -SQ2], dtype=complex),
 }
 
-# Path kets addressed by each LON setting, in the (inp1, inp2) port basis.
-_PATH_KETS = {
-    PathSetting.A: np.array([1.0, 0.0], dtype=complex),
-    PathSetting.C: np.array([0.0, 1.0], dtype=complex),
-    PathSetting.B0: np.array([SQ2, SQ2], dtype=complex),
-    PathSetting.BPI: np.array([SQ2, -SQ2], dtype=complex),
-}
+# Path kets addressed by each LON setting, in the (inp1, inp2) port basis,
+# rows in PATH_SETTINGS order.
+_PATH_KETS = np.array([[1.0, 0.0], [0.0, 1.0], [SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
+
+# The LON tables are built once, from broadcast products rather than einsum:
+# an einsum at import would map its code into every process, including those
+# that never touch a state.
+# The four isometries I (x) |path>, shape (setting, pol (x) path, pol):
+# entry [s, 2 p + q, a] = delta_pa ket_s[q].
+_LON = (np.eye(2, dtype=complex)[None, :, None, :] * _PATH_KETS[:, None, :, None]).reshape(4, 4, 2)
+
+# Alice's four photons through Bob's four settings, row 4 * alice + bob.
+_POL = np.array([_BB84_AMPS[(s.basis, s.bit)] for s in ALICE_SETTINGS])
+_LON_STATES = (_LON[None] * _POL[:, None, None, :]).sum(axis=-1).reshape(16, 4)
+_LON.flags.writeable = _LON_STATES.flags.writeable = False
+
+# Mode Gram tensor of the isometries, [i, j, a, b] = sum_m L_i[m, a] conj(L_j[m, b]).
+_LON_GRAM = (_LON[:, None, :, :, None] * _LON.conj()[None, :, :, None, :]).sum(axis=2)
 
 
 def bb84_state(setting: Bb84Setting) -> PureState:
@@ -115,16 +126,17 @@ def lon_isometry(setting: PathSetting) -> np.ndarray:
 
     The polarization is untouched; the path factor is set to the ket
     addressed by the setting (a definite port for paths a/c, an equal
-    superposition with phase 0 or pi for path b).
+    superposition with phase 0 or pi for path b).  The result is a
+    read-only view of a table built once.
     """
-    return np.kron(np.eye(2, dtype=complex), _PATH_KETS[setting].reshape(2, 1))
+    return _LON[PATH_SETTINGS.index(setting)]
 
 
 def apply_lon(setting: PathSetting, pol: PureState) -> PureState:
     """Send a polarization qubit (or a stack of them) through the LON at one setting."""
     if pol.labels != ("pol",):
         raise ValueError("input must be a single polarization qubit")
-    if (np.abs(np.linalg.norm(pol.amps, axis=-1) - 1.0) > 1e-12).any():
+    if not (np.abs(np.linalg.norm(pol.amps, axis=-1) - 1.0) <= 1e-12).all():  # NaN fails
         raise ValueError("input is not normalized")
     return PureState(pol.amps @ lon_isometry(setting).T, ("pol", "path"))
 
@@ -133,11 +145,10 @@ def lon_states() -> PureState:
     """Alice's four BB84 photons through Bob's four LON settings.
 
     A (16, 4) stack on pol (x) path, row ``code = 4 * alice + bob`` in the
-    orders of ALICE_SETTINGS and PATH_SETTINGS.
+    orders of ALICE_SETTINGS and PATH_SETTINGS.  The amplitudes are a
+    read-only table built once.
     """
-    pol = np.array([bb84_state(alice).amps for alice in ALICE_SETTINGS])
-    lon = np.array([lon_isometry(bob) for bob in PATH_SETTINGS])
-    return PureState(np.einsum("bij,aj->abi", lon, pol).reshape(16, 4), ("pol", "path"))
+    return PureState(_LON_STATES, ("pol", "path"))
 
 
 # Hybrid Bell basis over pol (x) path, rows ordered (phi+, phi-, psi+, psi-).
@@ -179,7 +190,7 @@ class VirtualSource:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if p.shape != (4,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if p.shape != (4,) or not (p >= 0).all() or not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails
             raise ValueError("probabilities must be 4 nonnegative values summing to 1")
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
 
@@ -219,21 +230,24 @@ def rho_bob(
     (..., 4, 4) stack of register states.  _corrupt_path_c_sign is a test
     hook that negates the path-c branch to demonstrate the identity
     actually bites.
+
+    <b_i| rho_B |b_j> = tr_modes(L_i sigma L_j^dagger) = sum_ab K[ij, ab]
+    sigma[a, b], with the 16x4 Gram kernel K[ij, ab] = sqrt(p_i) sqrt(p_j)
+    sum_m L_i[m, a] conj(L_j[m, b]) of the weighted LON isometries, so the
+    whole stack is one (..., 4) @ (4, 16) product.
     """
     if sigma.dim != 2:
         raise ValueError("sigma must be a qubit state")
-    # branch amplitude times LON isometry: (setting i, optical mode m, polarization a)
     amp = np.sqrt(source.probs)
     if _corrupt_path_c_sign:
         amp[PATH_SETTINGS.index(PathSetting.C)] *= -1.0
-    lon = np.array([w * lon_isometry(setting) for w, setting in zip(amp, PATH_SETTINGS)])
-    # <b_i| rho_B |b_j> = tr_modes(L_i sigma L_j^dagger): the partial trace over
-    # the modes m of the joint register (x) modes state, for the whole stack
-    register = np.einsum("ima,...ab,jmb->...ij", lon, sigma.mat, lon.conj())
+    kernel = (np.outer(amp, amp)[:, :, None, None] * _LON_GRAM).reshape(16, 4)
+    lead = sigma.mat.shape[:-2]
+    register = (sigma.mat.reshape(*lead, 4) @ kernel.T).reshape(*lead, 4, 4)
     if register_basis is not None:
         basis = np.asarray(register_basis, dtype=complex)
-        if basis.shape[-2:] != (4, 4) or (np.abs(
-                basis.conj().swapaxes(-1, -2) @ basis - np.eye(4)) > 1e-12).any():
+        if basis.shape[-2:] != (4, 4) or not (np.abs(
+                basis.conj().swapaxes(-1, -2) @ basis - np.eye(4)) <= 1e-12).all():  # NaN fails
             raise ValueError("register basis must be a 4x4 unitary")
         register = basis @ register @ basis.conj().swapaxes(-1, -2)
     return DensityMatrix(register)

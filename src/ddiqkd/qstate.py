@@ -63,7 +63,13 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrices, shape (..., d, d).
 
-    Every matrix of a stack is validated.
+    Every matrix of a stack is validated.  Positivity means a smallest
+    eigenvalue above -NORM_TOL, tested by one stacked Cholesky
+    factorization of mat + NORM_TOL * I, which exists exactly when that
+    shifted matrix is positive definite.  A smallest eigenvalue of
+    -NORM_TOL / 2 is accepted, one of -1.5 * NORM_TOL rejected; only within
+    rounding of -NORM_TOL itself can the factorization and an exact
+    spectrum disagree.
     """
 
     mat: np.ndarray
@@ -78,8 +84,10 @@ class DensityMatrix:
         trace = np.trace(mat, axis1=-2, axis2=-1)
         if not ((np.abs(trace.real - 1.0) <= NORM_TOL) & (np.abs(trace.imag) <= NORM_TOL)).all():
             raise ValueError("density matrix trace is not 1")
-        if not (np.linalg.eigvalsh(mat) >= -NORM_TOL).all():
-            raise ValueError("density matrix has a negative eigenvalue")
+        try:
+            np.linalg.cholesky(mat + NORM_TOL * np.eye(mat.shape[-1]))
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has a negative eigenvalue") from None
 
     @property
     def dim(self) -> int:

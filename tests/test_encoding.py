@@ -121,9 +121,29 @@ class TestLonIsometry:
 
     def test_unnormalized_input_rejected(self):
         bad = PureState(np.array([1.0, 0.0]), ("pol",))
-        object.__setattr__(bad, "amps", np.array([2.0, 0.0], dtype=complex))
-        with pytest.raises(ValueError, match="normalized"):
-            apply_lon(PathSetting.A, bad)
+        for amps in ([2.0, 0.0], [np.nan, 0.0]):
+            object.__setattr__(bad, "amps", np.array(amps, dtype=complex))
+            with pytest.raises(ValueError, match="input is not normalized"):
+                apply_lon(PathSetting.A, bad)
+
+    def test_tables_match_kron_construction(self):
+        # the isometries I (x) |path> and the 16 photons, bit for bit
+        kets = {PathSetting.A: [1, 0], PathSetting.C: [0, 1],
+                PathSetting.B0: [SQ2, SQ2], PathSetting.BPI: [SQ2, -SQ2]}
+        lon = [np.kron(np.eye(2, dtype=complex), np.array(kets[path], dtype=complex).reshape(2, 1))
+               for path in PATH_SETTINGS]
+        for path, expected in zip(PATH_SETTINGS, lon):
+            assert lon_isometry(path).tobytes() == expected.tobytes()
+        pol = np.array([bb84_state(alice).amps for alice in ALICE_SETTINGS])
+        states = np.einsum("bij,aj->abi", np.array(lon), pol).reshape(16, 4)
+        assert lon_states().amps.tobytes() == states.tobytes()
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            lon_isometry(PathSetting.A)[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            lon_states().amps[0, 0] = 2.0
+        np.testing.assert_array_equal(lon_isometry(PathSetting.A), [[1, 0], [0, 0], [0, 1], [0, 0]])
 
 
 class TestBellExpansion:
@@ -173,8 +193,10 @@ class TestReceiverState:
         assert trace_distance(rho, rho_alice(source)).max() < 1e-12
 
     def test_rank_two(self):
-        eigs = rho_alice(VirtualSource()).eigenvalues()
-        assert np.sum(eigs > 1e-12) == 2
+        # a validated density matrix with two zero eigenvalues
+        for probs in ((0.25,) * 4, (0.7, 0.0, 0.2, 0.1)):
+            eigs = rho_alice(VirtualSource(probs)).eigenvalues()
+            assert np.sum(eigs > 1e-12) == 2
 
     def test_mixed_input(self):
         source = VirtualSource()
@@ -231,6 +253,21 @@ class TestReceiverState:
         with pytest.raises(ValueError):
             VirtualSource((0.5, 0.4, 0.05, 0.04))
 
+    @pytest.mark.parametrize("probs", [(np.nan, 0.25, 0.25, 0.25), (0.25, 0.25, 0.5, np.nan),
+                                       (np.inf, 0.25, 0.25, 0.25)])
+    def test_non_finite_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError, match="probabilities"):
+            VirtualSource(probs)
+
+    def test_non_finite_register_basis_rejected(self):
+        sigma = qubits(haar_amplitudes(2, np.random.default_rng(73), (5,)))
+        with pytest.raises(ValueError, match="unitary"):
+            rho_bob(sigma, register_basis=np.full((4, 4), np.nan))
+        bases = random_unitary(4, np.random.default_rng(79), (5,))
+        bases[3, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="unitary"):
+            rho_bob(sigma, register_basis=bases)
+
 
 class TestReceiverStateOracle:
     """The batched rho_bob against the setting-by-setting construction with an
@@ -280,6 +317,44 @@ class TestReceiverStateOracle:
         rho = rho_bob(qubits(amps), register_basis=basis)
         assert rho.mat.shape == (4, 4)
         np.testing.assert_allclose(rho.mat, _rho_bob_oracle(amps, VirtualSource(), basis),
+                                   rtol=0, atol=1e-15)
+
+
+def _rho_bob_einsum(sigma, source, basis=None, corrupt=False):
+    """The stacked three-operand contraction over modes, then the basis rotation."""
+    amp = np.sqrt(source.probs)
+    if corrupt:
+        amp[PATH_SETTINGS.index(PathSetting.C)] *= -1.0
+    lon = np.array([w * lon_isometry(path) for w, path in zip(amp, PATH_SETTINGS)])
+    register = np.einsum("ima,...ab,jmb->...ij", lon, sigma, lon.conj())
+    if basis is not None:
+        register = basis @ register @ basis.conj().swapaxes(-1, -2)
+    return register
+
+
+class TestReceiverStateKernel:
+    """rho_bob's Gram-kernel product against the einsum over modes, to 1e-15."""
+
+    @pytest.mark.parametrize("source", TestReceiverStateOracle.SOURCES)
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("shape", [(), (500,), (3, 7)])
+    def test_haar_stacks(self, source, corrupt, shape):
+        sigma = projector(haar_amplitudes(2, np.random.default_rng(83), shape))
+        rho = rho_bob(DensityMatrix(sigma), source, _corrupt_path_c_sign=corrupt)
+        assert rho.mat.shape == (*shape, 4, 4)
+        np.testing.assert_allclose(rho.mat, _rho_bob_einsum(sigma, source, corrupt=corrupt),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_broadcast_register_bases(self, corrupt):
+        rng = np.random.default_rng(89)
+        source = VirtualSource((0.4, 0.3, 0.2, 0.1))
+        sigma = projector(haar_amplitudes(2, rng, (6,)))
+        bases = random_unitary(4, rng, (5, 1))
+        rho = rho_bob(DensityMatrix(sigma), source, register_basis=bases,
+                      _corrupt_path_c_sign=corrupt)
+        assert rho.mat.shape == (5, 6, 4, 4)
+        np.testing.assert_allclose(rho.mat, _rho_bob_einsum(sigma, source, bases, corrupt),
                                    rtol=0, atol=1e-15)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddiqkd.qstate import (
+    NORM_TOL,
     DensityMatrix,
     PureState,
     haar_amplitudes,
@@ -80,6 +81,36 @@ class TestDensityMatrix:
         stack[2, 1, 1] = np.nan
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(stack)
+
+    def test_positivity_boundary(self):
+        # accepted down to a smallest eigenvalue of -NORM_TOL, rejected below it
+        DensityMatrix(np.diag([1 + NORM_TOL / 2, -NORM_TOL / 2]))
+        for k in (10, 1.5):
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(np.diag([1 + k * NORM_TOL, -k * NORM_TOL]))
+        stack = np.broadcast_to(np.eye(4) / 4, (4, 4, 4)).astype(complex)
+        stack[1] = np.diag([0.5, 0.5 + 10 * NORM_TOL, 0, -10 * NORM_TOL])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(stack)
+
+    @pytest.mark.parametrize("lam_min, accepted", [
+        (-10 * NORM_TOL, False), (-2 * NORM_TOL, False), (-NORM_TOL / 2, True), (0.0, True)])
+    def test_positivity_in_random_bases(self, lam_min, accepted):
+        # U diag(0.7 - lam_min, 0.2, 0.1, lam_min) U^dagger over a stack of Haar unitaries
+        u = random_unitary(4, np.random.default_rng(11), (200,))
+        lam = np.array([0.7 - lam_min, 0.2, 0.1, lam_min])
+        stack = (u * lam) @ u.conj().swapaxes(-1, -2)
+        stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+        if accepted:
+            DensityMatrix(stack)
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(stack)
+
+    def test_haar_projectors_accepted(self):
+        amps = haar_amplitudes(4, np.random.default_rng(7), (10_000,))
+        rho = DensityMatrix(projector(amps))
+        assert rho.eigenvalues().min() > -NORM_TOL
 
     def test_pure_projector(self):
         rho = DensityMatrix(projector([[SQ2, SQ2], [1.0, 0.0]]))
