@@ -2,9 +2,9 @@
 """Secret key rate versus distance, with the two-detector reference system.
 
 Uses the reference device parameters (0.2 dB/km fiber, 14.5% detector
-efficiency, 6.02e-6 receiver background rate, 1.5% misalignment, f = 1.16,
-q = 1) and optimizes the signal intensity at every distance.  The curves
-track each other closely; the four-detector scheme runs out of key a little
+efficiency, 6.02e-6 receiver background rate, 1.5% misalignment, f = 1.16)
+and optimizes the signal intensity at every distance.  The curves track
+each other closely; the four-detector scheme runs out of key a little
 earlier because it collects twice the dark counts.
 """
 
@@ -16,7 +16,6 @@ params = RateParams(
     detector=DetectorParams(eta_det=0.145, p_dark=6.02e-6 / 2),
     alpha_db_per_km=0.2,
     e_mis=0.015,
-    q=1.0,
     f_ec=1.16,
 )
 

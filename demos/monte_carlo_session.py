@@ -9,23 +9,22 @@ session also books an asymptotic secret key length from its own tallies.
 import numpy as np
 
 from ddiqkd.bsm import DetectorParams
-from ddiqkd.channel import ChannelParams
 from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import SessionParams, run_session
 
 LENGTH_KM = 25.0
 MU = 0.7
 
-detector = DetectorParams(eta_det=0.145, p_dark=6.02e-6 / 2)
-params = SessionParams(
-    n_pulses=2_000_000,
-    mu=MU,
-    channel=ChannelParams(0.2, LENGTH_KM, 0.015),
-    detector=detector,
+# one device-and-fiber model for the session and the closed forms
+model = RateParams(
+    detector=DetectorParams(eta_det=0.145, p_dark=6.02e-6 / 2),
+    alpha_db_per_km=0.2,
+    e_mis=0.015,
 )
+params = SessionParams(n_pulses=2_000_000, mu=MU, length_km=LENGTH_KM, model=model)
 
 report = run_session(params, seed=12345)
-analytic = yield_table(RateParams(detector=detector), LENGTH_KM)
+analytic = yield_table(model, LENGTH_KM)
 
 print(f"{params.n_pulses:,} pulses at {LENGTH_KM:.0f} km, mu = {MU}")
 print(f"basis-matched pulses: {report.matched_pulses:,}")

@@ -23,7 +23,7 @@ from .bsm import (
     mode_network_distribution,
     theory_table,
 )
-from .channel import ChannelParams, poisson_pn, transmittance
+from .channel import poisson_pn, transmittance
 from .encoding import (
     ALICE_SETTINGS,
     PATH_SETTINGS,

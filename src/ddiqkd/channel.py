@@ -10,29 +10,10 @@ e_mis is directly the single-photon error contribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ChannelParams",
-    "poisson_pn",
-    "transmittance",
-]
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Fiber loss and alignment quality."""
-
-    alpha_db_per_km: float = 0.2
-    length_km: float = 0.0
-    e_mis: float = 0.015
-
-    def __post_init__(self):
-        transmittance(self.alpha_db_per_km, self.length_km)  # rejects an undefined loss
-        if not 0.0 <= self.e_mis <= 0.5:
-            raise ValueError("e_mis must be in [0, 0.5]")
+__all__ = ["poisson_pn", "transmittance"]
 
 
 def poisson_pn(mu: float, n: int) -> float:

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .bsm import THEORY_ROWS, DetectorParams, theory_row_label, theory_table
-from .channel import ChannelParams
 from .rates import RateParams, keyrate_curve
 from .session import MAX_PULSES, SessionParams, run_session
 from .verify import appendix_checks
@@ -43,7 +42,6 @@ class Config:
     p_dark: float = 6.02e-6     # two-detector-receiver background rate
     e_mis: float = 0.015
     f_ec: float = 1.16
-    q: float = 1.0
     mu: float | None = None     # session signal intensity; None = 0.7
     n_pulses: int = 1_000_000
     seed: int = 1
@@ -67,8 +65,6 @@ class Config:
             raise ConfigError("e_mis must be in [0, 0.5]")
         if self.f_ec < 1.0:
             raise ConfigError("f_ec must be >= 1")
-        if not 0.0 < self.q <= 1.0:
-            raise ConfigError("q must be in (0, 1]")
         if self.mu is not None and self.mu <= 0:
             raise ConfigError("mu must be positive")
         if not 1 <= self.n_pulses <= MAX_PULSES:
@@ -91,7 +87,6 @@ class Config:
             detector=self.detector_params(),
             alpha_db_per_km=self.alpha_db_per_km,
             e_mis=self.e_mis,
-            q=self.q,
             f_ec=self.f_ec,
         )
 
@@ -99,9 +94,8 @@ class Config:
         return SessionParams(
             n_pulses=self.n_pulses,
             mu=self.mu if self.mu is not None else 0.7,
-            channel=ChannelParams(self.alpha_db_per_km, self.distances[0], self.e_mis),
-            detector=self.detector_params(),
-            f_ec=self.f_ec,
+            length_km=self.distances[0],
+            model=self.rate_params(),
         )
 
     def to_text(self) -> str:
@@ -122,7 +116,6 @@ _FIELD_TYPES = {
     "p_dark": float,
     "e_mis": float,
     "f_ec": float,
-    "q": float,
     "mu": float,
     "n_pulses": int,
     "seed": int,
@@ -247,12 +240,16 @@ _FLAGS = {
     "--seed": dict(type=int, metavar="N"),
     "--mu": dict(type=float, metavar="X"),
     "--pulses": dict(type=int, metavar="N", dest="n_pulses"),
-    "--distances": dict(metavar="KM,KM,...", help="comma-separated channel lengths in km"),
+    "--distances": dict(metavar="KM,KM,...",
+                        help="comma-separated channel lengths in km (session takes one)"),
     "--visibility": dict(type=float, metavar="V"),
     "--samples": dict(type=int, default=1000, help="random states per check (default 1000)"),
     "--self-test-corrupt": dict(action="store_true",
                                 help="test mode: inject a sign error in the path-c "
-                                     "branch to confirm the checks can fail"),
+                                     "branch to confirm the checks can fail; "
+                                     "receiver-state-fixed fails, while "
+                                     "register-basis-independence, which compares "
+                                     "spectra only, still passes"),
 }
 
 # each subcommand accepts only the flags it reads, so none is dropped silently
@@ -290,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {key: getattr(args, key, None) for key in _OVERRIDES}
     try:
         cfg = load_config(args.config, overrides)
+        if args.command == "session" and args.distances is not None and len(cfg.distances) > 1:
+            raise ConfigError("--distances takes one length for session")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ over the eight matched setting pairs, of the lone-click probabilities that
 
 The per-pulse key contribution of detector i is
 
-    R_i = q { p0 Y_i0 + p1 Y_i1 [1 - h(e_i1)] - Q_i f h(E_i) }
+    R_i = p0 Y_i0 + p1 Y_i1 [1 - h(e_i1)] - Q_i f h(E_i)
 
 clamped at zero and summed over the four detectors.  A standard
 two-detector active-receiver decoy system with the same eta, e and d per
@@ -78,28 +78,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateParams:
-    """Everything the rate formula needs except distance and intensity."""
+    """The device-and-fiber model: everything the key rate and a session
+    need except distance, intensity and pulse count."""
 
     detector: DetectorParams = DetectorParams(eta_det=0.145, p_dark=3.01e-6)
     alpha_db_per_km: float = 0.2
     e_mis: float = 0.015
-    q: float = 1.0
     f_ec: float = 1.16
 
     def __post_init__(self):
         if not self.alpha_db_per_km >= 0.0:  # NaN fails too
             raise ValueError("loss coefficient must be a nonnegative number")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        _check_f_ec(self.f_ec)
+        if not 1.0 <= self.f_ec < np.inf:
+            raise ValueError("f_ec must be finite and >= 1")
         if not 0.0 <= self.e_mis <= 0.5:
             raise ValueError("e_mis must be in [0, 0.5]")
-
-
-def _check_f_ec(f_ec: float):
-    """Reject an error-correction efficiency f_ec that is not finite and >= 1."""
-    if not 1.0 <= f_ec < np.inf:
-        raise ValueError("f_ec must be finite and >= 1")
 
 
 def binary_entropy(x: float) -> float:
@@ -153,13 +146,13 @@ def _bb84_gains(eta, e, d, mu):
 
 
 def _secret_rate(y0, y1, e1, gain, err_gain, mu, params: RateParams):
-    """q { p0 Y0 + p1 Y1 [1 - h(e1)] - Q f h(E) }, not yet clamped at zero."""
+    """p0 Y0 + p1 Y1 [1 - h(e1)] - Q f h(E), not yet clamped at zero."""
     if not (np.asarray(mu) > 0.0).all():
         raise ValueError("mu must be positive")
     p0 = np.exp(-mu)
     privacy = p0 * y0 + mu * p0 * y1 * (1.0 - _entropy(e1))
     correction = gain * params.f_ec * _entropy(_ratio(err_gain, gain, 0.0))
-    return params.q * (privacy - correction)
+    return privacy - correction
 
 
 def _per_detector(x) -> np.ndarray:

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsm import DetectorParams, click_table
-from .channel import ChannelParams, transmittance
+from .bsm import click_table
+from .channel import transmittance
 from .encoding import Basis, flip_detectors
-from .rates import RateParams, _check_f_ec, _secret_rate, yield_table
+from .rates import RateParams, _secret_rate, yield_table
 
 __all__ = [
     "sift",
@@ -62,20 +62,22 @@ def projected_qber_from_visibility(visibility: float) -> float:
 
 @dataclass(frozen=True)
 class SessionParams:
-    """Configuration of one Monte Carlo session (signal intensity only)."""
+    """One Monte Carlo session (signal intensity only) over a fiber of
+    length_km, with the device-and-fiber model ``model`` of the key rate."""
 
     n_pulses: int
     mu: float
-    channel: ChannelParams
-    detector: DetectorParams
-    f_ec: float = 1.16
+    length_km: float
+    model: RateParams
 
     def __post_init__(self):
-        if not 1 <= self.n_pulses <= MAX_PULSES:
-            raise ValueError(f"n_pulses must be in [1, {MAX_PULSES}]")
+        n = self.n_pulses
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_PULSES:
+            raise ValueError(f"n_pulses must be an integer in [1, {MAX_PULSES}]")
+        object.__setattr__(self, "n_pulses", int(n))  # the report echoes a JSON integer
         if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
-        _check_f_ec(self.f_ec)
+        transmittance(self.model.alpha_db_per_km, self.length_km)  # rejects an undefined loss
 
 
 @dataclass
@@ -130,13 +132,11 @@ class SessionReport:
         """max{.,0} key terms per detector: the tallied gains and error gains
         with the model's exact Y0, Y1 and e1.  A detector with no successes
         has nothing to distill and gives 0."""
-        ch = self.params.channel
-        model = RateParams(detector=self.params.detector, alpha_db_per_km=ch.alpha_db_per_km,
-                           e_mis=ch.e_mis, f_ec=self.params.f_ec)
-        exact = yield_table(model, ch.length_km)
+        params = self.params
+        exact = yield_table(params.model, params.length_km)
         gains = self.gains()
         terms = _secret_rate(exact.y0, exact.y1, exact.e1, gains,
-                             self.errors / max(self.matched_pulses, 1), self.params.mu, model)
+                             self.errors / max(self.matched_pulses, 1), params.mu, params.model)
         return np.where(gains > 0.0, np.maximum(terms, 0.0), 0.0)
 
     @property
@@ -154,18 +154,18 @@ class SessionReport:
         return self.secret_key_length / self.params.n_pulses
 
     def to_dict(self) -> dict:
-        ch, det = self.params.channel, self.params.detector
+        params, model = self.params, self.params.model
         key_length = self.secret_key_length
         return {
             "config": {
-                "n_pulses": self.params.n_pulses,
-                "mu": self.params.mu,
-                "alpha_db_per_km": ch.alpha_db_per_km,
-                "length_km": ch.length_km,
-                "e_mis": ch.e_mis,
-                "eta_det": det.eta_det,
-                "p_dark_per_detector": det.p_dark,
-                "f_ec": self.params.f_ec,
+                "n_pulses": params.n_pulses,
+                "mu": params.mu,
+                "alpha_db_per_km": model.alpha_db_per_km,
+                "length_km": params.length_km,
+                "e_mis": model.e_mis,
+                "eta_det": model.detector.eta_det,
+                "p_dark_per_detector": model.detector.p_dark,
+                "f_ec": model.f_ec,
             },
             "seed": self.seed,
             "matched_pulses": self.matched_pulses,
@@ -191,7 +191,7 @@ class SessionReport:
             "key": {
                 "q_sift_effective": self.q_sift_effective,
                 "secret_key_length": key_length,
-                "rate_per_pulse": key_length / self.params.n_pulses,
+                "rate_per_pulse": key_length / params.n_pulses,
             },
         }
 
@@ -224,9 +224,9 @@ def _poisson_classes(y):
 
 def _cell_probabilities(params: SessionParams) -> np.ndarray:
     """The 28 cell probabilities of one pulse, in the order of the module docstring."""
-    ch, d = params.channel, params.detector.p_dark
-    eta = transmittance(ch.alpha_db_per_km, ch.length_km) * params.detector.eta_det
-    table = click_table(ch.e_mis)
+    model, d = params.model, params.model.detector.p_dark
+    eta = transmittance(model.alpha_db_per_km, params.length_km) * model.detector.eta_det
+    table = click_table(model.e_mis)
     n0, n1, n2 = _poisson_classes(params.mu * eta * table)  # min(N_d, 2) per (code, detector)
     u0, u1, u2 = _poisson_classes(params.mu * (1.0 - eta))  # min(U, 2)
     fired_dark = d * n0  # the detector fires on its dark count alone

@@ -5,6 +5,11 @@ virtual register state is fixed and equal to the sender's regardless of the
 input photon, it is basis independent, the two measurement models agree,
 and the flip table restores perfect correlations for ideal single photons.
 Each check returns its worst observed deviation so reports can show margins.
+
+The basis-independence check compares spectra only, and a unitary never
+changes a spectrum: it cannot see an error that acts on rho_B as a unitary.
+The injected path-c sign error is one, so a corrupted run FAILs
+receiver-state-fixed and still PASSes register-basis-independence.
 """
 
 from __future__ import annotations
@@ -48,7 +53,13 @@ def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool = False) -> Ch
 
 
 def check_basis_independence(n_samples: int, rng, corrupt: bool = False) -> CheckResult:
-    """Register-basis rotations leave the spectrum of rho_B unchanged."""
+    """Register-basis rotations leave the spectrum of rho_B unchanged.
+
+    It compares the spectrum of U rho_B U^dagger with that of rho_B, which
+    agree for every unitary U and every state.  So the check is blind to a
+    unitary error in rho_B, such as the injected path-c sign error; only
+    check_receiver_state_fixed catches that one.
+    """
     # sample 0 keeps the computational basis and gives the reference spectrum
     bases = np.concatenate([np.eye(4)[None], random_unitary(4, rng, (n_samples,))])
     spectra = rho_bob(_haar_qubits(n_samples + 1, rng), VirtualSource(), register_basis=bases,

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from ddiqkd.bsm import THEORY_ROWS, DetectorParams, theory_table
-from ddiqkd.channel import ChannelParams
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
     Basis,
@@ -55,7 +54,6 @@ FIG_PARAMS = RateParams(
     detector=DetectorParams(eta_det=0.145, p_dark=3.01e-6),
     alpha_db_per_km=0.2,
     e_mis=0.015,
-    q=1.0,
     f_ec=1.16,
 )
 
@@ -141,8 +139,8 @@ def test_criterion_5_analytic_vs_monte_carlo():
             SessionParams(
                 n_pulses=10_000_000,
                 mu=mu,
-                channel=ChannelParams(0.2, length, 0.015),
-                detector=FIG_PARAMS.detector,
+                length_km=length,
+                model=FIG_PARAMS,
             ),
             seed=int(7000 + length),
         )

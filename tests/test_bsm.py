@@ -12,7 +12,6 @@ from ddiqkd.bsm import (
     mode_network_matrix,
     theory_table,
 )
-from ddiqkd.channel import ChannelParams
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
     Basis,
@@ -88,8 +87,8 @@ def _session(n_pulses, mu, eta_det, p_dark):
     """A lossless, perfectly aligned session at the given detector settings."""
     return SessionParams(
         n_pulses=n_pulses, mu=mu,
-        channel=ChannelParams(0.2, 0.0, 0.0),
-        detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+        length_km=0.0,
+        model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark), e_mis=0.0),
     )
 
 
@@ -162,7 +161,7 @@ class TestDetect:
 
         params = _session(300_000, 1.0, eta_det=1.0, p_dark=0.05)
         expected = success_prob(0.05)
-        yt = yield_table(RateParams(detector=params.detector, e_mis=0.0), 0.0)
+        yt = yield_table(params.model, 0.0)
         assert yt.y1.sum() == pytest.approx(expected, rel=1e-12)
         rep = run_session(params, seed=77)
         trials = rep.single_pulses

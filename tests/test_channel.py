@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from ddiqkd.bsm import DetectorParams
-from ddiqkd.channel import ChannelParams, poisson_pn, transmittance
+from ddiqkd.channel import poisson_pn, transmittance
 from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import SessionParams, run_session
 
 # chi-square critical value at alpha = 0.001 for 3 degrees of freedom
 CHI2_999_DOF3 = 16.266
+
+
+def _fiber_session(alpha, length_km, e_mis=0.0):
+    """A one-pulse session over a fiber of loss alpha (dB/km) and length length_km."""
+    return SessionParams(n_pulses=1, mu=0.7, length_km=length_km,
+                         model=RateParams(alpha_db_per_km=alpha, e_mis=e_mis))
 
 
 class TestPoissonPn:
@@ -49,19 +55,22 @@ class TestTransmittance:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChannelParams(-0.1, 10.0, 0.0)
+            _fiber_session(-0.1, 10.0)
         with pytest.raises(ValueError):
-            ChannelParams(0.2, 10.0, 0.7)
+            _fiber_session(0.2, -10.0)
+        with pytest.raises(ValueError):
+            _fiber_session(0.2, 10.0, e_mis=0.7)
 
     @pytest.mark.parametrize("alpha, length", [(math.nan, 10.0), (0.2, math.nan)])
     def test_nan_loss_rejected(self, alpha, length):
-        with pytest.raises(ValueError, match="nonnegative numbers"):
-            ChannelParams(alpha, length, 0.0)
+        # a NaN alpha is the rate model's to reject, a NaN length the session's
+        with pytest.raises(ValueError, match="nonnegative number"):
+            _fiber_session(alpha, length)
 
     @pytest.mark.parametrize("alpha, length", [(0.0, math.inf), (math.inf, 0.0)])
     def test_undefined_total_loss_rejected(self, alpha, length):
         with pytest.raises(ValueError, match="undefined"):
-            ChannelParams(alpha, length, 0.0)
+            _fiber_session(alpha, length)
 
     def test_infinite_length_blocks_everything(self):
         assert transmittance(0.2, math.inf) == 0.0
@@ -91,8 +100,8 @@ def _ideal_session(n_pulses, mu, length_km):
     """A perfectly aligned session with ideal detectors."""
     return SessionParams(
         n_pulses=n_pulses, mu=mu,
-        channel=ChannelParams(0.2, length_km, 0.0),
-        detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+        length_km=length_km,
+        model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0), e_mis=0.0),
     )
 
 
@@ -147,22 +156,21 @@ class TestSamplePulse:
         e_mis = 0.10
         params = SessionParams(
             n_pulses=1_000_000, mu=2.0,
-            channel=ChannelParams(0.2, 15.0, e_mis),
-            detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+            length_km=15.0,
+            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0), e_mis=e_mis),
         )
         rep = run_session(params, seed=5)
         photons = rep.single_successes.sum()
         se = np.sqrt(e_mis * (1 - e_mis) / photons)
         assert rep.single_errors.sum() / photons == pytest.approx(e_mis, abs=3 * se)
-        yt = yield_table(RateParams(detector=params.detector, e_mis=e_mis), 15.0)
+        yt = yield_table(params.model, 15.0)
         qber = yt.qbers(2.0)[0]
         se = np.sqrt(qber * (1 - qber) / rep.sifted_length)
         assert rep.errors.sum() / rep.sifted_length == pytest.approx(qber, abs=3 * se)
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
-            SessionParams(n_pulses=10, mu=0.0, channel=ChannelParams(),
-                          detector=DetectorParams(eta_det=1.0, p_dark=0.0))
+            _ideal_session(10, 0.0, 0.0)
         with pytest.raises(ValueError):
             poisson_pn(0.0, 0)
 

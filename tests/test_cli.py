@@ -20,7 +20,6 @@ class TestConfig:
         assert cfg.p_dark == 6.02e-6
         assert cfg.e_mis == 0.015
         assert cfg.f_ec == 1.16
-        assert cfg.q == 1.0
 
     def test_per_detector_dark_is_half_the_background(self):
         assert Config().detector_params().p_dark == pytest.approx(3.01e-6)
@@ -39,6 +38,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("wavelength = 1550\n")
 
+    def test_removed_q_key_is_usage_error(self, tmp_path, capsys):
+        # q was a pure scale factor of the key rate and is no longer a key
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("q = 1.0\n")
+        assert main(["keyrate-curve", "--config", str(cfg)]) == 2
+        assert "unknown key 'q'" in capsys.readouterr().err
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("eta_det = fast\n")
@@ -52,7 +58,7 @@ class TestConfig:
             parse_config_text("distances = 50,10\n")
 
     @pytest.mark.parametrize("key", ["alpha_db_per_km", "eta_det", "p_dark", "e_mis",
-                                     "f_ec", "q", "mu", "visibility"])
+                                     "f_ec", "mu", "visibility"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_values_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -106,6 +112,21 @@ class TestSessionCommand:
     def test_unreadable_config_is_usage_error(self, capsys):
         assert main(["session", "--config", "/nonexistent/x.cfg"]) == 2
 
+    def test_several_distance_flags_are_usage_error(self, capsys):
+        # a session runs at one length; the flag must not drop the others
+        assert main(["session", "--pulses", "10", "--distances", "0,100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "--distances" in captured.err
+
+    def test_config_distances_list_runs_its_first_entry(self, tmp_path, capsys):
+        # config files are shared with keyrate-curve, so a list stays valid there
+        cfg = tmp_path / "curve.cfg"
+        cfg.write_text("distances = 50,100\n")
+        out = tmp_path / "r.json"
+        assert main(["session", "--config", str(cfg), "--pulses", "10", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["length_km"] == 50.0
+
 
 class TestVerifyAppendixCommand:
     def test_all_checks_pass(self, capsys):
@@ -123,6 +144,9 @@ class TestVerifyAppendixCommand:
         assert main(["verify-appendix", "--samples", "50", "--self-test-corrupt"]) == 1
         out = capsys.readouterr().out
         assert "FAIL receiver-state-fixed" in out
+        # the models the sign error does not touch keep passing
+        assert "PASS bsm-model-equivalence" in out
+        assert "PASS flip-table-correlations" in out
 
     def test_reversed_flip_table_fails(self, monkeypatch, capsys):
         # the check must run the sift that produces the reports: swapping the

@@ -32,7 +32,6 @@ FIG_PARAMS = RateParams(
     detector=DetectorParams(eta_det=0.145, p_dark=3.01e-6),
     alpha_db_per_km=0.2,
     e_mis=0.015,
-    q=1.0,
     f_ec=1.16,
 )
 
@@ -250,7 +249,7 @@ def _eq1_reference(yt, params, mu):
     for i in range(4):
         gain = yt.gains(mu)[i]
         qber = yt.qbers(mu)[i]
-        r_i = params.q * (
+        r_i = (
             p0 * yt.y0[i]
             + p1 * yt.y1[i] * (1 - h(yt.e1[i]))
             - gain * params.f_ec * h(qber)
@@ -268,7 +267,7 @@ class TestKeyRate:
         yt = YieldTable(eta=0.3, e_mis=0.0, p_dark=0.0)
         mu = 0.7
         p0, p1 = math.exp(-mu), mu * math.exp(-mu)
-        expected = 4 * FIG_PARAMS.q * (p0 * yt.y0[0] + p1 * yt.y1[0])
+        expected = 4 * (p0 * yt.y0[0] + p1 * yt.y1[0])
         assert key_rate(yt, FIG_PARAMS, mu) == pytest.approx(expected, abs=1e-15)
 
     def test_matches_independent_reevaluation(self):
@@ -282,7 +281,6 @@ class TestKeyRate:
             detector=FIG_PARAMS.detector,
             alpha_db_per_km=FIG_PARAMS.alpha_db_per_km,
             e_mis=0.03,
-            q=FIG_PARAMS.q,
             f_ec=FIG_PARAMS.f_ec,
         )
         for length in (0.0, 60.0):
@@ -320,11 +318,6 @@ class TestKeyRate:
         with pytest.raises(ValueError, match="f_ec"):
             RateParams(f_ec=f_ec)
 
-    @pytest.mark.parametrize("q", [0.0, 5.0, math.nan])
-    def test_q_outside_unit_interval_rejected(self, q):
-        with pytest.raises(ValueError, match="q must be in"):
-            RateParams(q=q)
-
     def test_infinite_length_has_zero_transmittance(self):
         yt = yield_table(FIG_PARAMS, math.inf)
         assert yt.eta == 0.0
@@ -334,7 +327,7 @@ class TestKeyRate:
             yield_table(lossless, math.inf)
 
     def test_infinite_loss_coefficient(self):
-        # inf * 0 km is undefined, as in ChannelParams; any length > 0 blocks
+        # inf * 0 km is undefined, as in SessionParams; any length > 0 blocks
         opaque = dataclasses.replace(FIG_PARAMS, alpha_db_per_km=math.inf)
         with pytest.raises(ValueError, match="undefined"):
             yield_table(opaque, 0.0)
@@ -434,7 +427,7 @@ class TestBb84Reference:
         assert bb84_reference_rate(blind, 10.0, 0.7) == 0.0
 
     def test_error_threshold_crossing(self):
-        # with q = f = 1 the rate flips sign where h(e) = 1/2, i.e. e ~ 0.11;
+        # with f = 1 the rate flips sign where h(e) = 1/2, i.e. e ~ 0.11;
         # at f = 1.16 anything at e_mis = 0.12 is hopeless while 0.05 is fine
         hot = RateParams(detector=DetectorParams(0.5, 0.0), e_mis=0.12)
         assert optimize_mu_bb84(hot, 0.0)[1] == 0.0

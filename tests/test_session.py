@@ -2,7 +2,6 @@
 analytic model."""
 
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 
 from ddiqkd.bsm import DetectorParams
-from ddiqkd.channel import ChannelParams
 from ddiqkd.cli import Config
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
@@ -34,14 +32,15 @@ from ddiqkd.session import (
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
 FIG_DETECTOR = DetectorParams(eta_det=0.145, p_dark=3.01e-6)
+FIG_MODEL = RateParams(detector=FIG_DETECTOR)  # 0.2 dB/km, e_mis = 0.015, f_ec = 1.16
 
 
 def fig_session(n_pulses, length_km=0.0, mu=0.7):
     return SessionParams(
         n_pulses=n_pulses,
         mu=mu,
-        channel=ChannelParams(0.2, length_km, 0.015),
-        detector=FIG_DETECTOR,
+        length_km=length_km,
+        model=FIG_MODEL,
     )
 
 
@@ -49,9 +48,7 @@ def _assert_tallies_match_model(rep):
     """|z| <= 4 on every gain, QBER, vacuum and single-photon yield and
     single-photon QBER of a session against the yield table."""
     params = rep.params
-    rate_params = RateParams(detector=params.detector, alpha_db_per_km=params.channel.alpha_db_per_km,
-                             e_mis=params.channel.e_mis)
-    yt = yield_table(rate_params, params.channel.length_km)
+    yt = yield_table(params.model, params.length_km)
     mu = params.mu
 
     def z(est, true, n):
@@ -118,8 +115,8 @@ class TestSift:
         # every detector fires in every gate: no lone click reaches the sift
         params = SessionParams(
             n_pulses=1000, mu=0.7,
-            channel=ChannelParams(0.2, 0.0, 0.015),
-            detector=DetectorParams(eta_det=0.145, p_dark=1 - 1e-9),
+            length_km=0.0,
+            model=RateParams(detector=DetectorParams(eta_det=0.145, p_dark=1 - 1e-9)),
         )
         rep = run_session(params, seed=0)
         assert rep.matched_pulses > 0
@@ -175,8 +172,8 @@ class TestRunSession:
         # the whole session is one draw of its 28 cell counts from the stream [seed, 0]
         params = SessionParams(
             n_pulses=n_pulses, mu=0.7,
-            channel=ChannelParams(0.2, 0.0, 0.015),
-            detector=DetectorParams(eta_det=0.145, p_dark=0.01),
+            length_km=0.0,
+            model=RateParams(detector=DetectorParams(eta_det=0.145, p_dark=0.01)),
         )
         rep = run_session(params, seed=5)
         counts = np.random.default_rng([5, 0]).multinomial(n_pulses, _cell_probabilities(params))
@@ -194,8 +191,8 @@ class TestRunSession:
     def test_dark_free_vacuum_never_clicks(self):
         params = SessionParams(
             n_pulses=50_000, mu=1e-9,
-            channel=ChannelParams(0.2, 0.0, 0.0),
-            detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+            length_km=0.0,
+            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0), e_mis=0.0),
         )
         rep = run_session(params, seed=1)
         assert rep.sifted_length == 0
@@ -207,8 +204,8 @@ class TestRunSession:
         d = 0.1
         params = SessionParams(
             n_pulses=1_000_000, mu=0.05,
-            channel=ChannelParams(0.2, 0.0, 0.015),
-            detector=DetectorParams(eta_det=0.145, p_dark=d),
+            length_km=0.0,
+            model=RateParams(detector=DetectorParams(eta_det=0.145, p_dark=d)),
         )
         rep = run_session(params, seed=17)
         y0 = d * (1 - d) ** 3
@@ -219,8 +216,9 @@ class TestRunSession:
     def test_noiseless_sessions_have_zero_qber(self):
         params = SessionParams(
             n_pulses=200_000, mu=0.7,
-            channel=ChannelParams(0.0, 0.0, 0.0),
-            detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+            length_km=0.0,
+            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+                             alpha_db_per_km=0.0, e_mis=0.0),
         )
         rep = run_session(params, seed=11)
         assert rep.sifted_length > 0
@@ -243,7 +241,7 @@ class TestRunSession:
         detector = DetectorParams(eta_det=1.0, p_dark=0.05)
         params = SessionParams(
             n_pulses=400_000, mu=3.0,
-            channel=ChannelParams(0.2, 0.0, 0.25), detector=detector,
+            length_km=0.0, model=RateParams(detector=detector, e_mis=0.25),
         )
         _assert_tallies_match_model(run_session(params, seed=2718))
 
@@ -255,8 +253,8 @@ class TestRunSession:
         """
         params = SessionParams(
             n_pulses=400_000, mu=3.0,
-            channel=ChannelParams(0.2, 10.0, 0.25),
-            detector=DetectorParams(eta_det=0.5, p_dark=0.05),
+            length_km=10.0,
+            model=RateParams(detector=DetectorParams(eta_det=0.5, p_dark=0.05), e_mis=0.25),
         )
         _assert_tallies_match_model(run_session(params, seed=2719))
 
@@ -272,8 +270,8 @@ class TestRunSession:
         mu, n = 1.0, 400_000
         params = SessionParams(
             n_pulses=n, mu=mu,
-            channel=ChannelParams(0.2, length_km, 0.015),
-            detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+            length_km=length_km,
+            model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark)),
         )
         rep = run_session(params, seed=99)
         counts = np.array([rep.matched_pulses, rep.vacuum_pulses, rep.single_pulses])
@@ -291,8 +289,8 @@ class TestRunSession:
     def test_edge_sessions_keep_tally_invariants(self, n_pulses, eta_det, length_km, p_dark):
         params = SessionParams(
             n_pulses=n_pulses, mu=0.7,
-            channel=ChannelParams(0.2, length_km, 0.015),
-            detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+            length_km=length_km,
+            model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark)),
         )
         for seed in range(5):
             _assert_tally_invariants(run_session(params, seed=seed))
@@ -303,14 +301,14 @@ class TestRunSession:
         n = params.n_pulses
         se = math.sqrt(0.25 / n)
         assert rep.matched_pulses / n == pytest.approx(0.5, abs=3 * se)
-        q_total = yield_table(RateParams(detector=FIG_DETECTOR), 0.0).gains(0.7).sum()
+        q_total = yield_table(FIG_MODEL, 0.0).gains(0.7).sum()
         se_q = math.sqrt(q_total * (1 - q_total) / rep.matched_pulses)
         assert rep.sifted_length / rep.matched_pulses == pytest.approx(q_total, abs=3 * se_q)
 
     def test_tallies_match_analytic_model(self):
         params = fig_session(1_000_000)
         rep = run_session(params, seed=31)
-        yt = yield_table(RateParams(detector=FIG_DETECTOR), 0.0)
+        yt = yield_table(FIG_MODEL, 0.0)
         q = yt.gains(0.7)[0]
         for i in range(4):
             se = math.sqrt(q * (1 - q) / rep.matched_pulses)
@@ -330,11 +328,9 @@ class TestRunSession:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SessionParams(n_pulses=0, mu=0.7,
-                          channel=ChannelParams(), detector=FIG_DETECTOR)
+            SessionParams(n_pulses=0, mu=0.7, length_km=0.0, model=FIG_MODEL)
         with pytest.raises(ValueError):
-            SessionParams(n_pulses=10, mu=0.0,
-                          channel=ChannelParams(), detector=FIG_DETECTOR)
+            SessionParams(n_pulses=10, mu=0.0, length_km=0.0, model=FIG_MODEL)
         with pytest.raises(ValueError):
             run_session(fig_session(10), seed=-1)
         with pytest.raises(ValueError, match="n_pulses"):
@@ -345,6 +341,16 @@ class TestRunSession:
         _assert_tally_invariants(rep)
         assert rep.q_sift_effective == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("n_pulses", [2.5, 1e7, True, "10"])
+    def test_non_integer_n_pulses_rejected(self, n_pulses):
+        # 2.5 used to draw 2 pulses and divide the key by 2.5
+        with pytest.raises(ValueError, match="n_pulses must be an integer"):
+            fig_session(n_pulses)
+
+    def test_numpy_integer_n_pulses_echoed_as_int(self):
+        d = run_session(fig_session(np.int64(1000)), seed=3).to_dict()
+        assert json.dumps(d["config"]["n_pulses"]) == "1000"
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     def test_non_finite_mu_rejected(self, mu):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -353,7 +359,7 @@ class TestRunSession:
     @pytest.mark.parametrize("f_ec", [0.9, math.inf, math.nan])
     def test_invalid_f_ec_rejected(self, f_ec):
         with pytest.raises(ValueError, match="f_ec"):
-            dataclasses.replace(fig_session(10), f_ec=f_ec)
+            dataclasses.replace(fig_session(10), model=dataclasses.replace(FIG_MODEL, f_ec=f_ec))
 
     def test_rate_per_pulse_is_key_length_per_pulse(self):
         rep = run_session(fig_session(200_000), seed=8)
@@ -368,35 +374,50 @@ class TestCellProbabilities:
         """Summed per photon class and detector, the 28 cell probabilities
         give the yield table's Q, E Q, Y0, Y1 and e1 Y1, and per class the
         matched shares 1/2, e^-mu / 2 and mu e^-mu / 2, to 1e-12 relative."""
-        grid = itertools.product((1e-6, 0.05, 0.7, 5.0, 30.0), (0.0, 3e-6, 0.01, 0.5, 0.9),
-                                 (0.0, 0.015, 0.25, 0.5), (0.0, 50.0, 200.0, math.inf),
-                                 (0.0, 0.145, 1.0))
-        for mu, p_dark, e_mis, length_km, eta_det in grid:
-            detector = DetectorParams(eta_det=eta_det, p_dark=p_dark)
-            cells = _cell_probabilities(SessionParams(
-                n_pulses=1, mu=mu, channel=ChannelParams(0.2, length_km, e_mis), detector=detector))
-            classes = cells[:27].reshape(3, 9)
-            sifted = classes[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
-            yt = yield_table(RateParams(detector=detector, e_mis=e_mis), length_km)
-            gain = yt.gains(mu)
+        points = list(itertools.product((1e-6, 0.05, 0.7, 5.0, 30.0), (0.0, 3e-6, 0.01, 0.5, 0.9),
+                                        (0.0, 0.015, 0.25, 0.5), (0.0, 50.0, 200.0, math.inf),
+                                        (0.0, 0.145, 1.0)))
+        cells, gain, err_gain, y0, y1, e1y1, shares = [], [], [], [], [], [], []
+        for mu, p_dark, e_mis, length_km, eta_det in points:
+            model = RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark), e_mis=e_mis)
+            cells.append(_cell_probabilities(SessionParams(
+                n_pulses=1, mu=mu, length_km=length_km, model=model)))
+            yt = yield_table(model, length_km)
             vacuum, single = math.exp(-mu) / 2, mu * math.exp(-mu) / 2
-            close = functools.partial(np.testing.assert_allclose, rtol=1e-12, atol=0.0,
-                                      err_msg=str((mu, p_dark, e_mis, length_km, eta_det)))
-            assert np.all(cells >= 0.0)
-            close(2 * sifted.sum(axis=(0, 1)), gain)
-            close(2 * sifted[:, 1].sum(axis=0), gain * yt.qbers(mu))
-            close(sifted[0].sum(axis=0), vacuum * yt.y0)
-            close(sifted[1].sum(axis=0), single * yt.y1)
-            close(sifted[1, 1], single * yt.e1 * yt.y1)
-            close(classes[:2].sum(axis=1), [vacuum, single])
-            close([classes.sum(), cells[27]], [0.5, 0.5])
+            gain.append(yt.gains(mu))
+            err_gain.append(yt.gains(mu) * yt.qbers(mu))
+            y0.append(vacuum * yt.y0)
+            y1.append(single * yt.y1)
+            e1y1.append(single * yt.e1 * yt.y1)
+            shares.append([vacuum, single])
+        cells = np.array(cells)
+        classes = cells[:, :27].reshape(-1, 3, 9)
+        sifted = classes[:, :, :8].reshape(-1, 3, 2, 4)  # (point, photon class, error, detector)
+
+        def close(what, got, want):
+            """assert_allclose over the grid, naming the points that fail."""
+            ok = np.isclose(got, want, rtol=1e-12, atol=0.0).reshape(len(points), -1).all(axis=1)
+            bad = [points[i] for i in np.flatnonzero(~ok)]
+            assert not bad, (f"{what} off at {len(bad)} (mu, p_dark, e_mis, length_km, eta_det)"
+                             f" points, first {bad[:5]}")
+
+        negative = [points[i] for i in np.flatnonzero((cells < 0.0).any(axis=1))]
+        assert not negative, f"negative cells at {negative[:5]}"
+        close("Q", 2 * sifted.sum(axis=(1, 2)), gain)
+        close("E Q", 2 * sifted[:, :, 1].sum(axis=1), err_gain)
+        close("Y0", sifted[:, 0].sum(axis=1), y0)
+        close("Y1", sifted[:, 1].sum(axis=1), y1)
+        close("e1 Y1", sifted[:, 1, 1], e1y1)
+        close("class shares", classes[:, :2].sum(axis=2), shares)
+        halves = np.column_stack([classes.sum(axis=(1, 2)), cells[:, 27]])
+        close("matched and unmatched halves", halves, 0.5)
 
     @pytest.mark.parametrize("mu", [1.0, 710.0, 1420.0, 1e4])
     @pytest.mark.parametrize("e_mis", [0.0, 0.015, 0.5])
     def test_bright_cells_stay_finite(self, mu, e_mis):
         cells = _cell_probabilities(SessionParams(
-            n_pulses=1, mu=mu, channel=ChannelParams(0.2, 0.0, e_mis),
-            detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6)))
+            n_pulses=1, mu=mu, length_km=0.0,
+            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6), e_mis=e_mis)))
         assert np.all(np.isfinite(cells)) and np.all(cells >= 0.0)
         assert cells.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -405,8 +426,8 @@ class TestCellProbabilities:
         (the pytest configuration), and every pulse lights several detectors."""
         params = SessionParams(
             n_pulses=10_000_000, mu=1e4,
-            channel=ChannelParams(0.2, 0.0, 0.015),
-            detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6),
+            length_km=0.0,
+            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6)),
         )
         rep = run_session(params, seed=6)
         json.dumps(rep.to_dict())
@@ -417,8 +438,8 @@ class TestCellProbabilities:
 def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=0.01):
     return SessionParams(
         n_pulses=n_pulses, mu=mu,
-        channel=ChannelParams(0.2, length_km, e_mis),
-        detector=DetectorParams(eta_det=eta_det, p_dark=p_dark),
+        length_km=length_km,
+        model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark), e_mis=e_mis),
     )
 
 
@@ -469,7 +490,7 @@ def _rate_terms_from(gains, err_gains, yt, params, mu):
     out = np.zeros(4)
     for i in range(4):
         qber = err_gains[i] / gains[i] if gains[i] > 0 else 0.0
-        out[i] = params.q * (
+        out[i] = (
             p0 * yt.y0[i]
             + p1 * yt.y1[i] * (1 - h(yt.e1[i]))
             - gains[i] * params.f_ec * h(qber)
@@ -485,9 +506,8 @@ class TestAnalyticRateAgreesWithSessions:
         rep = SessionReport(params=params, seed=0, matched_pulses=500_000,
                             successes=np.array([4000, 0, 3900, 4100]),
                             errors=np.array([60, 0, 1400, 70]))
-        rate_params = RateParams(detector=FIG_DETECTOR)
         terms = _rate_terms_from(rep.gains(), rep.errors / rep.matched_pulses,
-                                 yield_table(rate_params, 25.0), rate_params, params.mu)
+                                 yield_table(FIG_MODEL, 25.0), FIG_MODEL, params.mu)
         assert terms[1] > 0.0 and terms[2] < 0.0 < min(terms[0], terms[3])
         expected = rep.matched_pulses * (terms[0] + terms[3])
         assert rep.secret_key_length == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -502,7 +522,7 @@ class TestAnalyticRateAgreesWithSessions:
         run reproducible; a small budget of >3 sigma excursions is allowed
         because 1600 comparisons are made.
         """
-        params = RateParams(detector=FIG_DETECTOR)
+        params = FIG_MODEL
         lengths = np.linspace(0.0, 60.0, 20)
         mus = np.linspace(0.1, 1.5, 20)
         n_pulses = 100_000
@@ -513,8 +533,8 @@ class TestAnalyticRateAgreesWithSessions:
                 rep = run_session(
                     SessionParams(
                         n_pulses=n_pulses, mu=mu,
-                        channel=ChannelParams(0.2, length, 0.015),
-                        detector=FIG_DETECTOR,
+                        length_km=length,
+                        model=FIG_MODEL,
                     ),
                     seed=1000 + 20 * li + mi,
                 )
@@ -530,7 +550,7 @@ class TestAnalyticRateAgreesWithSessions:
                     e_ = w_ / q_
                     hp = math.log2((1 - e_) / e_)
                     h_ = -e_ * math.log2(e_) - (1 - e_) * math.log2(1 - e_)
-                    var = (params.q * params.f_ec) ** 2 * (
+                    var = params.f_ec ** 2 * (
                         (h_ - e_ * hp) ** 2 * q_ * (1 - q_)
                         + hp**2 * w_ * (1 - w_)
                         + 2 * (h_ - e_ * hp) * hp * w_ * (1 - q_)
