@@ -12,7 +12,7 @@ batch of inputs going through ``rho_bob`` as one stack.
 import numpy as np
 
 from ddiqkd.encoding import VirtualSource, rho_alice, rho_bob
-from ddiqkd.qstate import DensityMatrix, haar_amplitudes, random_unitary, trace_distance
+from ddiqkd.qstate import DensityMatrix, haar_amplitudes, max_trace_distance, random_unitary, trace_distance
 
 
 def pure_qubits(amps):
@@ -35,7 +35,7 @@ inputs = [[1, 0], [0, 1], [2**-0.5, 2**-0.5], [2**-0.5, 1j * 2**-0.5]]
 for label, dist in zip(labels, trace_distance(rho_bob(pure_qubits(inputs), source), rho_a)):
     print(f"  input {label:9s} trace distance to Alice's state: {dist:.2e}")
 
-worst = trace_distance(rho_bob(pure_qubits(haar_amplitudes(2, rng, (500,))), source), rho_a).max()
+worst = max_trace_distance(rho_bob(pure_qubits(haar_amplitudes(2, rng, (500,))), source), rho_a)
 print(f"\n500 Haar-random inputs: worst trace distance {worst:.2e}")
 
 rotated = rho_bob(

@@ -38,7 +38,7 @@ from .encoding import (
     rho_alice,
     rho_bob,
 )
-from .qstate import DensityMatrix, PureState, trace_distance
+from .qstate import DensityMatrix, PureState, max_trace_distance, trace_distance
 from .rates import (
     KeyRateCurve,
     KeyRatePoint,

@@ -123,6 +123,14 @@ _FIELD_TYPES = {
 }
 
 
+def _parse_distances(text: str, error: str) -> tuple[float, ...]:
+    """Lengths from a comma-separated list; ``error`` is the ConfigError text."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(error) from None
+
+
 def parse_config_text(text: str, base: Config | None = None) -> Config:
     """Parse ``key = value`` lines; '#' starts a comment."""
     cfg = base or Config()
@@ -136,10 +144,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "distances":
-            try:
-                updates[key] = tuple(float(x) for x in value.split(","))
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad distances list") from None
+            updates[key] = _parse_distances(value, f"line {lineno}: bad distances list")
         elif key in _FIELD_TYPES:
             try:
                 updates[key] = _FIELD_TYPES[key](value)
@@ -162,10 +167,7 @@ def load_config(path: str | None, overrides: dict) -> Config:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
     updates = {k: v for k, v in overrides.items() if v is not None}
     if "distances" in updates:
-        try:
-            updates["distances"] = tuple(float(x) for x in updates["distances"].split(","))
-        except ValueError:
-            raise ConfigError("bad --distances list") from None
+        updates["distances"] = _parse_distances(updates["distances"], "bad --distances list")
     cfg = replace(cfg, **updates)
     cfg.validate()
     return cfg

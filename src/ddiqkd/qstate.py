@@ -24,6 +24,7 @@ __all__ = [
     "DensityMatrix",
     "reduce_density",
     "trace_distance",
+    "max_trace_distance",
     "haar_amplitudes",
     "random_unitary",
 ]
@@ -120,6 +121,11 @@ def reduce_density(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]
     return tens.reshape(d_keep, d_keep)
 
 
+def _half_trace_norm(diff: np.ndarray) -> np.ndarray:
+    """Half the sum of absolute eigenvalues of each Hermitian matrix in diff."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+
+
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> np.ndarray:
     """Half the sum of absolute eigenvalues of a - b, in [0, 1].
 
@@ -128,7 +134,28 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> np.ndarray:
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return 0.5 * np.abs(np.linalg.eigvalsh(a.mat - b.mat)).sum(axis=-1)
+    return _half_trace_norm(a.mat - b.mat)
+
+
+def max_trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """``float(trace_distance(a, b).max())``, bit for bit, from fewer spectra.
+
+    A d x d difference X obeys ||X||_F <= ||X||_1 <= sqrt(d) ||X||_F.  So
+    once the pair with the largest Frobenius norm gives the trace norm t, a
+    pair with sqrt(d) ||X||_F < t cannot be the farthest, and only the
+    others are diagonalized, in one stacked ``eigvalsh``.  The relative
+    margin 1e-9 on that test covers rounding.
+    """
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    d = a.dim
+    diff = np.subtract(a.mat, b.mat, order="C").reshape(-1, d, d)
+    flat = diff.reshape(len(diff), -1).view(float)  # real and imaginary parts, no copy
+    reach = 0.5 * np.sqrt(d * np.einsum("ni,ni->n", flat, flat))  # no pair is farther
+    # a mask rather than argmax: no other verify-appendix step runs argmax,
+    # and mapping its code costs 64 KiB of resident memory
+    top = _half_trace_norm(diff[reach == reach.max()]).max()
+    return float(_half_trace_norm(diff[reach >= (1.0 - 1e-9) * top]).max())
 
 
 def haar_amplitudes(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:

@@ -75,8 +75,12 @@ class SessionParams:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_PULSES:
             raise ValueError(f"n_pulses must be an integer in [1, {MAX_PULSES}]")
         object.__setattr__(self, "n_pulses", int(n))  # the report echoes a JSON integer
-        if not 0 < self.mu < np.inf:  # NaN fails too
+        mu = self.mu
+        if isinstance(mu, bool) or not isinstance(mu, (int, float, np.integer, np.floating)):
+            raise ValueError("mu must be a real number")
+        if not 0 < mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
+        object.__setattr__(self, "mu", float(mu))  # the report echoes a JSON number
         transmittance(self.model.alpha_db_per_km, self.length_km)  # rejects an undefined loss
 
 

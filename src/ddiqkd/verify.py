@@ -20,7 +20,7 @@ import numpy as np
 
 from .bsm import click_table, ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
-from .qstate import DensityMatrix, PureState, haar_amplitudes, random_unitary, trace_distance
+from .qstate import DensityMatrix, PureState, haar_amplitudes, max_trace_distance, random_unitary
 from .session import sift
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
@@ -42,12 +42,17 @@ def _haar_qubits(n: int, rng) -> DensityMatrix:
 
 
 def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool = False) -> CheckResult:
-    """rho_B equals rho_A for Haar-random inputs, and is input-independent."""
+    """rho_B equals rho_A for Haar-random inputs, and is input-independent.
+
+    The deviation is the largest trace distance of any sample to rho_A or to
+    sample 0, from ``max_trace_distance``: it diagonalizes only the
+    differences whose Frobenius norm lets them reach the maximum.
+    """
     source = VirtualSource()
     rho = rho_bob(_haar_qubits(n_samples, rng), source, _corrupt_path_c_sign=corrupt)
     # every sample against the sender state and against the first sample
     refs = DensityMatrix(np.stack([rho_alice(source).mat, rho.mat[0]])[:, None])
-    worst = float(trace_distance(rho, refs).max())
+    worst = max_trace_distance(rho, refs)
     return CheckResult("receiver-state-fixed", worst < 1e-12, worst, 1e-12,
                        f"{n_samples} Haar-random inputs vs sender state and each other")
 

@@ -203,6 +203,14 @@ class TestKeyrateCurveCommand:
         assert captured.out == ""
         assert "config error" in captured.err and "distances" in captured.err
 
+    def test_bad_distances_list_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# lengths\ndistances = 0,ten\n")
+        assert main(["keyrate-curve", "--config", str(cfg)]) == 2
+        assert "config error: line 2: bad distances list" in capsys.readouterr().err
+        assert main(["keyrate-curve", "--distances", "0,ten"]) == 2
+        assert "config error: bad --distances list" in capsys.readouterr().err
+
     def test_nan_loss_in_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("alpha_db_per_km = nan\n")

@@ -29,6 +29,7 @@ from ddiqkd.qstate import (
     reduce_density,
     trace_distance,
 )
+from ddiqkd.verify import check_receiver_state_fixed
 
 SQ2 = 1.0 / np.sqrt(2.0)
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
@@ -318,6 +319,22 @@ class TestReceiverStateOracle:
         assert rho.mat.shape == (4, 4)
         np.testing.assert_allclose(rho.mat, _rho_bob_oracle(amps, VirtualSource(), basis),
                                    rtol=0, atol=1e-15)
+
+
+class TestReceiverStateCheck:
+    """verify's receiver-state-fixed deviation against the full-stack maximum
+    of trace_distance, rebuilt from the same rng stream."""
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_deviation_is_full_stack_maximum(self, corrupt):
+        source = VirtualSource()
+        for seed in range(20):
+            result = check_receiver_state_fixed(1000, np.random.default_rng(seed), corrupt)
+            amps = haar_amplitudes(2, np.random.default_rng(seed), (1000,))
+            rho = rho_bob(qubits(amps), source, _corrupt_path_c_sign=corrupt)
+            refs = DensityMatrix(np.stack([rho_alice(source).mat, rho.mat[0]])[:, None])
+            assert result.max_deviation == float(trace_distance(rho, refs).max()), seed
+            assert result.passed is not corrupt
 
 
 def _rho_bob_einsum(sigma, source, basis=None, corrupt=False):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from ddiqkd.encoding import VirtualSource, rho_alice, rho_bob
 from ddiqkd.qstate import (
     NORM_TOL,
     DensityMatrix,
     PureState,
     haar_amplitudes,
+    max_trace_distance,
     random_unitary,
     reduce_density,
     trace_distance,
@@ -203,6 +205,47 @@ class TestTraceDistance:
         for i, j in np.ndindex(3, 5):
             single = trace_distance(DensityMatrix(a.mat[j]), DensityMatrix(b.mat[i, 0]))
             assert stacked[i, j] == pytest.approx(single, abs=1e-15)
+
+
+class TestMaxTraceDistance:
+    """max_trace_distance must equal the full stack's maximum bit for bit."""
+
+    def test_equals_full_stack_maximum_on_broadcast_stacks(self):
+        rng = np.random.default_rng(43)
+        a = DensityMatrix(projector(haar_amplitudes(4, rng, (5,))))
+        b = DensityMatrix(projector(haar_amplitudes(4, rng, (3, 1))))
+        assert max_trace_distance(a, b) == float(trace_distance(a, b).max())
+        assert max_trace_distance(b, a) == float(trace_distance(b, a).max())
+        # a transposed (non-contiguous) stack works too
+        t = DensityMatrix(a.mat.swapaxes(-1, -2))
+        assert max_trace_distance(t, b) == float(trace_distance(t, b).max())
+
+    def test_equals_full_stack_maximum_at_rounding_level(self):
+        source = VirtualSource()
+        rng = np.random.default_rng(47)
+        rho = rho_bob(DensityMatrix(projector(haar_amplitudes(2, rng, (300,)))), source)
+        worst = max_trace_distance(rho, rho_alice(source))
+        assert 0.0 < worst < 1e-12
+        assert worst == float(trace_distance(rho, rho_alice(source)).max())
+
+    @pytest.mark.parametrize("near", [0.9, 1 - 1e-12])
+    def test_largest_frobenius_norm_need_not_be_farthest(self, near):
+        # pure states at trace distance t differ by ||X||_F = t sqrt(2) >= 1.27;
+        # diag(1/2, 0, 1/2, 0) - diag(0, 1/2, 0, 1/2) has ||X||_F = 1 and distance
+        # 1, where sqrt(d) ||X||_F / 2 = 1 is tight, so t = 1 - 1e-12 tests the margin
+        psi = np.array([np.sqrt(1 - near**2), near, 0, 0])
+        a = DensityMatrix(np.stack([projector([1, 0, 0, 0]), np.diag([0.5, 0, 0.5, 0])]))
+        b = DensityMatrix(np.stack([projector(psi), np.diag([0, 0.5, 0, 0.5])]))
+        assert trace_distance(a, b)[0] == pytest.approx(near, abs=1e-14)
+        assert max_trace_distance(a, b) == 1.0
+
+    def test_identical_stacks(self):
+        rho = DensityMatrix(projector(haar_amplitudes(4, np.random.default_rng(53), (6,))))
+        assert max_trace_distance(rho, rho) == 0.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            max_trace_distance(density(H), DensityMatrix(projector([1, 0, 0, 0])))
 
 
 class TestRandomHelpers:

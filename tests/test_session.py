@@ -356,6 +356,19 @@ class TestRunSession:
         with pytest.raises(ValueError, match="positive and finite"):
             fig_session(10, mu=mu)
 
+    @pytest.mark.parametrize("mu", [True, np.True_, "0.7", 0.7 + 0j],
+                             ids=["True", "np.True_", "str", "complex"])
+    def test_non_real_mu_rejected(self, mu):
+        # True used to pass 0 < mu < inf and be echoed as JSON true
+        with pytest.raises(ValueError, match="mu must be a real number"):
+            fig_session(10, mu=mu)
+
+    @pytest.mark.parametrize("mu", [1, np.int64(1), np.float32(0.5)],
+                             ids=["int", "np.int64", "np.float32"])
+    def test_real_mu_echoed_as_float(self, mu):
+        d = run_session(fig_session(1000, mu=mu), seed=3).to_dict()
+        assert json.dumps(d["config"]["mu"]) == repr(float(mu))
+
     @pytest.mark.parametrize("f_ec", [0.9, math.inf, math.nan])
     def test_invalid_f_ec_rejected(self, f_ec):
         with pytest.raises(ValueError, match="f_ec"):
