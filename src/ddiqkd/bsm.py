@@ -46,6 +46,14 @@ __all__ = [
 ]
 
 
+def _require_real(owner, *names: str):
+    """Reject fields of ``owner`` that are not real numbers, bool included."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number")
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Shared parameters of the four threshold detectors."""
@@ -54,6 +62,7 @@ class DetectorParams:
     p_dark: float   # dark count probability per detector per gate
 
     def __post_init__(self):
+        _require_real(self, "eta_det", "p_dark")
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError("eta_det must be in [0, 1]")
         if not 0.0 <= self.p_dark < 1.0:

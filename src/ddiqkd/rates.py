@@ -50,13 +50,15 @@ from enum import Enum
 
 import numpy as np
 
-from .bsm import DetectorParams
+from .bsm import DetectorParams, _require_real
 from .channel import transmittance
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 MU_SEARCH_RANGE = (0.01, 2.0)
 _MU_GRID = np.linspace(*MU_SEARCH_RANGE, 41)  # every search's coarse bracket
+_MU_TOL = 1e-4  # a golden-section search ends on a narrower bracket
+_CUTOFF_STEP_KM, _CUTOFF_CAP_KM, _CUTOFF_TOL_KM = 25.0, 1000.0, 1.0  # _cutoff's extension and bisection
 _TINY = 2.2250738585072014e-308  # smallest normal double: floors log2 so 0 log 0 = 0
 
 __all__ = [
@@ -87,8 +89,9 @@ class RateParams:
     f_ec: float = 1.16
 
     def __post_init__(self):
+        _require_real(self, "alpha_db_per_km", "e_mis", "f_ec")
         if not self.alpha_db_per_km >= 0.0:  # NaN fails too
-            raise ValueError("loss coefficient must be a nonnegative number")
+            raise ValueError("loss coefficient alpha_db_per_km must be a nonnegative number")
         if not 1.0 <= self.f_ec < np.inf:
             raise ValueError("f_ec must be finite and >= 1")
         if not 0.0 <= self.e_mis <= 0.5:
@@ -214,12 +217,12 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
     return 4.0 * np.maximum(rate, 0.0)  # four identical detectors
 
 
-def _optimize(rate_of_mu, scalar: bool, tol: float = 1e-4):
+def _optimize(rate_of_mu, scalar: bool):
     """Coarse bracket on _MU_GRID, then golden-section refinement.
 
     ``rate_of_mu`` takes one intensity per channel length along the last
     axis.  Each length takes exactly the steps of a scalar search on its own
-    bracket, and keeps its state once the bracket is narrower than ``tol``.
+    bracket, and keeps its state once the bracket is narrower than _MU_TOL.
     A search never ends below its own grid: where the refined rate is lower
     than the best grid rate, the best grid point is the optimum.  So the
     optimized rate is positive exactly where the grid maximum is.
@@ -232,7 +235,7 @@ def _optimize(rate_of_mu, scalar: bool, tol: float = 1e-4):
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     state = np.array([lo, hi, c, d, rate_of_mu(c), rate_of_mu(d)])
-    while (active := state[1] - state[0] > tol).any():
+    while (active := state[1] - state[0] > _MU_TOL).any():
         lo, hi, c, d, fc, fd = state
         left = fc > fd  # keep [lo, d]; else keep [c, hi]
         lo, hi = np.where(left, lo, c), np.where(left, d, hi)
@@ -326,8 +329,7 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
-def _cutoff(rate_at, lengths: list[float], rates, extend_step: float = 25.0,
-            cap: float = 1000.0, tol: float = 1.0) -> float:
+def _cutoff(rate_at, lengths: list[float], rates) -> float:
     """Largest length with positive optimized rate, bisected to +-0.5 km.
 
     ``rates`` are the optimized rates at ``lengths``.  ``rate_at`` gives,
@@ -344,19 +346,19 @@ def _cutoff(rate_at, lengths: list[float], rates, extend_step: float = 25.0,
     lo = positive[-1]
     hi = next((length for length in lengths if length > lo), None)
     if hi is None:  # extend by whole steps; the first step at or past cap ends the search
-        steps = [lo, lo + extend_step]
-        while steps[-1] < cap:
-            steps.append(steps[-1] + extend_step)
+        steps = [lo, lo + _CUTOFF_STEP_KM]
+        while steps[-1] < _CUTOFF_CAP_KM:
+            steps.append(steps[-1] + _CUTOFF_STEP_KM)
         alive = rate_at(np.array(steps[1:-1])) > 0.0
         if alive.all():
-            return cap
+            return _CUTOFF_CAP_KM
         k = int(np.argmin(alive)) + 1
         lo, hi = steps[k - 1], steps[k]
     known = {}
-    while hi - lo > tol:
+    while hi - lo > _CUTOFF_TOL_KM:
         mid = 0.5 * (lo + hi)
         if mid not in known:
-            mids = _midpoints(lo, hi, tol, 5)
+            mids = _midpoints(lo, hi, _CUTOFF_TOL_KM, 5)
             known.update(zip(mids, rate_at(np.array(mids))))
         if known[mid] > 0.0:
             lo = mid

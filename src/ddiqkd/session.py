@@ -7,13 +7,15 @@ and seed.  Error correction and privacy amplification are accounted
 analytically (the sifted length is shrunk by the usual f*h(E) and privacy
 terms), not executed as codes.
 
-Pulses are independent and identically distributed and a report reads 28
-counts, so a session is one multinomial of its n pulses over 28 cells,
+Pulses are independent and identically distributed and a session reads 28
+counts, so it is one multinomial of its n pulses over 28 cells,
 sampled from the exact per-pulse distribution.  For each photon
 class k = min(n_sent, 2) = 0, 1, 2 in turn come the eight sifted lone
 clicks (error 0 on D1..D4, then error 1 on D1..D4) and one cell of
 basis-matched pulses that are not sifted (no click or several); the last
-cell holds the unmatched pulses, with probability exactly 1/2.
+cell holds the unmatched pulses, with probability exactly 1/2.  A report
+is the (3, 9) array of the 27 matched cells: every tally it gives, per
+detector and photon class, is a sum of them.
 
 The cell probabilities are exact.  A pulse draws a setting code
 c = 4 * alice_state + bob_setting uniformly from 16, and with
@@ -33,14 +35,15 @@ exp(-x) expm1(x T) would overflow once x T exceeds ~710).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bsm import click_table
+from .bsm import _require_real, click_table
 from .channel import transmittance
 from .encoding import Basis, flip_detectors
-from .rates import RateParams, _secret_rate, yield_table
+from .rates import RateParams, _ratio, _secret_rate, yield_table
 
 __all__ = [
     "sift",
@@ -75,29 +78,42 @@ class SessionParams:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_PULSES:
             raise ValueError(f"n_pulses must be an integer in [1, {MAX_PULSES}]")
         object.__setattr__(self, "n_pulses", int(n))  # the report echoes a JSON integer
-        mu = self.mu
-        if isinstance(mu, bool) or not isinstance(mu, (int, float, np.integer, np.floating)):
-            raise ValueError("mu must be a real number")
-        if not 0 < mu < np.inf:  # NaN fails too
+        _require_real(self, "mu", "length_km")
+        if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
-        object.__setattr__(self, "mu", float(mu))  # the report echoes a JSON number
+        object.__setattr__(self, "mu", float(self.mu))  # the report echoes a JSON number
         transmittance(self.model.alpha_db_per_km, self.length_km)  # rejects an undefined loss
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SessionReport:
-    """Tally sheet of one session plus asymptotic key accounting."""
+    """One session's drawn counts plus asymptotic key accounting.
+
+    ``counts`` is the (3, 9) array of basis-matched cells, in the order of
+    the module docstring.  The tallies are sums of it, derived once when
+    the report is made: ``matched_pulses``, ``vacuum_pulses`` and
+    ``single_pulses``, and per detector ``successes``, ``errors``,
+    ``vacuum_successes``, ``single_successes`` and ``single_errors``.
+    All arrays are read-only."""
 
     params: SessionParams
     seed: int
-    matched_pulses: int = 0
-    successes: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-    errors: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-    vacuum_pulses: int = 0
-    vacuum_successes: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-    single_pulses: int = 0
-    single_successes: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-    single_errors: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
+    counts: np.ndarray
+
+    def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.int64)
+        if counts.shape != (3, 9):
+            raise ValueError("counts must be a (3, 9) array")
+        counts.flags.writeable = False
+        pulses = counts.sum(axis=1).tolist()  # matched pulses of each photon class
+        tally = counts[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
+        sums = {"successes": tally.sum(axis=(0, 1)), "errors": tally[:, 1].sum(axis=0),
+                "vacuum_successes": tally[0].sum(axis=0), "single_successes": tally[1].sum(axis=0)}
+        for array in sums.values():
+            array.flags.writeable = False
+        # frozen: set the attributes in the instance dict, as object.__setattr__ would
+        vars(self).update(sums, counts=counts, single_errors=tally[1, 1], matched_pulses=sum(pulses),
+                          vacuum_pulses=pulses[0], single_pulses=pulses[1])
 
     @property
     def sifted_length(self) -> int:
@@ -105,52 +121,37 @@ class SessionReport:
 
     def gains(self) -> np.ndarray:
         """Q_i estimates: lone-click fraction among basis-matched pulses."""
-        if self.matched_pulses == 0:
-            return np.zeros(4)
-        return self.successes / self.matched_pulses
+        return _ratio(self.successes, self.matched_pulses, 0.0)
 
     def qbers(self) -> np.ndarray:
         """E_i estimates among sifted bits, per detector."""
-        out = np.zeros(4)
-        nz = self.successes > 0
-        out[nz] = self.errors[nz] / self.successes[nz]
-        return out
+        return _ratio(self.errors, self.successes, 0.0)
 
     def vacuum_yields(self) -> np.ndarray:
-        if self.vacuum_pulses == 0:
-            return np.zeros(4)
-        return self.vacuum_successes / self.vacuum_pulses
+        return _ratio(self.vacuum_successes, self.vacuum_pulses, 0.0)
 
     def single_yields(self) -> np.ndarray:
-        if self.single_pulses == 0:
-            return np.zeros(4)
-        return self.single_successes / self.single_pulses
+        return _ratio(self.single_successes, self.single_pulses, 0.0)
 
     def single_qbers(self) -> np.ndarray:
-        out = np.zeros(4)
-        nz = self.single_successes > 0
-        out[nz] = self.single_errors[nz] / self.single_successes[nz]
-        return out
-
-    def _per_detector_rate_terms(self) -> np.ndarray:
-        """max{.,0} key terms per detector: the tallied gains and error gains
-        with the model's exact Y0, Y1 and e1.  A detector with no successes
-        has nothing to distill and gives 0."""
-        params = self.params
-        exact = yield_table(params.model, params.length_km)
-        gains = self.gains()
-        terms = _secret_rate(exact.y0, exact.y1, exact.e1, gains,
-                             self.errors / max(self.matched_pulses, 1), params.mu, params.model)
-        return np.where(gains > 0.0, np.maximum(terms, 0.0), 0.0)
+        return _ratio(self.single_errors, self.single_successes, 0.0)
 
     @property
     def q_sift_effective(self) -> float:
         return self.matched_pulses / self.params.n_pulses
 
-    @property
+    @cached_property
     def secret_key_length(self) -> float:
-        """Asymptotic secret bits extractable from this session's tallies."""
-        return float(self.matched_pulses * self._per_detector_rate_terms().sum())
+        """Asymptotic secret bits extractable from this session's tallies:
+        matched pulses times the max{.,0} key terms per detector, from the
+        tallied gains and error gains with the model's exact Y0, Y1 and e1.
+        A detector with no successes has nothing to distill and gives 0."""
+        params = self.params
+        exact = yield_table(params.model, params.length_km)
+        gains = self.gains()
+        terms = _secret_rate(exact.y0, exact.y1, exact.e1, gains,
+                             self.errors / max(self.matched_pulses, 1), params.mu, params.model)
+        return float(self.matched_pulses * np.where(gains > 0.0, np.maximum(terms, 0.0), 0.0).sum())
 
     @property
     def rate_per_pulse(self) -> float:
@@ -159,7 +160,6 @@ class SessionReport:
 
     def to_dict(self) -> dict:
         params, model = self.params, self.params.model
-        key_length = self.secret_key_length
         return {
             "config": {
                 "n_pulses": params.n_pulses,
@@ -194,8 +194,8 @@ class SessionReport:
             },
             "key": {
                 "q_sift_effective": self.q_sift_effective,
-                "secret_key_length": key_length,
-                "rate_per_pulse": key_length / params.n_pulses,
+                "secret_key_length": self.secret_key_length,
+                "rate_per_pulse": self.rate_per_pulse,
             },
         }
 
@@ -253,27 +253,15 @@ def _cell_probabilities(params: SessionParams) -> np.ndarray:
     return np.append(np.column_stack([sifted, rest]), 0.5)
 
 
-def _run_shard(report: SessionReport, n: int, rng: np.random.Generator, cells: np.ndarray):
-    """Draw the counts of n pulses over the 28 probabilities ``cells`` and
-    add them to ``report``."""
-    counts = rng.multinomial(n, cells)[:27].reshape(3, 9)
-    pulses = counts.sum(axis=1)  # matched pulses of each photon class
-    tally = counts[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
-    report.matched_pulses += int(pulses.sum())
-    report.vacuum_pulses += int(pulses[0])
-    report.single_pulses += int(pulses[1])
-    report.successes += tally.sum(axis=(0, 1))
-    report.errors += tally[:, 1].sum(axis=0)
-    report.vacuum_successes += tally[0].sum(axis=0)
-    report.single_successes += tally[1].sum(axis=0)
-    report.single_errors += tally[1, 1]
+def _run_shard(n: int, rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:
+    """The (3, 9) basis-matched counts of n pulses drawn over the 28 probabilities ``cells``."""
+    return rng.multinomial(n, cells)[:27].reshape(3, 9)
 
 
 def run_session(params: SessionParams, seed: int) -> SessionReport:
     """Run a full session; deterministic given (params, seed)."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    report = SessionReport(params=params, seed=seed)
     # the stream [seed, 0] keeps the counts that sessions of up to 10^6 pulses always drew
-    _run_shard(report, params.n_pulses, np.random.default_rng([seed, 0]), _cell_probabilities(params))
-    return report
+    counts = _run_shard(params.n_pulses, np.random.default_rng([seed, 0]), _cell_probabilities(params))
+    return SessionReport(params, seed, counts)

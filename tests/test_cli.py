@@ -57,6 +57,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("distances = 50,10\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_db_per_km", "-1"), ("eta_det", "1.5"), ("p_dark", "-0.1"), ("p_dark", "1"),
+        ("e_mis", "0.6"), ("f_ec", "0.9"), ("mu", "-1"), ("n_pulses", "0"),
+    ])
+    def test_out_of_range_values_name_their_key(self, key, value, tmp_path, capsys):
+        # the model's own checks reject these; the CLI re-raises them as usage errors
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["keyrate-curve", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["alpha_db_per_km", "eta_det", "p_dark", "e_mis",
                                      "f_ec", "mu", "visibility"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -441,7 +441,7 @@ class TestBb84Reference:
             assert 0.5 <= ref / rate <= 2.0
 
 
-def _sequential_cutoff(rate_at, lengths, extend_step=25.0, cap=1000.0):
+def _sequential_cutoff(rate_at, lengths):
     """One-length-at-a-time cutoff search: the reference for the batched one."""
     positive = [length for length in lengths if rate_at(length) > 0.0]
     if not positive:
@@ -453,13 +453,13 @@ def _sequential_cutoff(rate_at, lengths, extend_step=25.0, cap=1000.0):
             hi = length
             break
     if hi is None:
-        hi = lo + extend_step
-        while rate_at(hi) > 0.0 and hi < cap:
+        hi = lo + rates._CUTOFF_STEP_KM
+        while rate_at(hi) > 0.0 and hi < rates._CUTOFF_CAP_KM:
             lo = hi
-            hi += extend_step
-        if hi >= cap:
-            return cap
-    while hi - lo > 1.0:
+            hi += rates._CUTOFF_STEP_KM
+        if hi >= rates._CUTOFF_CAP_KM:
+            return rates._CUTOFF_CAP_KM
+    while hi - lo > rates._CUTOFF_TOL_KM:
         mid = 0.5 * (lo + hi)
         if rate_at(mid) > 0.0:
             lo = mid

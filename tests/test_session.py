@@ -180,6 +180,7 @@ class TestRunSession:
         classes = counts[:27].reshape(3, 9)
         tally = classes[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
         assert rep.sifted_length > 0
+        np.testing.assert_array_equal(rep.counts, classes)
         assert rep.matched_pulses == classes.sum()
         assert (rep.vacuum_pulses, rep.single_pulses) == tuple(classes[:2].sum(axis=1))
         np.testing.assert_array_equal(rep.successes, tally.sum(axis=(0, 1)))
@@ -187,6 +188,17 @@ class TestRunSession:
         np.testing.assert_array_equal(rep.vacuum_successes, tally[0].sum(axis=0))
         np.testing.assert_array_equal(rep.single_successes, tally[1].sum(axis=0))
         np.testing.assert_array_equal(rep.single_errors, tally[1, 1])
+
+    def test_report_is_immutable(self):
+        rep = run_session(fig_session(10_000), seed=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.counts = np.zeros((3, 9), dtype=np.int64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.successes = np.zeros(4, dtype=np.int64)
+        for tally in (rep.counts, rep.successes, rep.errors, rep.vacuum_successes,
+                      rep.single_successes, rep.single_errors):
+            with pytest.raises(ValueError, match="read-only"):
+                tally[0] += 1
 
     def test_dark_free_vacuum_never_clicks(self):
         params = SessionParams(
@@ -363,6 +375,22 @@ class TestRunSession:
         with pytest.raises(ValueError, match="mu must be a real number"):
             fig_session(10, mu=mu)
 
+    @pytest.mark.parametrize("field", ["eta_det", "p_dark", "alpha_db_per_km", "e_mis",
+                                       "f_ec", "length_km"])
+    @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_bool_model_input_rejected(self, field, value):
+        # length_km=True used to be echoed as JSON true
+        build = {
+            "eta_det": lambda v: dataclasses.replace(FIG_DETECTOR, eta_det=v),
+            "p_dark": lambda v: dataclasses.replace(FIG_DETECTOR, p_dark=v),
+            "alpha_db_per_km": lambda v: dataclasses.replace(FIG_MODEL, alpha_db_per_km=v),
+            "e_mis": lambda v: dataclasses.replace(FIG_MODEL, e_mis=v),
+            "f_ec": lambda v: dataclasses.replace(FIG_MODEL, f_ec=v),
+            "length_km": lambda v: fig_session(10, length_km=v),
+        }[field]
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            build(value)
+
     @pytest.mark.parametrize("mu", [1, np.int64(1), np.float32(0.5)],
                              ids=["int", "np.int64", "np.float32"])
     def test_real_mu_echoed_as_float(self, mu):
@@ -516,9 +544,13 @@ class TestAnalyticRateAgreesWithSessions:
         """The report's key is matched x sum of the clamped per-detector terms;
         D2 has no successes and gives nothing, D3's QBER is too high for key."""
         params = fig_session(1_000_000, length_km=25.0)
-        rep = SessionReport(params=params, seed=0, matched_pulses=500_000,
-                            successes=np.array([4000, 0, 3900, 4100]),
-                            errors=np.array([60, 0, 1400, 70]))
+        counts = np.zeros((3, 9), dtype=np.int64)
+        counts[1, :8] = [3940, 0, 2500, 4030, 60, 0, 1400, 70]  # error 0, then error 1
+        counts[:, 8] = [300_000, 100_000, 88_000]  # matched pulses that are not sifted
+        rep = SessionReport(params=params, seed=0, counts=counts)
+        assert rep.matched_pulses == 500_000
+        np.testing.assert_array_equal(rep.successes, [4000, 0, 3900, 4100])
+        np.testing.assert_array_equal(rep.errors, [60, 0, 1400, 70])
         terms = _rate_terms_from(rep.gains(), rep.errors / rep.matched_pulses,
                                  yield_table(FIG_MODEL, 25.0), FIG_MODEL, params.mu)
         assert terms[1] > 0.0 and terms[2] < 0.0 < min(terms[0], terms[3])
