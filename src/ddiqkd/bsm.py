@@ -101,8 +101,7 @@ def mode_network_matrix() -> np.ndarray:
         [[had, np.zeros((2, 2))], [np.zeros((2, 2)), had]]
     )
     # final PBS per arm: (H,arm1)->D1, (V,arm1)->D2, (H,arm2)->D3, (V,arm2)->D4
-    out = np.eye(4, dtype=complex)
-    return out @ rotators @ pbs
+    return rotators @ pbs
 
 
 def mode_network_distribution(state: PureState) -> np.ndarray:
@@ -169,11 +168,4 @@ def theory_table(visibility: float) -> np.ndarray:
 
 def theory_row_label(alice: Bb84Setting, bob: PathSetting) -> str:
     """Human-readable row label, e.g. 'H|a' or '+45|b0' (CSV-safe)."""
-    pol = {0: "H", 1: "V", 2: "+45", 3: "-45"}[alice.index]
-    path = {
-        PathSetting.A: "a",
-        PathSetting.C: "c",
-        PathSetting.B0: "b0",
-        PathSetting.BPI: "bpi",
-    }[bob]
-    return f"{pol}|{path}"
+    return f"{('H', 'V', '+45', '-45')[alice.index]}|{bob.value}"

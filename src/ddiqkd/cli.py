@@ -67,27 +67,21 @@ class Config:
         if not 0.0 <= self.visibility <= 1.0:
             raise ConfigError("visibility must be in [0, 1]")
         try:
-            self.session_params()
+            self.session_params
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def detector_params(self) -> DetectorParams:
-        # per-detector dark probability: half the receiver-level background
-        return DetectorParams(eta_det=self.eta_det, p_dark=self.p_dark / 2.0)
-
     def rate_params(self) -> RateParams:
         return RateParams(
-            detector=self.detector_params(),
+            # per-detector dark probability: half the receiver-level background
+            detector=DetectorParams(eta_det=self.eta_det, p_dark=self.p_dark / 2.0),
             alpha_db_per_km=self.alpha_db_per_km,
             e_mis=self.e_mis,
             f_ec=self.f_ec,
         )
 
-    def session_params(self) -> SessionParams:
-        return self._session_params
-
     @cached_property
-    def _session_params(self) -> SessionParams:
+    def session_params(self) -> SessionParams:
         # built once per config: validate() builds it, and a session runs on it
         return SessionParams(
             n_pulses=self.n_pulses,
@@ -106,17 +100,7 @@ class Config:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_TYPES = {
-    "alpha_db_per_km": float,
-    "eta_det": float,
-    "p_dark": float,
-    "e_mis": float,
-    "f_ec": float,
-    "mu": float,
-    "n_pulses": int,
-    "seed": int,
-    "visibility": float,
-}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(Config) if f.name != "distances"}
 
 
 def _parse_distances(text: str, error: str) -> tuple[float, ...]:
@@ -127,9 +111,8 @@ def _parse_distances(text: str, error: str) -> tuple[float, ...]:
         raise ConfigError(error) from None
 
 
-def parse_config_text(text: str, base: Config | None = None) -> Config:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    cfg = base or Config()
+def parse_config_text(text: str) -> Config:
+    """Parse ``key = value`` lines over the defaults; '#' starts a comment."""
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,7 +131,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
                 raise ConfigError(f"line {lineno}: bad value for {key}") from None
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    cfg = replace(cfg, **updates)
+    cfg = Config(**updates)
     cfg.validate()
     return cfg
 
@@ -158,7 +141,7 @@ def load_config(path: str | None, overrides: dict) -> Config:
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cfg = parse_config_text(fh.read(), cfg)
+                cfg = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
     updates = {k: v for k, v in overrides.items() if v is not None}
@@ -183,7 +166,7 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def cmd_keyrate_curve(cfg: Config, out: str | None) -> int:
+def cmd_keyrate_curve(cfg: Config, args: argparse.Namespace) -> int:
     params = cfg.rate_params()
     curve = keyrate_curve(params, list(cfg.distances))
     lines = ["length_km,mu_opt,rate_proposal,rate_bb84"]
@@ -191,25 +174,25 @@ def cmd_keyrate_curve(cfg: Config, out: str | None) -> int:
         lines.append(
             f"{_fmt(p.length_km)},{_fmt(p.mu_opt)},{_fmt(p.rate_proposal)},{_fmt(p.rate_bb84)}"
         )
-    _emit("\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", args.out)
     print(json.dumps(curve.summary(), sort_keys=True))
     return 0
 
 
-def cmd_session(cfg: Config, out: str | None) -> int:
-    report = run_session(cfg.session_params(), cfg.seed)
-    _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", out)
-    if out:
-        print(f"report written to {out}")
+def cmd_session(cfg: Config, args: argparse.Namespace) -> int:
+    report = run_session(cfg.session_params, cfg.seed)
+    _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
+    if args.out:
+        print(f"report written to {args.out}")
     return 0
 
 
-def cmd_verify_appendix(cfg: Config, samples: int, corrupt: bool) -> int:
-    if samples < 1:
+def cmd_verify_appendix(cfg: Config, args: argparse.Namespace) -> int:
+    if args.samples < 1:
         print("config error: --samples must be >= 1", file=sys.stderr)
         return 2
-    results = appendix_checks(n_samples=samples, seed=cfg.seed,
-                              corrupt_path_c_sign=corrupt)
+    results = appendix_checks(n_samples=args.samples, seed=cfg.seed,
+                              corrupt_path_c_sign=args.self_test_corrupt)
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -220,16 +203,13 @@ def cmd_verify_appendix(cfg: Config, samples: int, corrupt: bool) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_theory_table(cfg: Config, out: str | None) -> int:
+def cmd_theory_table(cfg: Config, args: argparse.Namespace) -> int:
     lines = ["visibility,state,D1,D2,D3,D4"]
-    for vis in (cfg.visibility, 1.0):
-        table = theory_table(vis)
-        for (alice, bob), row in zip(THEORY_ROWS, table):
+    for vis in dict.fromkeys((cfg.visibility, 1.0)):  # once if the configured V is 1
+        for (alice, bob), row in zip(THEORY_ROWS, theory_table(vis)):
             label = theory_row_label(alice, bob)
             lines.append(f"{_fmt(vis)},{label}," + ",".join(_fmt(x) for x in row))
-        if vis == 1.0:
-            break  # configured visibility may itself be 1
-    _emit("\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -246,24 +226,23 @@ _FLAGS = {
     "--self-test-corrupt": dict(action="store_true",
                                 help="test mode: inject a sign error in the path-c "
                                      "branch to confirm the checks can fail; "
-                                     "receiver-state-fixed fails, while "
-                                     "register-basis-independence, which compares "
-                                     "spectra only, still passes"),
+                                     "receiver-state-fixed and "
+                                     "register-basis-independence fail"),
 }
 
-# each subcommand accepts only the flags it reads, so none is dropped silently
+# (help, flags, handler) per subcommand; each accepts only the flags it
+# reads, so none is dropped silently
 _COMMANDS = {
     "keyrate-curve": ("optimized key rates vs distance for both protocols",
-                      ("--config", "--out", "--distances")),
+                      ("--config", "--out", "--distances"), cmd_keyrate_curve),
     "session": ("run one Monte Carlo session and write its report",
-                ("--config", "--out", "--seed", "--mu", "--pulses", "--distances")),
+                ("--config", "--out", "--seed", "--mu", "--pulses", "--distances"), cmd_session),
     "verify-appendix": ("run the model consistency checks",
-                        ("--config", "--seed", "--samples", "--self-test-corrupt")),
+                        ("--config", "--seed", "--samples", "--self-test-corrupt"),
+                        cmd_verify_appendix),
     "theory-table": ("click-probability table at the configured visibility",
-                     ("--config", "--out", "--visibility")),
+                     ("--config", "--out", "--visibility"), cmd_theory_table),
 }
-
-_OVERRIDES = ("seed", "mu", "n_pulses", "distances", "visibility")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Bell-state measurement behind a trusted path-encoding network.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -281,9 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    overrides = {key: getattr(args, key, None) for key in _OVERRIDES}
+    args = _build_parser().parse_args(argv)
+    # a flag overrides the config field of its dest; fields without a flag read None
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "session" and args.distances is not None and len(cfg.distances) > 1:
@@ -292,15 +271,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "keyrate-curve":
-        return cmd_keyrate_curve(cfg, args.out)
-    if args.command == "session":
-        return cmd_session(cfg, args.out)
-    if args.command == "verify-appendix":
-        return cmd_verify_appendix(cfg, args.samples, args.self_test_corrupt)
-    if args.command == "theory-table":
-        return cmd_theory_table(cfg, args.out)
-    return 2  # unreachable with required subparsers
+    _, _, handler = _COMMANDS[args.command]
+    return handler(cfg, args)
 
 
 def entry():

@@ -89,27 +89,20 @@ ALICE_SETTINGS = (
 # Bob's settings in register and setting-code order: a, c, b0, bpi
 PATH_SETTINGS = tuple(PathSetting)
 
-_BB84_AMPS = {
-    (Basis.RECTILINEAR, 0): np.array([1.0, 0.0], dtype=complex),
-    (Basis.RECTILINEAR, 1): np.array([0.0, 1.0], dtype=complex),
-    (Basis.DIAGONAL, 0): np.array([SQ2, SQ2], dtype=complex),
-    (Basis.DIAGONAL, 1): np.array([SQ2, -SQ2], dtype=complex),
-}
-
-# Path kets addressed by each LON setting, in the (inp1, inp2) port basis,
-# rows in PATH_SETTINGS order.
-_PATH_KETS = np.array([[1.0, 0.0], [0.0, 1.0], [SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
+# The four setting kets, rows in the order of ALICE_SETTINGS (H, V, +45,
+# -45, in polarization) and of PATH_SETTINGS (a, c, b0, bpi, in the
+# (inp1, inp2) port basis): Bob's LON addresses the kets of Alice's source.
+_KETS = np.array([[1.0, 0.0], [0.0, 1.0], [SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
 
 # The LON tables are built once, from broadcast products rather than einsum:
 # an einsum at import would map its code into every process, including those
 # that never touch a state.
 # The four isometries I (x) |path>, shape (setting, pol (x) path, pol):
 # entry [s, 2 p + q, a] = delta_pa ket_s[q].
-_LON = (np.eye(2, dtype=complex)[None, :, None, :] * _PATH_KETS[:, None, :, None]).reshape(4, 4, 2)
+_LON =(np.eye(2, dtype=complex)[None, :, None, :] * _KETS[:, None, :, None]).reshape(4, 4, 2)
 
 # Alice's four photons through Bob's four settings, row 4 * alice + bob.
-_POL = np.array([_BB84_AMPS[(s.basis, s.bit)] for s in ALICE_SETTINGS])
-_LON_STATES = (_LON[None] * _POL[:, None, None, :]).sum(axis=-1).reshape(16, 4)
+_LON_STATES = (_LON[None] * _KETS[:, None, None, :]).sum(axis=-1).reshape(16, 4)
 _LON.flags.writeable = _LON_STATES.flags.writeable = False
 
 # Mode Gram tensor of the isometries, [i, j, a, b] = sum_m L_i[m, a] conj(L_j[m, b]).
@@ -118,7 +111,7 @@ _LON_GRAM = (_LON[:, None, :, :, None] * _LON.conj()[None, :, :, None, :]).sum(a
 
 def bb84_state(setting: Bb84Setting) -> PureState:
     """Polarization qubit for one of the four BB84 settings."""
-    return PureState(_BB84_AMPS[(setting.basis, setting.bit)].copy(), ("pol",))
+    return PureState(_KETS[setting.index].copy(), ("pol",))
 
 
 def lon_isometry(setting: PathSetting) -> np.ndarray:
@@ -196,10 +189,7 @@ class VirtualSource:
 
     def joint_amplitudes(self) -> np.ndarray:
         """|Psi> on register (x) polarization, shape (4, 2)."""
-        joint = np.zeros((4, 2), dtype=complex)
-        for i, setting in enumerate(ALICE_SETTINGS):
-            joint[i] = np.sqrt(self.probs[i]) * bb84_state(setting).amps
-        return joint
+        return np.sqrt(self.probs)[:, None] * _KETS
 
 
 def rho_alice(source: VirtualSource) -> DensityMatrix:

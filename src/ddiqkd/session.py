@@ -35,15 +35,14 @@ exp(-x) expm1(x T) would overflow once x T exceeds ~710).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .bsm import _require_real, click_table
-from .channel import transmittance
 from .encoding import Basis, flip_detectors
-from .rates import RateParams, _ratio, _secret_rate, yield_table
+from .rates import RateParams, YieldTable, _eta, _ratio, _secret_rate
 
 __all__ = [
     "sift",
@@ -66,12 +65,14 @@ def projected_qber_from_visibility(visibility: float) -> float:
 @dataclass(frozen=True)
 class SessionParams:
     """One Monte Carlo session (signal intensity only) over a fiber of
-    length_km, with the device-and-fiber model ``model`` of the key rate."""
+    length_km, with the device-and-fiber model ``model`` of the key rate.
+    ``eta``, eta_det times the channel transmittance, is computed once."""
 
     n_pulses: int
     mu: float
     length_km: float
     model: RateParams
+    eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_pulses
@@ -82,7 +83,7 @@ class SessionParams:
         if not 0 < self.mu < np.inf:  # NaN fails too
             raise ValueError("mu must be positive and finite")
         object.__setattr__(self, "mu", float(self.mu))  # the report echoes a JSON number
-        transmittance(self.model.alpha_db_per_km, self.length_km)  # rejects an undefined loss
+        object.__setattr__(self, "eta", _eta(self.model, self.length_km))  # rejects an undefined loss
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +122,17 @@ class SessionReport:
 
     def gains(self) -> np.ndarray:
         """Q_i estimates: lone-click fraction among basis-matched pulses."""
-        return _ratio(self.successes, self.matched_pulses, 0.0)
+        return self.successes / max(self.matched_pulses, 1)
 
     def qbers(self) -> np.ndarray:
         """E_i estimates among sifted bits, per detector."""
         return _ratio(self.errors, self.successes, 0.0)
 
     def vacuum_yields(self) -> np.ndarray:
-        return _ratio(self.vacuum_successes, self.vacuum_pulses, 0.0)
+        return self.vacuum_successes / max(self.vacuum_pulses, 1)
 
     def single_yields(self) -> np.ndarray:
-        return _ratio(self.single_successes, self.single_pulses, 0.0)
+        return self.single_successes / max(self.single_pulses, 1)
 
     def single_qbers(self) -> np.ndarray:
         return _ratio(self.single_errors, self.single_successes, 0.0)
@@ -147,7 +148,7 @@ class SessionReport:
         tallied gains and error gains with the model's exact Y0, Y1 and e1.
         A detector with no successes has nothing to distill and gives 0."""
         params = self.params
-        exact = yield_table(params.model, params.length_km)
+        exact = YieldTable(params.eta, params.model.e_mis, params.model.detector.p_dark)
         gains = self.gains()
         terms = _secret_rate(exact.y0, exact.y1, exact.e1, gains,
                              self.errors / max(self.matched_pulses, 1), params.mu, params.model)
@@ -228,9 +229,8 @@ def _poisson_classes(y):
 
 def _cell_probabilities(params: SessionParams) -> np.ndarray:
     """The 28 cell probabilities of one pulse, in the order of the module docstring."""
-    model, d = params.model, params.model.detector.p_dark
-    eta = transmittance(model.alpha_db_per_km, params.length_km) * model.detector.eta_det
-    table = click_table(model.e_mis)
+    d, eta = params.model.detector.p_dark, params.eta
+    table = click_table(params.model.e_mis)
     n0, n1, n2 = _poisson_classes(params.mu * eta * table)  # min(N_d, 2) per (code, detector)
     u0, u1, u2 = _poisson_classes(params.mu * (1.0 - eta))  # min(U, 2)
     fired_dark = d * n0  # the detector fires on its dark count alone

@@ -22,7 +22,7 @@ class TestConfig:
         assert cfg.f_ec == 1.16
 
     def test_per_detector_dark_is_half_the_background(self):
-        assert Config().detector_params().p_dark == pytest.approx(3.01e-6)
+        assert Config().rate_params().detector.p_dark == pytest.approx(3.01e-6)
 
     def test_round_trip(self):
         cfg = Config(mu=0.63, distances=(0.0, 25.0, 50.0), seed=9)
@@ -48,6 +48,18 @@ class TestConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("eta_det = fast\n")
+
+    @pytest.mark.parametrize("key, value", [("n_pulses", "1.5"), ("seed", "2.0")])
+    def test_integer_keys_reject_floats(self, key, value, tmp_path, capsys):
+        # a key's type is that of its Config default
+        cfg = tmp_path / "float.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["session", "--config", str(cfg)]) == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+
+    def test_float_key_takes_an_integer_literal(self):
+        mu = parse_config_text("mu = 1\n").mu
+        assert type(mu) is float and mu == 1.0
 
     def test_range_validation(self):
         with pytest.raises(ConfigError):
@@ -157,6 +169,7 @@ class TestVerifyAppendixCommand:
         assert main(["verify-appendix", "--samples", "50", "--self-test-corrupt"]) == 1
         out = capsys.readouterr().out
         assert "FAIL receiver-state-fixed" in out
+        assert "FAIL register-basis-independence" in out
         # the models the sign error does not touch keep passing
         assert "PASS bsm-model-equivalence" in out
         assert "PASS flip-table-correlations" in out

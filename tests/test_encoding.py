@@ -29,7 +29,7 @@ from ddiqkd.qstate import (
     reduce_density,
     trace_distance,
 )
-from ddiqkd.verify import check_receiver_state_fixed
+from ddiqkd.verify import check_basis_independence, check_receiver_state_fixed
 
 SQ2 = 1.0 / np.sqrt(2.0)
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
@@ -335,6 +335,17 @@ class TestReceiverStateCheck:
             refs = DensityMatrix(np.stack([rho_alice(source).mat, rho.mat[0]])[:, None])
             assert result.max_deviation == float(trace_distance(rho, refs).max()), seed
             assert result.passed is not corrupt
+
+
+class TestBasisIndependenceCheck:
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_sign_error_fails(self, corrupt):
+        # the path-c sign error is a unitary on rho_B; comparing states, not
+        # spectra, catches it in every register basis
+        for seed in range(5):
+            result = check_basis_independence(20, np.random.default_rng(seed), corrupt=corrupt)
+            assert result.passed is not corrupt, seed
+            assert (result.max_deviation > 0.1) is corrupt, seed
 
 
 def _rho_bob_einsum(sigma, source, basis=None, corrupt=False):

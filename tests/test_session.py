@@ -489,10 +489,10 @@ def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=
 # docstring fix them, so a change to either has to update them on purpose.
 PINNED_REPORTS = {
     "cli_defaults_0km": (
-        Config(distances=(0.0,)).session_params(), 1,
+        Config(distances=(0.0,)).session_params, 1,
         "59b61b8edf7a2be8596153a6ce2f681f7fab68921a172f1893551169f4d0885a"),
     "cli_defaults_100km": (
-        Config(distances=(100.0,)).session_params(), 1,
+        Config(distances=(100.0,)).session_params, 1,
         "f02f6eb91244c6f9789885a9523b953b5fc9d760ef5f8774be9fd45b137af4df"),
     "bright_noisy": (
         _pinned(50_000, mu=5.0, e_mis=0.5, p_dark=0.9), 2,
