@@ -2,8 +2,11 @@
 
 Subcommands: keyrate-curve, session, verify-appendix, theory-table.
 Configuration comes from a flat ``key = value`` file plus command-line
-overrides (overrides win).  Exit codes: 0 success, 1 check failure,
-2 usage or configuration error.
+overrides (overrides win); the two are merged and validated as one config.
+A call builds only its own subcommand's parser; ``--help``, no argument, an
+unknown command or a leading option get the full four-command parser.
+Exit codes: 0 success, 1 check failure, 2 usage or configuration error
+(an ``--out`` file that cannot be written included).
 
 Note on ``p_dark``: the configured value is the background count rate of a
 reference two-detector receiver (the convention of the experimental
@@ -16,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .bsm import THEORY_ROWS, DetectorParams, theory_row_label, theory_table
@@ -111,8 +114,8 @@ def _parse_distances(text: str, error: str) -> tuple[float, ...]:
         raise ConfigError(error) from None
 
 
-def parse_config_text(text: str) -> Config:
-    """Parse ``key = value`` lines over the defaults; '#' starts a comment."""
+def _config_updates(text: str) -> dict:
+    """The fields that ``key = value`` lines set; '#' starts a comment."""
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,26 +134,34 @@ def parse_config_text(text: str) -> Config:
                 raise ConfigError(f"line {lineno}: bad value for {key}") from None
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    return updates
+
+
+def _validated(updates: dict) -> Config:
     cfg = Config(**updates)
     cfg.validate()
     return cfg
 
 
+def parse_config_text(text: str) -> Config:
+    """Parse ``key = value`` lines over the defaults; '#' starts a comment."""
+    return _validated(_config_updates(text))
+
+
 def load_config(path: str | None, overrides: dict) -> Config:
-    cfg = Config()
+    """The config file's fields with the non-None ``overrides`` over them."""
+    updates = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cfg = parse_config_text(fh.read())
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    if "distances" in updates:
-        updates["distances"] = _parse_distances(updates["distances"], "bad --distances list")
-    if updates:  # else keep the parsed config and the session parameters it built
-        cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
+        updates = _config_updates(text)
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    if "distances" in flags:
+        flags["distances"] = _parse_distances(flags["distances"], "bad --distances list")
+    return _validated(updates | flags)  # one Config, validated once; flags win
 
 
 def _fmt(x: float) -> str:
@@ -160,8 +171,11 @@ def _fmt(x: float) -> str:
 def _emit(text: str, out: str | None):
     """Write ``text`` to the file ``out``, or to stdout if none is given."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -245,14 +259,21 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all four subcommands, or of ``command``'s alone."""
     parser = argparse.ArgumentParser(
         prog="ddiqkd",
         description="Simulation toolkit for a QKD protocol with an untrusted "
                     "Bell-state measurement behind a trusted path-encoding network.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A one-command parser names all four in its usage line, as the full one
+    # does.  The full parser keeps no metavar: its "required" and "invalid
+    # choice" errors name the argument "command".
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, flags, _) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -260,19 +281,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # build only the named command's parser; anything else needs all four
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     # a flag overrides the config field of its dest; fields without a flag read None
     overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    _, _, handler = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "session" and args.distances is not None and len(cfg.distances) > 1:
             raise ConfigError("--distances takes one length for session")
+        return handler(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    _, _, handler = _COMMANDS[args.command]
-    return handler(cfg, args)
 
 
 def entry():

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and its config handling."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 from ddiqkd import session
-from ddiqkd.cli import Config, ConfigError, load_config, main, parse_config_text
+from ddiqkd.cli import (Config, ConfigError, _build_parser, load_config, main,
+                        parse_config_text)
 from ddiqkd.verify import check_flip_table
 
 
@@ -101,6 +103,21 @@ class TestConfig:
         assert cfg.mu == 0.5
         assert cfg.seed == 4
         assert cfg.distances == (5.0, 15.0)
+
+    def test_config_file_and_flag_build_one_model(self, tmp_path, monkeypatch):
+        # the file's keys and the flags make one Config, validated once
+        built = []
+        post_init = session.SessionParams.__post_init__
+        monkeypatch.setattr(session.SessionParams, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        path = tmp_path / "c.cfg"
+        path.write_text("mu = 0.4\nseed = 3\n")
+        cfg = load_config(str(path), {"mu": 0.5, "n_pulses": 1000, "seed": None})
+        assert (cfg.mu, cfg.n_pulses, cfg.seed) == (0.5, 1000, 3)
+        assert len(built) == 1
+        # a flag replaces the file's value before anything is validated
+        path.write_text("mu = 0\n")
+        assert load_config(str(path), {"mu": 0.5}).mu == 0.5
 
 
 class TestSessionCommand:
@@ -253,6 +270,13 @@ class TestKeyrateCurveCommand:
         assert float(rp) > 0 and float(rb) > 0
 
 
+def _outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    return (exc.value.code, *capsys.readouterr())
+
+
 class TestUsage:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -290,6 +314,75 @@ class TestUsage:
                 main(argv)
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["session", "--pulses", "1000"], ["keyrate-curve", "--distances", "0"], ["theory-table"],
+    ])
+    def test_unwritable_out_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write output {out}: ")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["bogus"], ["--seed", "1", "session"],
+        *([command, "--help"] for command in
+          ("keyrate-curve", "session", "verify-appendix", "theory-table")),
+        # per subcommand: an unknown flag, a flag it does not take, a flag
+        # missing its value and a value of the wrong type (keyrate-curve
+        # takes no typed flag)
+        ["keyrate-curve", "--frobnicate"], ["keyrate-curve", "--mu", "1"],
+        ["keyrate-curve", "--distances"],
+        ["session", "--frobnicate"], ["session", "--visibility", "1"], ["session", "--out"],
+        ["session", "--seed", "x"],
+        ["verify-appendix", "--frobnicate"], ["verify-appendix", "--out", "x"],
+        ["verify-appendix", "--samples"], ["verify-appendix", "--samples", "1.5"],
+        ["theory-table", "--frobnicate"], ["theory-table", "--seed", "1"],
+        ["theory-table", "--visibility"], ["theory-table", "--visibility", "high"],
+    ], ids=" ".join)
+    def test_help_and_usage_match_the_full_parser(self, argv, capsys):
+        # main builds only the named command's parser; what it prints must not change
+        assert _outcome(main, argv, capsys) == _outcome(_build_parser().parse_args, argv, capsys)
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        # the path entry() takes
+        argv = ["session", "--frobnicate"]
+        monkeypatch.setattr(sys, "argv", ["ddiqkd", *argv])
+        assert (_outcome(lambda _: main(), argv, capsys)
+                == _outcome(_build_parser().parse_args, argv, capsys))
+
+    def test_command_usage_errors_name_the_argument(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+        usage = "usage: ddiqkd [-h] {keyrate-curve,session,verify-appendix,theory-table} ...\n"
+        for argv, error in [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                        "'keyrate-curve', 'session', 'verify-appendix', 'theory-table')"),
+            (["session", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+        ]:
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert capsys.readouterr().err == f"{usage}ddiqkd: error: {error}\n"
+
+    @pytest.mark.parametrize("argv, built", [
+        (["theory-table", "--visibility", "1.0"], ["theory-table"]),
+        (["--help"], ["keyrate-curve", "session", "verify-appendix", "theory-table"]),
+    ])
+    def test_a_command_builds_only_its_own_parser(self, argv, built, monkeypatch, capsys):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert names == built
 
     def test_module_entry_point(self):
         proc = subprocess.run(
