@@ -8,12 +8,12 @@ each other closely; the four-detector scheme runs out of key a little
 earlier because it collects twice the dark counts.
 """
 
-from ddiqkd.bsm import DetectorParams
 from ddiqkd.channel import transmittance
 from ddiqkd.rates import RateParams, keyrate_curve, security_regime
 
 params = RateParams(
-    detector=DetectorParams(eta_det=0.145, p_dark=6.02e-6 / 2),
+    eta_det=0.145,
+    p_dark=6.02e-6 / 2,
     alpha_db_per_km=0.2,
     e_mis=0.015,
     f_ec=1.16,
@@ -24,7 +24,7 @@ curve = keyrate_curve(params, lengths)
 
 print(f"{'km':>5s} {'mu_opt':>7s} {'rate (4-det scheme)':>20s} {'rate (2-det ref)':>17s}  regime")
 for p in curve.points:
-    eta_1 = params.detector.eta_det * transmittance(0.2, p.length_km)
+    eta_1 = params.eta_det * transmittance(0.2, p.length_km)
     regime = security_regime(eta_1).value
     print(f"{p.length_km:5.0f} {p.mu_opt:7.3f} {p.rate_proposal:20.3e} "
           f"{p.rate_bb84:17.3e}  {regime}")

@@ -8,7 +8,6 @@ session also books an asymptotic secret key length from its own tallies.
 
 import numpy as np
 
-from ddiqkd.bsm import DetectorParams
 from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import SessionParams, run_session
 
@@ -17,7 +16,8 @@ MU = 0.7
 
 # one device-and-fiber model for the session and the closed forms
 model = RateParams(
-    detector=DetectorParams(eta_det=0.145, p_dark=6.02e-6 / 2),
+    eta_det=0.145,
+    p_dark=6.02e-6 / 2,
     alpha_db_per_km=0.2,
     e_mis=0.015,
 )

@@ -7,8 +7,8 @@ The library is organized bottom-up:
 - qstate:   tiny complex linear algebra (pure states, density matrices)
 - encoding: BB84 polarization states, the path-encoding network, and the
             virtual-protocol identities behind the security argument
-- bsm:      ideal and mode-network Bell measurement, detector parameters
-- channel:  Poisson photon statistics and lossy, misaligned fiber
+- bsm:      ideal and mode-network Bell measurement
+- channel:  Poisson photon statistics and lossy fiber
 - rates:    analytic yields, secret key rate, intensity optimization,
             distance sweeps, and the two-detector reference system
 - session:  vectorized Monte Carlo of full protocol runs and its sift
@@ -17,7 +17,6 @@ The library is organized bottom-up:
 """
 
 from .bsm import (
-    DetectorParams,
     click_table,
     ideal_bsm_distribution,
     mode_network_distribution,

@@ -11,14 +11,9 @@ distribution over D1..D4 for every (Alice state, Bob setting) pair, with
 misalignment and interference visibility folded in.  The Monte Carlo builds
 its exact cell probabilities from it, ``theory_table`` is a slice of it,
 and the flip-table check reads it.
-
-``DetectorParams`` holds the efficiency and dark-count probability of the
-four detectors, which the rate model and the Monte Carlo apply.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +31,6 @@ from .qstate import PureState
 SQ2 = 1.0 / np.sqrt(2.0)
 
 __all__ = [
-    "DetectorParams",
     "ideal_bsm_distribution",
     "mode_network_matrix",
     "mode_network_distribution",
@@ -44,29 +38,6 @@ __all__ = [
     "THEORY_ROWS",
     "theory_table",
 ]
-
-
-def _require_real(owner, *names: str):
-    """Reject fields of ``owner`` that are not real numbers, bool included."""
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must be a real number")
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """Shared parameters of the four threshold detectors."""
-
-    eta_det: float  # detection efficiency per photon
-    p_dark: float   # dark count probability per detector per gate
-
-    def __post_init__(self):
-        _require_real(self, "eta_det", "p_dark")
-        if not 0.0 <= self.eta_det <= 1.0:
-            raise ValueError("eta_det must be in [0, 1]")
-        if not 0.0 <= self.p_dark < 1.0:
-            raise ValueError("p_dark must be in [0, 1)")
 
 
 def ideal_bsm_distribution(state: PureState) -> np.ndarray:
@@ -143,16 +114,10 @@ def click_table(e_mis: float = 0.0, visibility: float = 1.0) -> np.ndarray:
 
 
 # The eight basis-matched (Alice state, Bob setting) combinations, in the
-# order the comparison table is reported: rectilinear block then diagonal.
-THEORY_ROWS: tuple[tuple[Bb84Setting, PathSetting], ...] = (
-    (ALICE_SETTINGS[0], PathSetting.A),
-    (ALICE_SETTINGS[1], PathSetting.A),
-    (ALICE_SETTINGS[0], PathSetting.C),
-    (ALICE_SETTINGS[1], PathSetting.C),
-    (ALICE_SETTINGS[2], PathSetting.B0),
-    (ALICE_SETTINGS[3], PathSetting.B0),
-    (ALICE_SETTINGS[2], PathSetting.BPI),
-    (ALICE_SETTINGS[3], PathSetting.BPI),
+# order the comparison table is reported: Bob's settings a, c, b0, bpi,
+# each with Alice's two states of its basis.
+THEORY_ROWS: tuple[tuple[Bb84Setting, PathSetting], ...] = tuple(
+    (a, b) for b in PATH_SETTINGS for a in ALICE_SETTINGS if a.basis is b.basis
 )
 
 

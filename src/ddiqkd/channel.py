@@ -1,10 +1,10 @@
-"""Weak-coherent-pulse photon statistics and the lossy, misaligned fiber.
+"""Weak-coherent-pulse photon statistics and the lossy fiber.
 
 Phase randomization is not simulated; it is what justifies treating each
 pulse as a Poisson mixture of photon-number states, which is all the decoy
-analysis needs.  Misalignment acts as an independent per-photon flip to the
-orthogonal polarization in the preparation basis, so the flip probability
-e_mis is directly the single-photon error contribution.
+analysis needs.  Misalignment is not a fiber property here: ``bsm.click_table``
+and the rate model apply it as an independent per-photon flip to the
+orthogonal polarization in the preparation basis.
 """
 
 from __future__ import annotations

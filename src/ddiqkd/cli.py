@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .bsm import THEORY_ROWS, DetectorParams, theory_row_label, theory_table
+from .bsm import THEORY_ROWS, theory_row_label, theory_table
 from .rates import RateParams, keyrate_curve
 from .session import SessionParams, run_session
 from .verify import appendix_checks
@@ -76,8 +76,8 @@ class Config:
 
     def rate_params(self) -> RateParams:
         return RateParams(
-            # per-detector dark probability: half the receiver-level background
-            detector=DetectorParams(eta_det=self.eta_det, p_dark=self.p_dark / 2.0),
+            eta_det=self.eta_det,
+            p_dark=self.p_dark / 2.0,  # per detector: half the receiver-level background
             alpha_db_per_km=self.alpha_db_per_km,
             e_mis=self.e_mis,
             f_ec=self.f_ec,
@@ -155,7 +155,7 @@ def load_config(path: str | None, overrides: dict) -> Config:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         updates = _config_updates(text)
     flags = {k: v for k, v in overrides.items() if v is not None}
@@ -194,6 +194,8 @@ def cmd_keyrate_curve(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_session(cfg: Config, args: argparse.Namespace) -> int:
+    if args.distances is not None and len(cfg.distances) > 1:
+        raise ConfigError("--distances takes one length for session")
     report = run_session(cfg.session_params, cfg.seed)
     _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
     if args.out:
@@ -203,8 +205,7 @@ def cmd_session(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_verify_appendix(cfg: Config, args: argparse.Namespace) -> int:
     if args.samples < 1:
-        print("config error: --samples must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigError("--samples must be >= 1")
     results = appendix_checks(n_samples=args.samples, seed=cfg.seed,
                               corrupt_path_c_sign=args.self_test_corrupt)
     all_ok = True
@@ -290,10 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
     _, _, handler = _COMMANDS[args.command]
     try:
-        cfg = load_config(args.config, overrides)
-        if args.command == "session" and args.distances is not None and len(cfg.distances) > 1:
-            raise ConfigError("--distances takes one length for session")
-        return handler(cfg, args)
+        return handler(load_config(args.config, overrides), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,6 @@ from enum import Enum
 
 import numpy as np
 
-from .bsm import DetectorParams, _require_real
 from .channel import transmittance
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,18 +77,31 @@ __all__ = [
 ]
 
 
+def _require_real(owner, *names: str):
+    """Reject fields of ``owner`` that are not real numbers, bool included."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number")
+
+
 @dataclass(frozen=True)
 class RateParams:
     """The device-and-fiber model: everything the key rate and a session
     need except distance, intensity and pulse count."""
 
-    detector: DetectorParams = DetectorParams(eta_det=0.145, p_dark=3.01e-6)
+    eta_det: float = 0.145   # detection efficiency per photon
+    p_dark: float = 3.01e-6  # dark count probability per detector per gate
     alpha_db_per_km: float = 0.2
     e_mis: float = 0.015
     f_ec: float = 1.16
 
     def __post_init__(self):
-        _require_real(self, "alpha_db_per_km", "e_mis", "f_ec")
+        _require_real(self, "eta_det", "p_dark", "alpha_db_per_km", "e_mis", "f_ec")
+        if not 0.0 <= self.eta_det <= 1.0:
+            raise ValueError("eta_det must be in [0, 1]")
+        if not 0.0 <= self.p_dark < 1.0:
+            raise ValueError("p_dark must be in [0, 1)")
         if not self.alpha_db_per_km >= 0.0:  # NaN fails too
             raise ValueError("loss coefficient alpha_db_per_km must be a nonnegative number")
         if not 1.0 <= self.f_ec < np.inf:
@@ -118,7 +130,7 @@ def _ratio(num, den, empty: float):
 
 def _eta(params: RateParams, length_km):
     """eta_det times the channel transmittance."""
-    return params.detector.eta_det * transmittance(params.alpha_db_per_km, length_km)
+    return params.eta_det * transmittance(params.alpha_db_per_km, length_km)
 
 
 def _proposal_gains(eta, e, d, mu):
@@ -202,7 +214,7 @@ class YieldTable:
 def yield_table(params: RateParams, length_km) -> YieldTable:
     """Analytic yield table at a channel length (or an array of lengths)."""
     return YieldTable(eta=_eta(params, length_km), e_mis=params.e_mis,
-                      p_dark=params.detector.p_dark)
+                      p_dark=params.p_dark)
 
 
 def key_rate(yields: YieldTable, params: RateParams, mu):
@@ -280,7 +292,7 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
 def _bb84_rate(eta, params: RateParams, mu):
     """bb84_reference_rate at eta = eta_det times the channel transmittance."""
-    e, d = params.e_mis, params.detector.p_dark
+    e, d = params.e_mis, params.p_dark
     gain, err_gain = _bb84_gains(eta, e, d, mu)
     dark = d * (2.0 - d)  # Y_0: either detector dark-fires
     y1 = eta + (1.0 - eta) * dark

@@ -40,9 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsm import _require_real, click_table
+from .bsm import click_table
 from .encoding import Basis, flip_detectors
-from .rates import RateParams, YieldTable, _eta, _ratio, _secret_rate
+from .rates import RateParams, YieldTable, _eta, _ratio, _require_real, _secret_rate
 
 __all__ = [
     "sift",
@@ -148,7 +148,7 @@ class SessionReport:
         tallied gains and error gains with the model's exact Y0, Y1 and e1.
         A detector with no successes has nothing to distill and gives 0."""
         params = self.params
-        exact = YieldTable(params.eta, params.model.e_mis, params.model.detector.p_dark)
+        exact = YieldTable(params.eta, params.model.e_mis, params.model.p_dark)
         gains = self.gains()
         terms = _secret_rate(exact.y0, exact.y1, exact.e1, gains,
                              self.errors / max(self.matched_pulses, 1), params.mu, params.model)
@@ -168,8 +168,8 @@ class SessionReport:
                 "alpha_db_per_km": model.alpha_db_per_km,
                 "length_km": params.length_km,
                 "e_mis": model.e_mis,
-                "eta_det": model.detector.eta_det,
-                "p_dark_per_detector": model.detector.p_dark,
+                "eta_det": model.eta_det,
+                "p_dark_per_detector": model.p_dark,
                 "f_ec": model.f_ec,
             },
             "seed": self.seed,
@@ -229,7 +229,7 @@ def _poisson_classes(y):
 
 def _cell_probabilities(params: SessionParams) -> np.ndarray:
     """The 28 cell probabilities of one pulse, in the order of the module docstring."""
-    d, eta = params.model.detector.p_dark, params.eta
+    d, eta = params.model.p_dark, params.eta
     table = click_table(params.model.e_mis)
     n0, n1, n2 = _poisson_classes(params.mu * eta * table)  # min(N_d, 2) per (code, detector)
     u0, u1, u2 = _poisson_classes(params.mu * (1.0 - eta))  # min(U, 2)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import THEORY_ROWS, DetectorParams, theory_table
+from ddiqkd.bsm import THEORY_ROWS, theory_table
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
     Basis,
@@ -51,7 +51,8 @@ def _pure_qubits(amps) -> DensityMatrix:
 # reference simulation parameters; the configured background count rate
 # 6.02e-6 is a two-detector-receiver figure, i.e. 3.01e-6 per detector
 FIG_PARAMS = RateParams(
-    detector=DetectorParams(eta_det=0.145, p_dark=3.01e-6),
+    eta_det=0.145,
+    p_dark=3.01e-6,
     alpha_db_per_km=0.2,
     e_mis=0.015,
     f_ec=1.16,

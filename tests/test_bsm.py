@@ -5,7 +5,6 @@ import pytest
 
 from ddiqkd.bsm import (
     THEORY_ROWS,
-    DetectorParams,
     click_table,
     ideal_bsm_distribution,
     mode_network_distribution,
@@ -88,7 +87,7 @@ def _session(n_pulses, mu, eta_det, p_dark):
     return SessionParams(
         n_pulses=n_pulses, mu=mu,
         length_km=0.0,
-        model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark), e_mis=0.0),
+        model=RateParams(eta_det=eta_det, p_dark=p_dark, e_mis=0.0),
     )
 
 
@@ -171,10 +170,10 @@ class TestDetect:
         assert abs(hits - trials * expected) <= 3 * se
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            DetectorParams(eta_det=1.5, p_dark=0.0)
-        with pytest.raises(ValueError):
-            DetectorParams(eta_det=0.5, p_dark=1.0)
+        with pytest.raises(ValueError, match=r"^eta_det must be in \[0, 1\]$"):
+            RateParams(eta_det=1.5, p_dark=0.0)
+        with pytest.raises(ValueError, match=r"^p_dark must be in \[0, 1\)$"):
+            RateParams(eta_det=0.5, p_dark=1.0)
 
 
 class TestTheoryTable:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import DetectorParams
 from ddiqkd.channel import poisson_pn, transmittance
 from ddiqkd.rates import RateParams, yield_table
 from ddiqkd.session import SessionParams, run_session
@@ -101,7 +100,7 @@ def _ideal_session(n_pulses, mu, length_km):
     return SessionParams(
         n_pulses=n_pulses, mu=mu,
         length_km=length_km,
-        model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0), e_mis=0.0),
+        model=RateParams(eta_det=1.0, p_dark=0.0, e_mis=0.0),
     )
 
 
@@ -157,7 +156,7 @@ class TestSamplePulse:
         params = SessionParams(
             n_pulses=1_000_000, mu=2.0,
             length_km=15.0,
-            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0), e_mis=e_mis),
+            model=RateParams(eta_det=1.0, p_dark=0.0, e_mis=e_mis),
         )
         rep = run_session(params, seed=5)
         photons = rep.single_successes.sum()

@@ -24,7 +24,7 @@ class TestConfig:
         assert cfg.f_ec == 1.16
 
     def test_per_detector_dark_is_half_the_background(self):
-        assert Config().rate_params().detector.p_dark == pytest.approx(3.01e-6)
+        assert Config().rate_params().p_dark == pytest.approx(3.01e-6)
 
     def test_round_trip(self):
         cfg = Config(mu=0.63, distances=(0.0, 25.0, 50.0), seed=9)
@@ -153,6 +153,15 @@ class TestSessionCommand:
 
     def test_unreadable_config_is_usage_error(self, capsys):
         assert main(["session", "--config", "/nonexistent/x.cfg"]) == 2
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark used to end in a UnicodeDecodeError traceback
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfem\x00u\x00 \x00=\x00 \x001\x00\n\x00")
+        assert main(["session", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot read config {cfg}: ")
 
     def test_several_distance_flags_are_usage_error(self, capsys):
         # a session runs at one length; the flag must not drop the others

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ddiqkd import rates
-from ddiqkd.bsm import DetectorParams, click_table
+from ddiqkd.bsm import click_table
 from ddiqkd.channel import poisson_pn
 from ddiqkd.rates import (
     RateParams,
@@ -29,7 +29,8 @@ from ddiqkd.rates import (
 from ddiqkd.session import sift
 
 FIG_PARAMS = RateParams(
-    detector=DetectorParams(eta_det=0.145, p_dark=3.01e-6),
+    eta_det=0.145,
+    p_dark=3.01e-6,
     alpha_db_per_km=0.2,
     e_mis=0.015,
     f_ec=1.16,
@@ -38,7 +39,8 @@ FIG_PARAMS = RateParams(
 # the rate peaks at mu = 0.01, the low edge of MU_SEARCH_RANGE, and is positive
 # only close to it, so a golden-section step off that edge finds no key
 EDGE_PARAMS = RateParams(
-    detector=DetectorParams(eta_det=0.145, p_dark=6e-8),
+    eta_det=0.145,
+    p_dark=6e-8,
     alpha_db_per_km=0.2,
     e_mis=0.097,
 )
@@ -145,8 +147,8 @@ class TestYieldTable:
     def test_gain_is_poisson_mixture_of_yields(self):
         # the closed forms against the truncated photon-number sum, which is
         # accurate at mu = 0.7 (the tail beyond n = 20 is below 1e-23)
-        eta = FIG_PARAMS.detector.eta_det * 10 ** (-0.2 * 50.0 / 10)
-        e, d = FIG_PARAMS.e_mis, FIG_PARAMS.detector.p_dark
+        eta = FIG_PARAMS.eta_det * 10 ** (-0.2 * 50.0 / 10)
+        e, d = FIG_PARAMS.e_mis, FIG_PARAMS.p_dark
         mu = 0.7
         for closed, per_n in ((_proposal_gains, _proposal_yield_n), (_bb84_gains, _bb84_yield_n)):
             gain, err_gain = closed(eta, e, d, mu)
@@ -159,7 +161,7 @@ class TestYieldTable:
     def test_gain_exact_at_large_mu(self):
         # a 21-term photon-number sum misses almost all of the mass at mu = 30
         yt = yield_table(FIG_PARAMS, 50.0)
-        e, d = FIG_PARAMS.e_mis, FIG_PARAMS.detector.p_dark
+        e, d = FIG_PARAMS.e_mis, FIG_PARAMS.p_dark
         exact = _oracle_gains("proposal", yt.eta, e, d, 30.0)
         assert yt.gains(30.0)[0] == pytest.approx(float(exact[0]), rel=1e-12)
         assert yt.gains(30.0)[0] == pytest.approx(0.0784, abs=1e-4)
@@ -278,7 +280,8 @@ class TestKeyRate:
 
     def test_more_noise_means_less_key(self):
         noisier = RateParams(
-            detector=FIG_PARAMS.detector,
+            eta_det=FIG_PARAMS.eta_det,
+            p_dark=FIG_PARAMS.p_dark,
             alpha_db_per_km=FIG_PARAMS.alpha_db_per_km,
             e_mis=0.03,
             f_ec=FIG_PARAMS.f_ec,
@@ -376,7 +379,8 @@ class TestOptimizeMu:
 
     def test_ideal_devices_beat_reference_intensity(self):
         ideal = RateParams(
-            detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+            eta_det=1.0,
+            p_dark=0.0,
             alpha_db_per_km=0.0,
             e_mis=0.0,
         )
@@ -384,7 +388,7 @@ class TestOptimizeMu:
         assert rate >= key_rate(yield_table(ideal, 0.0), ideal, 0.7)
 
     def test_hopeless_channel_returns_zero(self):
-        blind = RateParams(detector=DetectorParams(eta_det=0.0, p_dark=1e-5))
+        blind = RateParams(eta_det=0.0, p_dark=1e-5)
         mu, rate = optimize_mu(blind, 10.0)
         assert rate == 0.0
         assert mu == pytest.approx(0.01)
@@ -423,15 +427,15 @@ class TestOptimizeMu:
 
 class TestBb84Reference:
     def test_blind_detectors_give_zero(self):
-        blind = RateParams(detector=DetectorParams(eta_det=0.0, p_dark=1e-5))
+        blind = RateParams(eta_det=0.0, p_dark=1e-5)
         assert bb84_reference_rate(blind, 10.0, 0.7) == 0.0
 
     def test_error_threshold_crossing(self):
         # with f = 1 the rate flips sign where h(e) = 1/2, i.e. e ~ 0.11;
         # at f = 1.16 anything at e_mis = 0.12 is hopeless while 0.05 is fine
-        hot = RateParams(detector=DetectorParams(0.5, 0.0), e_mis=0.12)
+        hot = RateParams(eta_det=0.5, p_dark=0.0, e_mis=0.12)
         assert optimize_mu_bb84(hot, 0.0)[1] == 0.0
-        warm = RateParams(detector=DetectorParams(0.5, 0.0), e_mis=0.05)
+        warm = RateParams(eta_det=0.5, p_dark=0.0, e_mis=0.05)
         assert optimize_mu_bb84(warm, 0.0)[1] > 0.0
 
     def test_similar_to_proposal_curve(self):

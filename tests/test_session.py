@@ -10,7 +10,6 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import DetectorParams
 from ddiqkd.cli import Config
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
@@ -31,8 +30,7 @@ from ddiqkd.session import (
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
-FIG_DETECTOR = DetectorParams(eta_det=0.145, p_dark=3.01e-6)
-FIG_MODEL = RateParams(detector=FIG_DETECTOR)  # 0.2 dB/km, e_mis = 0.015, f_ec = 1.16
+FIG_MODEL = RateParams(eta_det=0.145, p_dark=3.01e-6)  # 0.2 dB/km, e_mis = 0.015, f_ec = 1.16
 
 
 def fig_session(n_pulses, length_km=0.0, mu=0.7):
@@ -116,7 +114,7 @@ class TestSift:
         params = SessionParams(
             n_pulses=1000, mu=0.7,
             length_km=0.0,
-            model=RateParams(detector=DetectorParams(eta_det=0.145, p_dark=1 - 1e-9)),
+            model=RateParams(eta_det=0.145, p_dark=1 - 1e-9),
         )
         rep = run_session(params, seed=0)
         assert rep.matched_pulses > 0
@@ -173,7 +171,7 @@ class TestRunSession:
         params = SessionParams(
             n_pulses=n_pulses, mu=0.7,
             length_km=0.0,
-            model=RateParams(detector=DetectorParams(eta_det=0.145, p_dark=0.01)),
+            model=RateParams(eta_det=0.145, p_dark=0.01),
         )
         rep = run_session(params, seed=5)
         counts = np.random.default_rng([5, 0]).multinomial(n_pulses, _cell_probabilities(params))
@@ -204,7 +202,7 @@ class TestRunSession:
         params = SessionParams(
             n_pulses=50_000, mu=1e-9,
             length_km=0.0,
-            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0), e_mis=0.0),
+            model=RateParams(eta_det=1.0, p_dark=0.0, e_mis=0.0),
         )
         rep = run_session(params, seed=1)
         assert rep.sifted_length == 0
@@ -217,7 +215,7 @@ class TestRunSession:
         params = SessionParams(
             n_pulses=1_000_000, mu=0.05,
             length_km=0.0,
-            model=RateParams(detector=DetectorParams(eta_det=0.145, p_dark=d)),
+            model=RateParams(eta_det=0.145, p_dark=d),
         )
         rep = run_session(params, seed=17)
         y0 = d * (1 - d) ** 3
@@ -229,7 +227,7 @@ class TestRunSession:
         params = SessionParams(
             n_pulses=200_000, mu=0.7,
             length_km=0.0,
-            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=0.0),
+            model=RateParams(eta_det=1.0, p_dark=0.0,
                              alpha_db_per_km=0.0, e_mis=0.0),
         )
         rep = run_session(params, seed=11)
@@ -250,10 +248,9 @@ class TestRunSession:
 
         Seed and bound were fixed before the first run; do not re-pick them.
         """
-        detector = DetectorParams(eta_det=1.0, p_dark=0.05)
         params = SessionParams(
             n_pulses=400_000, mu=3.0,
-            length_km=0.0, model=RateParams(detector=detector, e_mis=0.25),
+            length_km=0.0, model=RateParams(eta_det=1.0, p_dark=0.05, e_mis=0.25),
         )
         _assert_tallies_match_model(run_session(params, seed=2718))
 
@@ -266,7 +263,7 @@ class TestRunSession:
         params = SessionParams(
             n_pulses=400_000, mu=3.0,
             length_km=10.0,
-            model=RateParams(detector=DetectorParams(eta_det=0.5, p_dark=0.05), e_mis=0.25),
+            model=RateParams(eta_det=0.5, p_dark=0.05, e_mis=0.25),
         )
         _assert_tallies_match_model(run_session(params, seed=2719))
 
@@ -283,7 +280,7 @@ class TestRunSession:
         params = SessionParams(
             n_pulses=n, mu=mu,
             length_km=length_km,
-            model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark)),
+            model=RateParams(eta_det=eta_det, p_dark=p_dark),
         )
         rep = run_session(params, seed=99)
         counts = np.array([rep.matched_pulses, rep.vacuum_pulses, rep.single_pulses])
@@ -302,7 +299,7 @@ class TestRunSession:
         params = SessionParams(
             n_pulses=n_pulses, mu=0.7,
             length_km=length_km,
-            model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark)),
+            model=RateParams(eta_det=eta_det, p_dark=p_dark),
         )
         for seed in range(5):
             _assert_tally_invariants(run_session(params, seed=seed))
@@ -334,7 +331,7 @@ class TestRunSession:
         params = fig_session(1000)
         d = run_session(params, seed=3).to_dict()
         assert d["config"]["mu"] == 0.7
-        assert d["config"]["p_dark_per_detector"] == FIG_DETECTOR.p_dark
+        assert d["config"]["p_dark_per_detector"] == FIG_MODEL.p_dark
         assert d["seed"] == 3
         assert set(d["per_detector"]) >= {"gains", "qbers", "vacuum", "single_photon"}
 
@@ -381,8 +378,8 @@ class TestRunSession:
     def test_bool_model_input_rejected(self, field, value):
         # length_km=True used to be echoed as JSON true
         build = {
-            "eta_det": lambda v: dataclasses.replace(FIG_DETECTOR, eta_det=v),
-            "p_dark": lambda v: dataclasses.replace(FIG_DETECTOR, p_dark=v),
+            "eta_det": lambda v: dataclasses.replace(FIG_MODEL, eta_det=v),
+            "p_dark": lambda v: dataclasses.replace(FIG_MODEL, p_dark=v),
             "alpha_db_per_km": lambda v: dataclasses.replace(FIG_MODEL, alpha_db_per_km=v),
             "e_mis": lambda v: dataclasses.replace(FIG_MODEL, e_mis=v),
             "f_ec": lambda v: dataclasses.replace(FIG_MODEL, f_ec=v),
@@ -420,7 +417,7 @@ class TestCellProbabilities:
                                         (0.0, 0.145, 1.0)))
         cells, gain, err_gain, y0, y1, e1y1, shares = [], [], [], [], [], [], []
         for mu, p_dark, e_mis, length_km, eta_det in points:
-            model = RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark), e_mis=e_mis)
+            model = RateParams(eta_det=eta_det, p_dark=p_dark, e_mis=e_mis)
             cells.append(_cell_probabilities(SessionParams(
                 n_pulses=1, mu=mu, length_km=length_km, model=model)))
             yt = yield_table(model, length_km)
@@ -458,7 +455,7 @@ class TestCellProbabilities:
     def test_bright_cells_stay_finite(self, mu, e_mis):
         cells = _cell_probabilities(SessionParams(
             n_pulses=1, mu=mu, length_km=0.0,
-            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6), e_mis=e_mis)))
+            model=RateParams(eta_det=1.0, p_dark=3.01e-6, e_mis=e_mis)))
         assert np.all(np.isfinite(cells)) and np.all(cells >= 0.0)
         assert cells.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -468,7 +465,7 @@ class TestCellProbabilities:
         params = SessionParams(
             n_pulses=10_000_000, mu=1e4,
             length_km=0.0,
-            model=RateParams(detector=DetectorParams(eta_det=1.0, p_dark=3.01e-6)),
+            model=RateParams(eta_det=1.0, p_dark=3.01e-6),
         )
         rep = run_session(params, seed=6)
         json.dumps(rep.to_dict())
@@ -480,7 +477,7 @@ def _pinned(n_pulses, mu=0.7, length_km=0.0, e_mis=0.015, eta_det=0.145, p_dark=
     return SessionParams(
         n_pulses=n_pulses, mu=mu,
         length_km=length_km,
-        model=RateParams(detector=DetectorParams(eta_det=eta_det, p_dark=p_dark), e_mis=e_mis),
+        model=RateParams(eta_det=eta_det, p_dark=p_dark, e_mis=e_mis),
     )
 
 
