@@ -44,7 +44,6 @@ length (or eta) array and a mu array broadcast against each other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,11 +51,10 @@ import numpy as np
 
 from .channel import transmittance
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 MU_SEARCH_RANGE = (0.01, 2.0)
 _MU_GRID = np.linspace(*MU_SEARCH_RANGE, 41)  # every search's coarse bracket
-_MU_TOL = 1e-4  # a golden-section search ends on a narrower bracket
+_ZOOM = np.linspace(-1.0, 1.0, len(_MU_GRID))[:, None]  # a zoom grid's offsets; the middle one is 0.0
+_MU_TOL = 1e-4  # a search zooms until its grid spacing is below this: 3 zooms
 _CUTOFF_STEP_KM, _CUTOFF_CAP_KM, _CUTOFF_TOL_KM = 25.0, 1000.0, 1.0  # _cutoff's extension and bisection
 _TINY = 2.2250738585072014e-308  # smallest normal double: floors log2 so 0 log 0 = 0
 
@@ -230,33 +228,25 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
 
 
 def _optimize(rate_of_mu, scalar: bool):
-    """Coarse bracket on _MU_GRID, then golden-section refinement.
+    """The best point of _MU_GRID, refined on nested grids around it.
 
     ``rate_of_mu`` takes one intensity per channel length along the last
-    axis.  Each length takes exactly the steps of a scalar search on its own
-    bracket, and keeps its state once the bracket is narrower than _MU_TOL.
-    A search never ends below its own grid: where the refined rate is lower
-    than the best grid rate, the best grid point is the optimum.  So the
-    optimized rate is positive exactly where the grid maximum is.
+    axis.  Each zoom lays len(_MU_GRID) points across the two intervals
+    beside each length's best point, clipped to MU_SEARCH_RANGE, until the
+    spacing is below _MU_TOL: five rate evaluations in all.  A zoom grid
+    holds its centre exactly, and where the final rate is still lower
+    than the best rate on _MU_GRID, that grid point is the optimum.  So a
+    search never ends below its grid, and the optimized rate is positive
+    exactly where the grid maximum is.
     Returns (mu_opt, rate) arrays, or floats if ``scalar``.
     """
     vals = rate_of_mu(_MU_GRID[:, None])
     best = np.argmax(vals, axis=0)
-    lo = _MU_GRID[np.maximum(best - 1, 0)]
-    hi = _MU_GRID[np.minimum(best + 1, len(_MU_GRID) - 1)]
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    state = np.array([lo, hi, c, d, rate_of_mu(c), rate_of_mu(d)])
-    while (active := state[1] - state[0] > _MU_TOL).any():
-        lo, hi, c, d, fc, fd = state
-        left = fc > fd  # keep [lo, d]; else keep [c, hi]
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        probe = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
-        fp = rate_of_mu(probe)
-        step = [lo, hi, np.where(left, probe, d), np.where(left, c, probe),
-                np.where(left, fp, fd), np.where(left, fc, fp)]
-        state = np.where(active, step, state)
-    mu = 0.5 * (state[0] + state[1])
+    mu, spacing = _MU_GRID[best], _MU_GRID[1] - _MU_GRID[0]
+    while spacing >= _MU_TOL:
+        grid = np.clip(mu + spacing * _ZOOM, *MU_SEARCH_RANGE)
+        mu = np.take_along_axis(grid, np.argmax(rate_of_mu(grid), axis=0)[None], axis=0)[0]
+        spacing *= _ZOOM[1, 0] - _ZOOM[0, 0]
     rate, grid_best = rate_of_mu(mu), vals.max(axis=0)
     if (below := rate < grid_best).any():
         mu = np.where(below, _MU_GRID[best], mu)
@@ -347,10 +337,11 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
     ``rates`` are the optimized rates at ``lengths``.  ``rate_at`` gives,
     for an array of lengths at once, any rate with the optimized rate's
     sign: ``keyrate_curve`` passes the best rate on _MU_GRID, which is
-    positive exactly where the optimized rate is, because ``_optimize``
-    never ends below its grid.  The lengths the sequential search may
-    visit are evaluated ahead in batches (all extension steps, then the
-    bisection midpoints five levels deep), and the search runs on those.
+    positive exactly where the optimized rate is, because every zoom grid
+    of ``_optimize`` holds the best point before it and a search never
+    ends below its grid.  The lengths the sequential search may visit are
+    evaluated ahead in batches (all extension steps, then the bisection
+    midpoints five levels deep), and the search runs on those.
     """
     positive = [length for length, rate in zip(lengths, rates) if rate > 0.0]
     if not positive:

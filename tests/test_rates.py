@@ -37,7 +37,7 @@ FIG_PARAMS = RateParams(
 )
 
 # the rate peaks at mu = 0.01, the low edge of MU_SEARCH_RANGE, and is positive
-# only close to it, so a golden-section step off that edge finds no key
+# only close to it, so a zoom grid centred there is clipped at that edge
 EDGE_PARAMS = RateParams(
     eta_det=0.145,
     p_dark=6e-8,
@@ -358,6 +358,16 @@ OPTIMIZERS = [
 ]
 
 
+def _scan_max(rate_at, params, length):
+    """(argmax, max) of the rate over MU_SEARCH_RANGE in steps of 1e-6."""
+    lo, hi = rates.MU_SEARCH_RANGE
+    mus = lo + 1e-6 * np.arange(round((hi - lo) / 1e-6) + 1)
+    # in cache-sized chunks: one pass over the whole scan is several times slower
+    vals = np.concatenate([rate_at(params, length, chunk) for chunk in np.array_split(mus, 128)])
+    k = int(np.argmax(vals))
+    return mus[k], vals[k]
+
+
 class TestOptimizeMu:
     def test_optimum_near_reference_intensity(self):
         mu_opt, rate = optimize_mu(FIG_PARAMS, 50.0)
@@ -394,6 +404,31 @@ class TestOptimizeMu:
         assert mu == pytest.approx(0.01)
 
 
+    @pytest.mark.parametrize("optimize, rate_at", OPTIMIZERS)
+    @pytest.mark.parametrize("params, length", [
+        (FIG_PARAMS, 0.0), (FIG_PARAMS, 50.0), (FIG_PARAMS, 100.0), (FIG_PARAMS, 140.0),
+        (EDGE_PARAMS, 0.0), (EDGE_PARAMS, 10.0), (EDGE_PARAMS, 30.0),
+    ], ids=["fig-0", "fig-50", "fig-100", "fig-140", "edge-0", "edge-10", "edge-30"])
+    def test_matches_brute_force_scan(self, optimize, rate_at, params, length):
+        mu_best, best = _scan_max(rate_at, params, length)
+        mu_opt, rate = optimize(params, length)
+        assert abs(mu_opt - mu_best) <= rates._MU_TOL / 2
+        assert rate == pytest.approx(best, rel=1e-8)
+
+    @pytest.mark.parametrize("optimize, name", [(optimize_mu, "key_rate"),
+                                                (optimize_mu_bb84, "_bb84_rate")])
+    def test_five_rate_evaluations_per_search(self, optimize, name, monkeypatch):
+        # the grid, three zooms and the optimum's rate; EDGE_PARAMS peaks on the
+        # low edge, so every zoom grid is clipped there
+        mus = []
+        rate_fn = getattr(rates, name)
+        monkeypatch.setattr(rates, name, lambda *args: mus.append(args[-1]) or rate_fn(*args))
+        optimize(EDGE_PARAMS, np.array([0.0, 10.0, 30.0]))
+        assert len(mus) <= 5
+        lo, hi = rates.MU_SEARCH_RANGE
+        for mu in mus:
+            assert ((lo <= mu) & (mu <= hi)).all()
+
     @pytest.mark.parametrize("optimize", [optimize_mu, optimize_mu_bb84])
     def test_array_of_lengths_matches_scalar_calls(self, optimize):
         lengths = [0.0, 45.0, 110.0, 158.0, 400.0]
@@ -403,7 +438,7 @@ class TestOptimizeMu:
 
     @pytest.mark.parametrize("optimize, rate_at", OPTIMIZERS)
     def test_eta_computed_once_per_search(self, optimize, rate_at, monkeypatch):
-        # the golden-section steps reuse one eta per search, and the optimum's
+        # the grid and its zooms reuse one eta per search, and the optimum's
         # rate is the public rate function's at mu_opt, bit for bit
         calls = []
         eta = rates._eta
