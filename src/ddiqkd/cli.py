@@ -3,8 +3,8 @@
 Subcommands: keyrate-curve, session, verify-appendix, theory-table.
 Configuration comes from a flat ``key = value`` file plus command-line
 overrides (overrides win); the two are merged and validated as one config.
-A call builds only its own subcommand's parser; ``--help``, no argument, an
-unknown command or a leading option get the full four-command parser.
+A named subcommand builds only its own parser; the full four-command parser
+handles everything else, arguments that parser leaves over included.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 
@@ -260,36 +260,40 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of all four subcommands, or of ``command``'s alone."""
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the flags of the subcommand ``name``."""
+    for flag in _COMMANDS[name][1]:
+        parser.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all four subcommands."""
     parser = argparse.ArgumentParser(
         prog="ddiqkd",
         description="Simulation toolkit for a QKD protocol with an untrusted "
                     "Bell-state measurement behind a trusted path-encoding network.",
     )
-    # A one-command parser names all four in its usage line, as the full one
-    # does.  The full parser keeps no metavar: its "required" and "invalid
-    # choice" errors name the argument "command".
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_text, flags, _) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # build only the named command's parser; anything else needs all four
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    if command is not None:  # the parser that add_parser makes for it, alone
+        own = _add_flags(argparse.ArgumentParser(prog=f"ddiqkd {command}"), command)
+        args, rest = own.parse_known_args(argv[1:])
+    if command is None or rest:
+        # help, no command or arguments left over: the full parser prints what it always did
+        args = _build_parser().parse_args(argv)
+        command = args.command
     # a flag overrides the config field of its dest; fields without a flag read None
     overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
-    _, _, handler = _COMMANDS[args.command]
+    _, _, handler = _COMMANDS[command]
     try:
         return handler(load_config(args.config, overrides), args)
     except ConfigError as exc:

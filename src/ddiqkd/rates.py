@@ -133,10 +133,10 @@ def _eta(params: RateParams, length_km):
 
 def _proposal_gains(eta, e, d, mu):
     """(Q, E Q) of one detector, in closed form (see the module docstring)."""
-    x = mu * eta
-    dv = d * np.exp(-x)
-    b = np.exp(-x * (2.0 - e) / 2.0) * np.expm1(-x * e / 2.0)
-    a = np.exp(-x * (1.0 + e) / 2.0) * np.expm1(-x * (1.0 - e) / 2.0)
+    nx = -(mu * eta)  # -x; negation and halving are exact: nx * (e / 2) == -x * e / 2
+    dv = d * np.exp(nx)
+    b = np.exp(nx * ((2.0 - e) / 2.0)) * np.expm1(nx * (e / 2.0))
+    a = np.exp(nx * ((1.0 + e) / 2.0)) * np.expm1(nx * ((1.0 - e) / 2.0))
     cube = (1.0 - d) ** 3
     return cube * (dv - (a + b) / 2.0), cube * (dv - b) / 2.0
 
@@ -150,20 +150,20 @@ def _bb84_gains(eta, e, d, mu):
     W = exp(-x(1-e)): Q = d(2-d) V - expm1(-x) and
     2 E Q = -expm1(-x e)(1 + (1-d) W) + d C + d(1-d) V, all terms nonnegative.
     """
-    x = mu * eta
-    v = np.exp(-x)
-    gain = d * (2.0 - d) * v - np.expm1(-x)
-    flip = -np.expm1(-x * e)
-    err = flip * (1.0 + (1.0 - d) * np.exp(-x * (1.0 - e))) + d * np.exp(-x * e) + d * (1.0 - d) * v
+    nx = -(mu * eta)  # -x
+    v, nxe = np.exp(nx), nx * e
+    gain = d * (2.0 - d) * v - np.expm1(nx)
+    flip = -np.expm1(nxe)
+    err = flip * (1.0 + (1.0 - d) * np.exp(nx * (1.0 - e))) + d * np.exp(nxe) + d * (1.0 - d) * v
     return gain, err / 2.0
 
 
-def _secret_rate(y0, y1, e1, gain, err_gain, mu, params: RateParams):
-    """p0 Y0 + p1 Y1 [1 - h(e1)] - Q f h(E), not yet clamped at zero."""
+def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
+    """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero."""
     if not (np.asarray(mu) > 0.0).all():
         raise ValueError("mu must be positive")
     p0 = np.exp(-mu)
-    privacy = p0 * y0 + mu * p0 * y1 * (1.0 - _entropy(e1))
+    privacy = p0 * y0 + mu * p0 * y1 * k1
     correction = gain * params.f_ec * _entropy(_ratio(err_gain, gain, 0.0))
     return privacy - correction
 
@@ -180,7 +180,8 @@ class YieldTable:
     All four detectors are statistically identical in the pinned model, so
     the arrays hold four equal entries along their leading axis; they are
     kept per detector because the Monte Carlo tallies are per detector.
-    ``eta`` may be an array, one entry per channel length.
+    ``eta`` may be an array, one entry per channel length.  ``k1`` is the
+    single-photon key fraction 1 - h(e1), which does not depend on mu.
     """
 
     eta: float | np.ndarray  # eta_det * channel transmittance
@@ -189,15 +190,17 @@ class YieldTable:
     y0: np.ndarray = field(init=False)
     y1: np.ndarray = field(init=False)
     e1: np.ndarray = field(init=False)
+    k1: np.ndarray = field(init=False)
 
     def __post_init__(self):
         d, eta = self.p_dark, self.eta
         cube = (1.0 - d) ** 3
         y1 = (eta / 4.0 + (1.0 - eta) * d) * cube
         e1y1 = (eta * self.e_mis / 4.0 + (1.0 - eta) * d / 2.0) * cube
-        object.__setattr__(self, "y0", _per_detector(d * cube))
-        object.__setattr__(self, "y1", _per_detector(y1))
-        object.__setattr__(self, "e1", _per_detector(_ratio(e1y1, y1, 0.5)))
+        e1 = _ratio(e1y1, y1, 0.5)
+        terms = {"y0": d * cube, "y1": y1, "e1": e1, "k1": 1.0 - _entropy(e1)}
+        # frozen: set the fields in the instance dict, as object.__setattr__ would
+        vars(self).update((name, _per_detector(value)) for name, value in terms.items())
 
     def gains(self, mu) -> np.ndarray:
         """Q_i(mu), per detector."""
@@ -223,7 +226,7 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
     mu may be an array broadcasting against ``yields.eta``.
     """
     gain, err_gain = _proposal_gains(yields.eta, yields.e_mis, yields.p_dark, mu)
-    rate = _secret_rate(yields.y0[0], yields.y1[0], yields.e1[0], gain, err_gain, mu, params)
+    rate = _secret_rate(yields.y0[0], yields.y1[0], yields.k1[0], gain, err_gain, mu, params)
     return 4.0 * np.maximum(rate, 0.0)  # four identical detectors
 
 
@@ -277,24 +280,25 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
     length_km and mu may be arrays that broadcast against each other.
     """
-    return _bb84_rate(_eta(params, length_km), params, mu)
+    return _reference_rate(params, length_km)(mu)
 
 
-def _bb84_rate(eta, params: RateParams, mu):
-    """bb84_reference_rate at eta = eta_det times the channel transmittance."""
-    e, d = params.e_mis, params.p_dark
-    gain, err_gain = _bb84_gains(eta, e, d, mu)
-    dark = d * (2.0 - d)  # Y_0: either detector dark-fires
-    y1 = eta + (1.0 - eta) * dark
-    e1y1 = (eta * (2.0 * e + d * (1.0 - 2.0 * e)) + (1.0 - eta) * dark) / 2.0
-    rate = _secret_rate(dark, y1, _ratio(e1y1, y1, 0.5), gain, err_gain, mu, params)
-    return np.maximum(rate, 0.0)
+def _bb84_rate(single, params: RateParams, mu):
+    """bb84_reference_rate from the receiver's (eta, Y0, Y1, 1 - h(e1))."""
+    eta, y0, y1, k1 = single
+    gain, err_gain = _bb84_gains(eta, params.e_mis, params.p_dark, mu)
+    return np.maximum(_secret_rate(y0, y1, k1, gain, err_gain, mu, params), 0.0)
 
 
 def _reference_rate(params: RateParams, length_km):
-    """The two-detector reference's key rate as a function of mu, one mu per length."""
-    eta = _eta(params, length_km)
-    return lambda mu: _bb84_rate(eta, params, mu)
+    """The two-detector reference's key rate as a function of mu, one mu per length;
+    its eta, Y0, Y1 and 1 - h(e1) do not depend on mu and are computed once."""
+    e, d, eta = params.e_mis, params.p_dark, _eta(params, length_km)
+    dark = d * (2.0 - d)  # Y_0: either detector dark-fires
+    y1 = eta + (1.0 - eta) * dark
+    e1y1 = (eta * (2.0 * e + d * (1.0 - 2.0 * e)) + (1.0 - eta) * dark) / 2.0
+    single = eta, dark, y1, 1.0 - _entropy(_ratio(e1y1, y1, 0.5))
+    return lambda mu: _bb84_rate(single, params, mu)
 
 
 def optimize_mu_bb84(params: RateParams, length_km):
@@ -377,8 +381,9 @@ def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
     km = np.array(lengths, dtype=float)
     mu_opt, rate = optimize_mu(params, km)
     _, rate_ref = optimize_mu_bb84(params, km)
-    points = tuple(KeyRatePoint(length, float(m), float(r), float(b))
-                   for length, m, r, b in zip(lengths, mu_opt, rate, rate_ref))
+    # from a list: tuple() of a generator resizes, so CPython's tuple free list would grow per call
+    points = tuple([KeyRatePoint(length, float(m), float(r), float(b))
+                    for length, m, r, b in zip(lengths, mu_opt, rate, rate_ref)])
     cut_prop = _cutoff(lambda L: _grid_max(_proposal_rate(params, L)), lengths, rate)
     cut_ref = _cutoff(lambda L: _grid_max(_reference_rate(params, L)), lengths, rate_ref)
     return KeyRateCurve(points, cut_prop, cut_ref)

@@ -150,7 +150,7 @@ class SessionReport:
         params = self.params
         exact = YieldTable(params.eta, params.model.e_mis, params.model.p_dark)
         gains = self.gains()
-        terms = _secret_rate(exact.y0, exact.y1, exact.e1, gains,
+        terms = _secret_rate(exact.y0, exact.y1, exact.k1, gains,
                              self.errors / max(self.matched_pulses, 1), params.mu, params.model)
         return float(self.matched_pulses * np.where(gains > 0.0, np.maximum(terms, 0.0), 0.0).sum())
 

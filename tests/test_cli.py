@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ddiqkd import session
+from ddiqkd import cli, session
 from ddiqkd.cli import (Config, ConfigError, _build_parser, load_config, main,
                         parse_config_text)
 from ddiqkd.verify import check_flip_table
@@ -349,10 +349,36 @@ class TestUsage:
         ["verify-appendix", "--samples"], ["verify-appendix", "--samples", "1.5"],
         ["theory-table", "--frobnicate"], ["theory-table", "--seed", "1"],
         ["theory-table", "--visibility"], ["theory-table", "--visibility", "high"],
+        # arguments the command's own parser leaves over, help after an unknown
+        # flag, a repeated flag's bad value and a flag missing its value
+        ["session", "extra"], ["session", "--", "x"], ["session", "--frobnicate", "-h"],
+        ["verify-appendix", "--samples", "5", "--samples", "x"], ["theory-table", "--out"],
     ], ids=" ".join)
     def test_help_and_usage_match_the_full_parser(self, argv, capsys):
-        # main builds only the named command's parser; what it prints must not change
+        # main parses a named command with that command's parser alone; what it
+        # prints must not change
         assert _outcome(main, argv, capsys) == _outcome(_build_parser().parse_args, argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["keyrate-curve"], ["keyrate-curve", "--distances", "0,10", "--out", "c.csv"],
+        ["session"], ["session", "--seed", "3", "--mu", "0.5", "--pul", "10", "--distances", "0"],
+        ["session", "--pulses", "1", "--pulses", "20", "--out", "r.json"],
+        ["verify-appendix"], ["verify-appendix", "--samples", "5", "--self-test-corrupt", "--seed", "2"],
+        ["theory-table"], ["theory-table", "--visibility", "0.5", "--out", "t.csv"],
+    ], ids=" ".join)
+    def test_command_flags_match_the_full_parser(self, argv, monkeypatch, tmp_path):
+        # the arguments a handler gets equal the full parser's, abbreviations included
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        argv = [*argv, "--config", str(cfg)]
+        seen = []
+        help_text, flags, _ = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(cli._COMMANDS, argv[0],
+                            (help_text, flags, lambda _, args: seen.append(vars(args)) or 0))
+        assert main(argv) == 0
+        full = vars(_build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert seen == [full]
 
     def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
         # the path entry() takes
@@ -376,22 +402,26 @@ class TestUsage:
 
     @pytest.mark.parametrize("argv, built", [
         (["theory-table", "--visibility", "1.0"], ["theory-table"]),
-        (["--help"], ["keyrate-curve", "session", "verify-appendix", "theory-table"]),
+        (["--help"], ["", "keyrate-curve", "session", "verify-appendix", "theory-table"]),
+        # the command's parser leaves --frobnicate over, so the full parser reports it
+        (["session", "--frobnicate"],
+         ["session", "", "keyrate-curve", "session", "verify-appendix", "theory-table"]),
     ])
     def test_a_command_builds_only_its_own_parser(self, argv, built, monkeypatch, capsys):
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
+        # every ArgumentParser a call constructs, by the command its prog names
+        progs = []
+        init = argparse.ArgumentParser.__init__
 
-        def counted(self, name, **kwargs):
-            names.append(name)
-            return add_parser(self, name, **kwargs)
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs["prog"])
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         try:
             main(argv)
         except SystemExit:
             pass
-        assert names == built
+        assert progs == [f"ddiqkd {name}".strip() for name in built]
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -68,6 +68,26 @@ def _bb84_yield_n(n, eta, e, d):
     return y, wrong_only + 0.5 * (y - wrong_only - correct_only)
 
 
+def _proposal_gains_as_written(eta, e, d, mu):
+    """_proposal_gains with each exponent written -x (...) / 2, as in the formula."""
+    x = mu * eta
+    dv = d * np.exp(-x)
+    b = np.exp(-x * (2.0 - e) / 2.0) * np.expm1(-x * e / 2.0)
+    a = np.exp(-x * (1.0 + e) / 2.0) * np.expm1(-x * (1.0 - e) / 2.0)
+    cube = (1.0 - d) ** 3
+    return cube * (dv - (a + b) / 2.0), cube * (dv - b) / 2.0
+
+
+def _bb84_gains_as_written(eta, e, d, mu):
+    """_bb84_gains with each exponent written -x (...), as in the formula."""
+    x = mu * eta
+    v = np.exp(-x)
+    gain = d * (2.0 - d) * v - np.expm1(-x)
+    flip = -np.expm1(-x * e)
+    err = flip * (1.0 + (1.0 - d) * np.exp(-x * (1.0 - e))) + d * np.exp(-x * e) + d * (1.0 - d) * v
+    return gain, err / 2.0
+
+
 def _oracle_gains(protocol, eta, e, d, mu):
     """(Q, E Q) at 40 digits, from sum_n p_n(mu) x^n = exp(-mu (1 - x))."""
     with localcontext() as ctx:
@@ -186,6 +206,19 @@ class TestYieldTable:
                     worst_rel = max(worst_rel, rel)
                     assert rel <= 1e-12, (eta, e, d, mu)
         print(f"{protocol}: worst relative {worst_rel:.1e}, worst absolute {worst_abs:.1e}")
+
+    @pytest.mark.parametrize("closed, written", [(_proposal_gains, _proposal_gains_as_written),
+                                                 (_bb84_gains, _bb84_gains_as_written)])
+    def test_exponents_are_bit_identical_to_the_written_formula(self, closed, written):
+        # each exponent is one product -x * c with c = (2 - e) / 2 and so on;
+        # negating and halving a normal double are exact, so it rounds as
+        # -x (2 - e) / 2 does, down to x = 1e-300 where x e / 2 is still normal
+        eta = np.logspace(-300, 3, 3031)
+        mu = np.array([[1.0], [0.7]])
+        for e, d in itertools.product((0.0, 0.015, 0.25, 0.5), (0.0, 3e-6, 0.5)):
+            for got, want in zip(closed(eta, e, d, mu), written(eta, e, d, mu)):
+                assert (got == want).all(), (e, d)
+                assert (np.signbit(got) == np.signbit(want)).all(), (e, d)
 
     def test_closed_forms_match_click_table(self):
         """Y1, e1 Y1, Q and E Q of each detector, rebuilt from the click table.

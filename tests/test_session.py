@@ -407,6 +407,57 @@ class TestRunSession:
         assert "q" not in d["config"] and "q_config" not in d["key"]
 
 
+# chi^2 with 27 degrees of freedom exceeds this with probability 1e-6: the
+# bisection of _chi2_survival(x, 27) = 1e-6 in double precision
+CHI2_27_AT_1E_6 = 77.18817312479231
+
+
+def _chi2_survival(x, k):
+    """P(chi^2_k > x) for odd k (Abramowitz and Stegun 26.4.4):
+    erfc(sqrt(x/2)) + sqrt(2x/pi) e^(-x/2) sum_{r=1}^{(k-1)/2} x^(r-1) / (1 3 ... (2r-1))."""
+    total, term = 0.0, 1.0
+    for r in range(1, (k + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * total
+
+
+def _g_statistic(rep, params):
+    """G = 2 sum O ln(O / E) of a report's 28 counts (its 27 cells and the
+    unmatched pulses) against the cell probabilities of ``params``."""
+    observed = np.append(rep.counts.ravel(), params.n_pulses - rep.matched_pulses)
+    expected = params.n_pulses * _cell_probabilities(params)
+    seen = observed > 0
+    return 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+
+
+class TestWholeVector:
+    """One calibrated test of all 28 counts of a session against its cells.
+
+    G is asymptotically chi^2 with 27 degrees of freedom.  At 10^9 pulses the
+    smallest expected cell (a vacuum dark count) holds ~370 counts, so the
+    asymptotic law applies; each session is compared with the 1e-6 quantile.
+    """
+
+    def test_quantile_constant(self):
+        assert _chi2_survival(CHI2_27_AT_1E_6, 27) == pytest.approx(1e-6, rel=1e-9)
+        assert _chi2_survival(40.1133, 27) == pytest.approx(0.05, abs=1e-5)  # tabulated 95 %
+        assert _chi2_survival(1.0, 1) == pytest.approx(math.erfc(math.sqrt(0.5)), rel=1e-15)
+
+    @pytest.mark.parametrize("length_km", [0.0, 100.0])
+    def test_counts_fit_their_cells(self, length_km):
+        params = fig_session(10**9, length_km)
+        gs = np.array([_g_statistic(run_session(params, seed), params) for seed in range(200)])
+        assert gs.max() <= CHI2_27_AT_1E_6, gs.max()  # false alarm 2e-4 over the 200
+        # the mean of 200 draws of chi^2_27 is 27 with standard deviation 0.52
+        assert abs(gs.mean() - 27.0) <= 2.0, gs.mean()
+
+    def test_a_wrong_model_fails(self):
+        params = fig_session(10**9)
+        drawn = dataclasses.replace(params, model=dataclasses.replace(FIG_MODEL, e_mis=0.02))
+        assert _g_statistic(run_session(drawn, 1), params) > CHI2_27_AT_1E_6
+
+
 class TestCellProbabilities:
     def test_cells_reproduce_yield_table(self):
         """Summed per photon class and detector, the 28 cell probabilities
