@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its config handling."""
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -12,6 +13,10 @@ from ddiqkd import cli, session
 from ddiqkd.cli import (Config, ConfigError, _build_parser, load_config, main,
                         parse_config_text)
 from ddiqkd.verify import check_flip_table
+
+# sha256 of the default keyrate-curve CSV and of its stdout summary line
+PINNED_CURVE_CSV = "b713048a5b852a9e06ada306551b110e1eea7a3bcda91a3bec570b20b5267343"
+PINNED_CURVE_SUMMARY = "65e2e47f8bcad249021142d78f4fa29fa2906e947bec5600272c8025e8d3e172"
 
 
 class TestConfig:
@@ -268,6 +273,16 @@ class TestKeyrateCurveCommand:
         cfg.write_text("alpha_db_per_km = nan\n")
         assert main(["keyrate-curve", "--config", str(cfg)]) == 2
         assert "alpha_db_per_km" in capsys.readouterr().err
+
+    def test_default_curve_bytes_are_pinned(self, tmp_path, capsys):
+        # the default 19-distance CSV and its summary line may be reorganized
+        # only in ways that keep every byte
+        out = tmp_path / "curve.csv"
+        assert main(["keyrate-curve", "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert summary == '{"cutoff_bb84_km": 165.3125, "cutoff_proposal_km": 150.3125}\n'
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CURVE_CSV
+        assert hashlib.sha256(summary.encode()).hexdigest() == PINNED_CURVE_SUMMARY
 
     def test_single_distance_row(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
