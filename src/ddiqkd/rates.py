@@ -338,7 +338,10 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
 def _cutoff(rate_at, lengths: list[float], rates) -> float:
     """Largest length with positive optimized rate, bisected to +-0.5 km.
 
-    ``rates`` are the optimized rates at ``lengths``.  ``rate_at`` gives,
+    ``rates`` are the optimized rates at ``lengths``.  The search starts
+    after the last listed length with key; if none has key but 0 km does,
+    it bisects [0, lengths[0]], and if 0 km has none either it returns 0.
+    ``rate_at`` gives,
     for an array of lengths at once, any rate with the optimized rate's
     sign: ``keyrate_curve`` passes the best rate on _MU_GRID, which is
     positive exactly where the optimized rate is, because every zoom grid
@@ -348,10 +351,13 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
     midpoints five levels deep), and the search runs on those.
     """
     positive = [length for length, rate in zip(lengths, rates) if rate > 0.0]
-    if not positive:
+    if positive:
+        lo = positive[-1]
+        hi = next((length for length in lengths if length > lo), None)
+    elif lengths and lengths[0] > 0.0 and rate_at(np.zeros(1))[0] > 0.0:
+        lo, hi = 0.0, lengths[0]  # every listed length lies past the cutoff
+    else:
         return 0.0
-    lo = positive[-1]
-    hi = next((length for length in lengths if length > lo), None)
     if hi is None:  # extend by whole steps; the first step at or past cap ends the search
         steps = [lo, lo + _CUTOFF_STEP_KM]
         while steps[-1] < _CUTOFF_CAP_KM:

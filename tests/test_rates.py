@@ -516,14 +516,17 @@ class TestBb84Reference:
 def _sequential_cutoff(rate_at, lengths):
     """One-length-at-a-time cutoff search: the reference for the batched one."""
     positive = [length for length in lengths if rate_at(length) > 0.0]
-    if not positive:
-        return 0.0
-    lo = positive[-1]
     hi = None
-    for length in lengths:
-        if length > lo and rate_at(length) <= 0.0:
-            hi = length
-            break
+    if positive:
+        lo = positive[-1]
+        for length in lengths:
+            if length > lo and rate_at(length) <= 0.0:
+                hi = length
+                break
+    elif lengths and lengths[0] > 0.0 and rate_at(0.0) > 0.0:
+        lo, hi = 0.0, lengths[0]
+    else:
+        return 0.0
     if hi is None:
         hi = lo + rates._CUTOFF_STEP_KM
         while rate_at(hi) > 0.0 and hi < rates._CUTOFF_CAP_KM:
@@ -562,6 +565,8 @@ class TestKeyrateCurve:
         [0.0, 50.0, 100.0],                     # extension past the last length
         [0.0, 3.0, 400.0],                      # a gap wider than one batch of midpoints
         [120.0, 120.0, 155.0, 155.0],           # repeated lengths
+        [150.3],                                # past one cutoff: bisect [0, 150.3]
+        [2000.0],                               # past both cutoffs
     ])
     def test_cutoffs_match_sequential_search(self, lengths):
         _assert_curve_matches_searches(FIG_PARAMS, lengths)
@@ -586,6 +591,13 @@ class TestKeyrateCurve:
             calls.clear()
             keyrate_curve(params, lengths)
             assert len(calls) == 2
+
+    @pytest.mark.parametrize("lengths", [[150.3], [2000.0], [155.0, 400.0]])
+    def test_cutoff_when_listed_lengths_start_past_it(self, lengths):
+        # no listed length has key, but 0 km does: the cutoff lies in [0, lengths[0]]
+        curve = keyrate_curve(FIG_PARAMS, lengths)
+        assert abs(curve.cutoff_proposal_km - 150.3125) <= rates._CUTOFF_TOL_KM
+        assert abs(curve.cutoff_bb84_km - 165.3125) <= rates._CUTOFF_TOL_KM
 
     def test_cap_when_rate_never_ends(self):
         lossless = RateParams(alpha_db_per_km=0.0)
