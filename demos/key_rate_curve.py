@@ -8,6 +8,8 @@ each other closely; the four-detector scheme runs out of key a little
 earlier because it collects twice the dark counts.
 """
 
+import numpy as np
+
 from ddiqkd.channel import transmittance
 from ddiqkd.rates import RateParams, keyrate_curve, security_regime
 
@@ -23,11 +25,11 @@ lengths = [float(x) for x in range(0, 181, 10)]
 curve = keyrate_curve(params, lengths)
 
 print(f"{'km':>5s} {'mu_opt':>7s} {'rate (4-det scheme)':>20s} {'rate (2-det ref)':>17s}  regime")
-for p in curve.points:
-    eta_1 = params.eta_det * transmittance(0.2, p.length_km)
+for length, mu, rate, ref in zip(curve.length_km, curve.mu_opt, curve.rate_proposal,
+                                 curve.rate_bb84):
+    eta_1 = params.eta_det * transmittance(params.alpha_db_per_km, length)
     regime = security_regime(eta_1).value
-    print(f"{p.length_km:5.0f} {p.mu_opt:7.3f} {p.rate_proposal:20.3e} "
-          f"{p.rate_bb84:17.3e}  {regime}")
+    print(f"{length:5.0f} {mu:7.3f} {rate:20.3e} {ref:17.3e}  {regime}")
 
 print(f"\ncutoff, four-detector scheme: {curve.cutoff_proposal_km:6.1f} km")
 print(f"cutoff, two-detector reference: {curve.cutoff_bb84_km:6.1f} km")
@@ -38,10 +40,9 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    km = [p.length_km for p in curve.points]
-    plt.semilogy(km, [max(p.rate_proposal, 1e-12) for p in curve.points],
+    plt.semilogy(curve.length_km, np.maximum(curve.rate_proposal, 1e-12),
                  label="path-encoding scheme (4 detectors)")
-    plt.semilogy(km, [max(p.rate_bb84, 1e-12) for p in curve.points],
+    plt.semilogy(curve.length_km, np.maximum(curve.rate_bb84, 1e-12),
                  "--", label="decoy BB84 reference (2 detectors)")
     plt.ylim(1e-8, 1e-1)
     plt.xlabel("fiber length (km)")

@@ -40,12 +40,10 @@ from .encoding import (
 from .qstate import DensityMatrix, PureState, max_trace_distance, trace_distance
 from .rates import (
     KeyRateCurve,
-    KeyRatePoint,
     RateParams,
     SecurityRegime,
     YieldTable,
     bb84_reference_rate,
-    binary_entropy,
     key_rate,
     keyrate_curve,
     optimize_mu,

@@ -41,11 +41,11 @@ _INF = float("inf")  # a value is finite if it lies strictly within +-inf; NaN n
 class Config:
     """Flat run configuration; defaults are the reference simulation values."""
 
-    alpha_db_per_km: float = 0.2
-    eta_det: float = 0.145
-    p_dark: float = 6.02e-6     # two-detector-receiver background rate
-    e_mis: float = 0.015
-    f_ec: float = 1.16
+    alpha_db_per_km: float = RateParams.alpha_db_per_km
+    eta_det: float = RateParams.eta_det
+    p_dark: float = 2 * RateParams.p_dark  # two-detector-receiver background rate
+    e_mis: float = RateParams.e_mis
+    f_ec: float = RateParams.f_ec
     mu: float = 0.7             # session signal intensity
     n_pulses: int = 1_000_000
     seed: int = 1
@@ -93,15 +93,6 @@ class Config:
             model=self.rate_params(),
         )
 
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "distances":
-                value = ",".join(f"{d:g}" for d in value)
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
-
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(Config) if f.name != "distances"}
 
@@ -137,17 +128,6 @@ def _config_updates(text: str) -> dict:
     return updates
 
 
-def _validated(updates: dict) -> Config:
-    cfg = Config(**updates)
-    cfg.validate()
-    return cfg
-
-
-def parse_config_text(text: str) -> Config:
-    """Parse ``key = value`` lines over the defaults; '#' starts a comment."""
-    return _validated(_config_updates(text))
-
-
 def load_config(path: str | None, overrides: dict) -> Config:
     """The config file's fields with the non-None ``overrides`` over them."""
     updates = {}
@@ -161,7 +141,9 @@ def load_config(path: str | None, overrides: dict) -> Config:
     flags = {k: v for k, v in overrides.items() if v is not None}
     if "distances" in flags:
         flags["distances"] = _parse_distances(flags["distances"], "bad --distances list")
-    return _validated(updates | flags)  # one Config, validated once; flags win
+    cfg = Config(**(updates | flags))  # one Config, validated once; flags win
+    cfg.validate()
+    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -181,13 +163,12 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_keyrate_curve(cfg: Config, args: argparse.Namespace) -> int:
-    params = cfg.rate_params()
-    curve = keyrate_curve(params, list(cfg.distances))
+    curve = keyrate_curve(cfg.rate_params(), list(cfg.distances))
     lines = ["length_km,mu_opt,rate_proposal,rate_bb84"]
-    for p in curve.points:
-        lines.append(
-            f"{_fmt(p.length_km)},{_fmt(p.mu_opt)},{_fmt(p.rate_proposal)},{_fmt(p.rate_bb84)}"
-        )
+    columns = curve.length_km, curve.mu_opt, curve.rate_proposal, curve.rate_bb84
+    # rows of Python floats, which format faster than numpy scalars
+    for row in zip(*(column.tolist() for column in columns)):
+        lines.append(",".join(map(_fmt, row)))
     _emit("\n".join(lines) + "\n", args.out)
     print(json.dumps(curve.summary(), sort_keys=True))
     return 0

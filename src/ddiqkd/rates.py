@@ -61,10 +61,8 @@ _TINY = 2.2250738585072014e-308  # smallest normal double: floors log2 so 0 log 
 __all__ = [
     "RateParams",
     "YieldTable",
-    "KeyRatePoint",
     "KeyRateCurve",
     "SecurityRegime",
-    "binary_entropy",
     "yield_table",
     "key_rate",
     "optimize_mu",
@@ -108,15 +106,8 @@ class RateParams:
             raise ValueError("e_mis must be in [0, 0.5]")
 
 
-def binary_entropy(x: float) -> float:
-    """Binary Shannon entropy h(x), with h(0) = h(1) = 0 by continuity."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("argument must be in [0, 1]")
-    return float(_entropy(np.float64(x)))
-
-
 def _entropy(x):
-    """Elementwise binary_entropy, for values in [0, 1] by construction."""
+    """Binary Shannon entropy h(x), elementwise, for x in [0, 1]; h(0) = h(1) = 0."""
     return -x * np.log2(np.maximum(x, _TINY)) - (1.0 - x) * np.log2(np.maximum(1.0 - x, _TINY))
 
 
@@ -306,19 +297,21 @@ def optimize_mu_bb84(params: RateParams, length_km):
     return _optimize(_reference_rate(params, np.atleast_1d(length_km)), np.ndim(length_km) == 0)
 
 
-@dataclass(frozen=True)
-class KeyRatePoint:
-    length_km: float
-    mu_opt: float
-    rate_proposal: float
-    rate_bb84: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeyRateCurve:
-    points: tuple[KeyRatePoint, ...]
+    """Optimized rates, one read-only array entry per channel length (the
+    columns of the ``keyrate-curve`` CSV), and each protocol's cutoff."""
+
+    length_km: np.ndarray
+    mu_opt: np.ndarray
+    rate_proposal: np.ndarray
+    rate_bb84: np.ndarray
     cutoff_proposal_km: float
     cutoff_bb84_km: float
+
+    def __post_init__(self):
+        for array in (self.length_km, self.mu_opt, self.rate_proposal, self.rate_bb84):
+            array.flags.writeable = False
 
     def summary(self) -> dict:
         return {
@@ -341,20 +334,19 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
     ``rates`` are the optimized rates at ``lengths``.  The search starts
     after the last listed length with key; if none has key but 0 km does,
     it bisects [0, lengths[0]], and if 0 km has none either it returns 0.
-    ``rate_at`` gives,
-    for an array of lengths at once, any rate with the optimized rate's
-    sign: ``keyrate_curve`` passes the best rate on _MU_GRID, which is
-    positive exactly where the optimized rate is, because every zoom grid
-    of ``_optimize`` holds the best point before it and a search never
-    ends below its grid.  The lengths the sequential search may visit are
-    evaluated ahead in batches (all extension steps, then the bisection
-    midpoints five levels deep), and the search runs on those.
+    ``rate_at`` gives, for an array of lengths at once, any rate with the
+    optimized rate's sign: ``keyrate_curve`` passes the best rate on
+    _MU_GRID, which is positive exactly where the optimized rate is,
+    because every zoom grid of ``_optimize`` holds the best point before it
+    and a search never ends below its grid.  The search runs on lengths
+    evaluated ahead in batches: all extension steps, then the bisection
+    midpoints five levels deep.
     """
     positive = [length for length, rate in zip(lengths, rates) if rate > 0.0]
     if positive:
         lo = positive[-1]
         hi = next((length for length in lengths if length > lo), None)
-    elif lengths and lengths[0] > 0.0 and rate_at(np.zeros(1))[0] > 0.0:
+    elif len(lengths) and lengths[0] > 0.0 and rate_at(np.zeros(1))[0] > 0.0:
         lo, hi = 0.0, lengths[0]  # every listed length lies past the cutoff
     else:
         return 0.0
@@ -387,12 +379,9 @@ def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
     km = np.array(lengths, dtype=float)
     mu_opt, rate = optimize_mu(params, km)
     _, rate_ref = optimize_mu_bb84(params, km)
-    # from a list: tuple() of a generator resizes, so CPython's tuple free list would grow per call
-    points = tuple([KeyRatePoint(length, float(m), float(r), float(b))
-                    for length, m, r, b in zip(lengths, mu_opt, rate, rate_ref)])
     cut_prop = _cutoff(lambda L: _grid_max(_proposal_rate(params, L)), lengths, rate)
     cut_ref = _cutoff(lambda L: _grid_max(_reference_rate(params, L)), lengths, rate_ref)
-    return KeyRateCurve(points, cut_prop, cut_ref)
+    return KeyRateCurve(km, mu_opt, rate, rate_ref, cut_prop, cut_ref)
 
 
 class SecurityRegime(Enum):

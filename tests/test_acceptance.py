@@ -174,14 +174,12 @@ def test_criterion_6_rate_curve_reproduction():
     curve = keyrate_curve(FIG_PARAMS, lengths)
     assert abs(curve.cutoff_proposal_km - 150.0) <= 10.0
     assert abs(curve.cutoff_bb84_km - 163.0) <= 10.0
-    rates = []
-    for p in curve.points:
-        if p.length_km <= 120.0:
-            assert 0.55 <= p.mu_opt <= 0.85, f"mu_opt at {p.length_km} km"
-            assert p.rate_proposal > 0.0
-        rates.append(p.rate_proposal)
+    for length, mu_opt, rate in zip(curve.length_km, curve.mu_opt, curve.rate_proposal):
+        if length <= 120.0:
+            assert 0.55 <= mu_opt <= 0.85, f"mu_opt at {length} km"
+            assert rate > 0.0
     # monotone non-increasing over the positive-rate region
-    positive = [r for r in rates if r > 0.0]
+    positive = [r for r in curve.rate_proposal if r > 0.0]
     assert all(a >= b for a, b in zip(positive, positive[1:]))
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

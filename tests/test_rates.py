@@ -16,9 +16,9 @@ from ddiqkd.rates import (
     SecurityRegime,
     YieldTable,
     _bb84_gains,
+    _entropy,
     _proposal_gains,
     bb84_reference_rate,
-    binary_entropy,
     key_rate,
     keyrate_curve,
     optimize_mu,
@@ -109,27 +109,22 @@ def _oracle_gains(protocol, eta, e, d, mu):
 
 
 class TestBinaryEntropy:
+    """rates._entropy, the h of the key rate."""
+
     def test_half_is_one(self):
-        assert binary_entropy(0.5) == 1.0
+        assert _entropy(0.5) == 1.0
 
     def test_endpoints_are_zero(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
+        assert _entropy(0.0) == 0.0
+        assert _entropy(1.0) == 0.0
 
     def test_known_value(self):
         # direct evaluation of -x log2 x - (1-x) log2 (1-x) at x = 0.11
-        assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
+        assert _entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
 
     def test_symmetry(self):
-        rng = np.random.default_rng(6)
-        for x in rng.random(1000):
-            assert abs(binary_entropy(x) - binary_entropy(1 - x)) < 1e-14
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.1)
-        with pytest.raises(ValueError):
-            binary_entropy(1.1)
+        x = np.random.default_rng(6).random(1000)
+        assert np.abs(_entropy(x) - _entropy(1 - x)).max() < 1e-14
 
 
 class TestYieldTable:
@@ -553,9 +548,11 @@ def _assert_curve_matches_searches(params, lengths):
         lambda L: optimize_mu(params, L)[1], lengths)
     assert curve.cutoff_bb84_km == _sequential_cutoff(
         lambda L: optimize_mu_bb84(params, L)[1], lengths)
-    for point, length in zip(curve.points, lengths):
-        assert (point.mu_opt, point.rate_proposal) == optimize_mu(params, length)
-        assert point.rate_bb84 == optimize_mu_bb84(params, length)[1]
+    np.testing.assert_array_equal(curve.length_km, lengths)
+    for length, mu_opt, rate, rate_bb84 in zip(lengths, curve.mu_opt, curve.rate_proposal,
+                                               curve.rate_bb84):
+        assert (mu_opt, rate) == optimize_mu(params, length)
+        assert rate_bb84 == optimize_mu_bb84(params, length)[1]
     return curve
 
 
@@ -567,6 +564,7 @@ class TestKeyrateCurve:
         [120.0, 120.0, 155.0, 155.0],           # repeated lengths
         [150.3],                                # past one cutoff: bisect [0, 150.3]
         [2000.0],                               # past both cutoffs
+        [],                                     # no lengths: both cutoffs 0
     ])
     def test_cutoffs_match_sequential_search(self, lengths):
         _assert_curve_matches_searches(FIG_PARAMS, lengths)
@@ -604,6 +602,13 @@ class TestKeyrateCurve:
         for lengths in ([0.0, 10.0], [990.0]):
             curve = keyrate_curve(lossless, lengths)
             assert curve.summary() == {"cutoff_proposal_km": 1000.0, "cutoff_bb84_km": 1000.0}
+
+    def test_columns_are_read_only(self):
+        curve = keyrate_curve(FIG_PARAMS, [0.0, 10.0])
+        for column in (curve.length_km, curve.mu_opt, curve.rate_proposal, curve.rate_bb84):
+            assert column.shape == (2,)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
 
     def test_unsorted_lengths_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
