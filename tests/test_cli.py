@@ -16,6 +16,10 @@ from ddiqkd.verify import check_flip_table
 # sha256 of the default keyrate-curve CSV and of its stdout summary line
 PINNED_CURVE_CSV = "b713048a5b852a9e06ada306551b110e1eea7a3bcda91a3bec570b20b5267343"
 PINNED_CURVE_SUMMARY = "65e2e47f8bcad249021142d78f4fa29fa2906e947bec5600272c8025e8d3e172"
+# sha256 of the stdout of verify-appendix --samples 1000 --seed 7, plain and
+# with --self-test-corrupt
+PINNED_APPENDIX = "71acdf04fae37bed6fbf3229346c467f7fd4f4911b8d21e7e270517fd34320c9"
+PINNED_APPENDIX_CORRUPT = "c0ffe26dd7a6e1e2fa76dda8595749559d91676c2ebce2e0f6c3b766d6fcf205"
 
 
 @pytest.fixture
@@ -208,6 +212,14 @@ class TestVerifyAppendixCommand:
         # the models the sign error does not touch keep passing
         assert "PASS bsm-model-equivalence" in out
         assert "PASS flip-table-correlations" in out
+
+    @pytest.mark.parametrize("flags, rc, digest", [
+        ((), 0, PINNED_APPENDIX), (("--self-test-corrupt",), 1, PINNED_APPENDIX_CORRUPT)])
+    def test_output_bytes_are_pinned(self, flags, rc, digest, capsys):
+        # the checks may be reorganized only in ways that keep every byte
+        assert main(["verify-appendix", "--samples", "1000", "--seed", "7", *flags]) == rc
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_reversed_flip_table_fails(self, monkeypatch, capsys):
         # the check must run the sift that produces the reports: swapping the

@@ -1,5 +1,7 @@
 """Tests for the pure-state / density-matrix core."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,47 @@ class TestDensityMatrix:
             with pytest.raises(ValueError, match="negative eigenvalue"):
                 DensityMatrix(stack)
 
+    @pytest.mark.parametrize("mat", [
+        np.array([[0.5, 1e200], [1e200, 0.5]]),
+        np.array([[0.5, 1e308], [1e308, 0.5]]),
+        np.array([[0.5, 1e200j], [-1e200j, 0.5]]),
+        np.eye(4) / 4 + 1e300 * (np.eye(4, k=1) + np.eye(4, k=-1)),
+    ], ids=["2x2-1e200", "2x2-1e308", "2x2-imag-1e200", "4x4-1e300"])
+    def test_huge_off_diagonals_rejected_without_overflow_warning(self, mat):
+        # Hermitian and unit-trace, but with eigenvalues far below zero; the
+        # positivity test must reject them without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(mat)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("k", [-10, -1.5, -0.5, 0])
+    def test_positivity_agrees_with_cholesky(self, d, k):
+        # Haar-rotated spectra with smallest eigenvalue k * NORM_TOL (d = 1
+        # admits only the spectrum (1,)); np.linalg.cholesky of
+        # mat + NORM_TOL * I is the oracle, matrix by matrix and for the stack
+        rng = np.random.default_rng(100 * d + int(10 * k))
+        n = 64
+        rest = rng.dirichlet(np.ones(d - 1), size=n) if d > 1 else np.zeros((n, 0))
+        lam = np.concatenate([np.full((n, 1), k * NORM_TOL), (1 - k * NORM_TOL) * rest], axis=1)
+        if d == 1:
+            lam[:] = 1.0
+        u = random_unitary(d, rng, (n,))
+        stack = (u * lam[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+        stack[..., np.arange(d), np.arange(d)] += (1 - np.trace(stack, axis1=-2, axis2=-1))[:, None] / d
+        oracle = [_cholesky_accepts(m) for m in stack]
+        assert [_accepts(m) for m in stack] == oracle
+        assert _accepts(stack) == all(oracle)
+        assert all(oracle) == (k > -1 or d == 1)
+
+    def test_positivity_of_empty_and_one_by_one_stacks(self):
+        for mat in (np.zeros((0, 4, 4)), np.ones((1, 1)), np.ones((3, 1, 1)), np.ones((1, 1, 1))):
+            assert _cholesky_accepts(mat)
+            DensityMatrix(mat)
+        assert DensityMatrix(np.zeros((0, 4, 4))).mat.shape == (0, 4, 4)
+
     def test_haar_projectors_accepted(self):
         amps = haar_amplitudes(4, np.random.default_rng(7), (10_000,))
         rho = DensityMatrix(projector(amps))
@@ -118,6 +161,24 @@ class TestDensityMatrix:
         rho = DensityMatrix(projector([[SQ2, SQ2], [1.0, 0.0]]))
         np.testing.assert_allclose(rho.mat[0], 0.5 * np.ones((2, 2)), atol=1e-15)
         np.testing.assert_allclose(rho.eigenvalues(), [[0.0, 1.0], [0.0, 1.0]], atol=1e-15)
+
+
+def _accepts(mat) -> bool:
+    try:
+        DensityMatrix(mat)
+    except ValueError as exc:
+        assert str(exc) == "density matrix has a negative eigenvalue"
+        return False
+    return True
+
+
+def _cholesky_accepts(mat) -> bool:
+    """The oracle: mat + NORM_TOL * I has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(mat + NORM_TOL * np.eye(mat.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _partial_trace_oracle(rho4: np.ndarray, keep: int) -> np.ndarray:
