@@ -49,30 +49,32 @@ def ideal_bsm_distribution(state: PureState) -> np.ndarray:
     return np.abs(coeffs) ** 2
 
 
+# The optical network as a unitary, input modes (H,inp1), (H,inp2), (V,inp1),
+# (V,inp2) -> detector modes D1..D4, written out rather than multiplied from
+# its elements, so nothing is built at import or per call.  The recombining PBS
+# sends (H,inp1) and (V,inp2) into arm 1, (H,inp2) and (V,inp1) into arm 2;
+# the rotator in each arm takes H -> +45 and V -> -45; the final PBS of
+# arm 1 sends H to D1 and V to D2, that of arm 2 sends H to D3 and V to D4.
+_NETWORK = np.array(
+    [
+        [SQ2, 0.0, 0.0, SQ2],    # D1: ((H,inp1) + (V,inp2))/sqrt2
+        [SQ2, 0.0, 0.0, -SQ2],   # D2: ((H,inp1) - (V,inp2))/sqrt2
+        [0.0, SQ2, SQ2, 0.0],    # D3: ((H,inp2) + (V,inp1))/sqrt2
+        [0.0, SQ2, -SQ2, 0.0],   # D4: ((H,inp2) - (V,inp1))/sqrt2
+    ],
+    dtype=complex,
+)
+_NETWORK.flags.writeable = False
+
+
 def mode_network_matrix() -> np.ndarray:
     """4x4 unitary of the optical network, input modes -> detector modes.
 
     Mode order on input follows the state convention (H,inp1), (H,inp2),
-    (V,inp1), (V,inp2); the output rows are D1..D4.
+    (V,inp1), (V,inp2); the output rows are D1..D4.  A writable copy of
+    the module's read-only table, which the click distribution reads.
     """
-    # recombining PBS: arm1 collects H from port 1 and V from port 2,
-    # arm2 collects H from port 2 and V from port 1
-    pbs = np.array(
-        [
-            [1, 0, 0, 0],  # H at arm1 <- (H,inp1)
-            [0, 0, 0, 1],  # V at arm1 <- (V,inp2)
-            [0, 1, 0, 0],  # H at arm2 <- (H,inp2)
-            [0, 0, 1, 0],  # V at arm2 <- (V,inp1)
-        ],
-        dtype=complex,
-    )
-    # rotator R in each arm: H -> +45, V -> -45
-    had = SQ2 * np.array([[1, 1], [1, -1]], dtype=complex)
-    rotators = np.block(
-        [[had, np.zeros((2, 2))], [np.zeros((2, 2)), had]]
-    )
-    # final PBS per arm: (H,arm1)->D1, (V,arm1)->D2, (H,arm2)->D3, (V,arm2)->D4
-    return rotators @ pbs
+    return _NETWORK.copy()
 
 
 def mode_network_distribution(state: PureState) -> np.ndarray:
@@ -82,7 +84,7 @@ def mode_network_distribution(state: PureState) -> np.ndarray:
     """
     if state.dim != 4:
         raise ValueError("expected a two-factor (pol, path) state")
-    return np.abs(state.amps @ mode_network_matrix().T) ** 2
+    return np.abs(state.amps @ _NETWORK.T) ** 2
 
 
 def click_table(e_mis: float = 0.0, visibility: float = 1.0) -> np.ndarray:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, reduce_density
+from .qstate import DensityMatrix, PureState
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -193,10 +193,14 @@ class VirtualSource:
 
 
 def rho_alice(source: VirtualSource) -> DensityMatrix:
-    """Reduced state of Alice's virtual register (4x4, rank two)."""
-    joint = source.joint_amplitudes().reshape(-1)
-    rho = np.outer(joint, joint.conj())
-    return DensityMatrix(reduce_density(rho, (4, 2), (0,)))
+    """Reduced state of Alice's virtual register (4x4, rank two).
+
+    Tracing |Psi><Psi| over the polarization leaves entry [i, j] =
+    sum_q Psi[i, q] conj(Psi[j, q]), summed as a broadcast product rather
+    than a matmul: the same bits as the partial trace of the outer product.
+    """
+    joint = source.joint_amplitudes()
+    return DensityMatrix((joint[:, None, :] * joint.conj()[None, :, :]).sum(axis=-1))
 
 
 def rho_bob(

@@ -65,12 +65,12 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrices, shape (..., d, d).
 
     Every matrix of a stack is validated.  Positivity means a smallest
-    eigenvalue above -NORM_TOL, tested by one stacked Cholesky
-    factorization of mat + NORM_TOL * I, which exists exactly when that
-    shifted matrix is positive definite.  A smallest eigenvalue of
-    -NORM_TOL / 2 is accepted, one of -1.5 * NORM_TOL rejected; only within
-    rounding of -NORM_TOL itself can the factorization and an exact
-    spectrum disagree.
+    eigenvalue above -NORM_TOL, tested by a Cholesky elimination of
+    mat + NORM_TOL * I run on the whole stack at once (``_positive_definite``),
+    which succeeds exactly when that shifted matrix is positive definite.
+    A smallest eigenvalue of -NORM_TOL / 2 is accepted, one of
+    -1.5 * NORM_TOL rejected; only within rounding of -NORM_TOL itself can
+    the elimination and an exact spectrum disagree.
     """
 
     mat: np.ndarray
@@ -85,10 +85,8 @@ class DensityMatrix:
         trace = np.trace(mat, axis1=-2, axis2=-1)
         if not ((np.abs(trace.real - 1.0) <= NORM_TOL) & (np.abs(trace.imag) <= NORM_TOL)).all():
             raise ValueError("density matrix trace is not 1")
-        try:
-            np.linalg.cholesky(mat + NORM_TOL * np.eye(mat.shape[-1]))
-        except np.linalg.LinAlgError:
-            raise ValueError("density matrix has a negative eigenvalue") from None
+        if not _positive_definite(mat):
+            raise ValueError("density matrix has a negative eigenvalue")
 
     @property
     def dim(self) -> int:
@@ -97,6 +95,34 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Real spectra in ascending order, shape (..., d)."""
         return np.linalg.eigvalsh(self.mat)
+
+
+def _positive_definite(mat: np.ndarray) -> bool:
+    """Whether mat + NORM_TOL * I is positive definite, for every matrix of a Hermitian stack.
+
+    The rule of LAPACK's Cholesky factorization, applied to the whole stack
+    at once rather than one call per matrix: w[i][j] (j <= i) is the vector,
+    over the stack, of one lower-triangle entry.  Step k needs every pivot
+    w[k][k] > 0 (NaN fails), then subtracts (w[i][k] / pivot) * conj(w[j][k])
+    from each w[i][j] with i >= j > k.  Only the real part of the diagonal
+    is kept, as the factorization reads no other.  A positive definite
+    matrix of unit trace cannot overflow here; one with huge off-diagonals
+    can, and then a later pivot is -inf or NaN, which rejects it.
+    """
+    d = mat.shape[-1]
+    w = [[mat[..., i, j] for j in range(i)] + [mat[..., i, i].real + NORM_TOL] for i in range(d)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(d):
+            pivot = w[k][k]
+            if not (pivot > 0).all():  # NaN fails
+                return False
+            conj = {j: w[j][k].conj() for j in range(k + 1, d)}
+            for i in range(k + 1, d):
+                scaled = w[i][k] / pivot
+                for j in range(k + 1, i):
+                    w[i][j] = w[i][j] - scaled * conj[j]
+                w[i][i] = w[i][i] - (scaled * conj[i]).real
+    return True
 
 
 def reduce_density(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

@@ -38,33 +38,39 @@ def _haar_qubits(n: int, rng) -> DensityMatrix:
     return DensityMatrix(amps[:, :, None] * amps[:, None, :].conj())
 
 
-def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool = False) -> CheckResult:
+def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool = False,
+                               sender: DensityMatrix | None = None) -> CheckResult:
     """rho_B equals rho_A for Haar-random inputs, and is input-independent.
 
     The deviation is the largest trace distance of any sample to rho_A or to
     sample 0, from ``max_trace_distance``: it diagonalizes only the
-    differences whose Frobenius norm lets them reach the maximum.
+    differences whose Frobenius norm lets them reach the maximum.  sender
+    is rho_alice of the uniform source, built here when not given.
     """
     source = VirtualSource()
+    sender = rho_alice(source) if sender is None else sender
     rho = rho_bob(_haar_qubits(n_samples, rng), source, _corrupt_path_c_sign=corrupt)
     # every sample against the sender state and against the first sample
-    refs = DensityMatrix(np.stack([rho_alice(source).mat, rho.mat[0]])[:, None])
+    refs = DensityMatrix(np.stack([sender.mat, rho.mat[0]])[:, None])
     worst = max_trace_distance(rho, refs)
     return CheckResult("receiver-state-fixed", worst < 1e-12, worst, 1e-12,
                        f"{n_samples} Haar-random inputs vs sender state and each other")
 
 
-def check_basis_independence(n_samples: int, rng, corrupt: bool = False) -> CheckResult:
+def check_basis_independence(n_samples: int, rng, corrupt: bool = False,
+                             sender: DensityMatrix | None = None) -> CheckResult:
     """In any register basis U, rho_B is the sender state U rho_A U^dagger.
 
     The deviation is the largest entrywise difference over the computational
     basis and n_samples Haar-random ones, each with its own Haar-random input.
+    sender is rho_alice of the uniform source, built here when not given.
     """
     source = VirtualSource()
+    sender = rho_alice(source) if sender is None else sender
     bases = np.concatenate([np.eye(4)[None], random_unitary(4, rng, (n_samples,))])
     rho = rho_bob(_haar_qubits(n_samples + 1, rng), source, register_basis=bases,
                   _corrupt_path_c_sign=corrupt)
-    expected = bases @ rho_alice(source).mat @ bases.conj().swapaxes(-1, -2)
+    expected = bases @ sender.mat @ bases.conj().swapaxes(-1, -2)
     worst = float(np.max(np.abs(rho.mat - expected)))
     return CheckResult("register-basis-independence", worst < 1e-12, worst, 1e-12,
                        f"identity + {n_samples} random register bases vs rotated sender state")
@@ -109,9 +115,10 @@ def appendix_checks(n_samples: int = 1000, seed: int = 7,
                     corrupt_path_c_sign: bool = False) -> list[CheckResult]:
     """Run the full consistency suite with a deterministic stream."""
     rng = np.random.default_rng(seed)
+    sender = rho_alice(VirtualSource())
     return [
-        check_receiver_state_fixed(n_samples, rng, corrupt_path_c_sign),
-        check_basis_independence(max(n_samples // 10, 10), rng, corrupt_path_c_sign),
+        check_receiver_state_fixed(n_samples, rng, corrupt_path_c_sign, sender),
+        check_basis_independence(max(n_samples // 10, 10), rng, corrupt_path_c_sign, sender),
         check_bsm_equivalence(n_samples, rng),
         check_flip_table(),
     ]

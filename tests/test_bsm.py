@@ -58,6 +58,20 @@ class TestModeNetwork:
         m = mode_network_matrix()
         np.testing.assert_allclose(m @ m.conj().T, np.eye(4), atol=1e-14)
 
+    def test_table_is_the_optical_layout(self):
+        # recombining PBS (rows (H,arm1), (V,arm1), (H,arm2), (V,arm2)), then
+        # the H -> +45, V -> -45 rotator in each arm; the final PBS per arm
+        # maps (H,arm1), (V,arm1), (H,arm2), (V,arm2) to D1..D4
+        pbs = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex)
+        had = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+        rotators = np.kron(np.eye(2), had)
+        assert mode_network_matrix().tobytes() == (rotators @ pbs).tobytes()
+
+    def test_matrix_is_a_writable_copy(self):
+        m = mode_network_matrix()
+        m[0, 0] = 0.0
+        assert mode_network_matrix()[0, 0] == 1.0 / np.sqrt(2.0)
+
     def test_matches_projector_model_on_settings(self):
         for alice in ALICE_SETTINGS:
             for path in PATHS:

@@ -199,6 +199,13 @@ class TestReceiverState:
             eigs = rho_alice(VirtualSource(probs)).eigenvalues()
             assert np.sum(eigs > 1e-12) == 2
 
+    @pytest.mark.parametrize("probs", [(0.25,) * 4, (0.1, 0.2, 0.3, 0.4), (0.7, 0.1, 0.1, 0.1)])
+    def test_sender_state_is_the_partial_trace_bit_for_bit(self, probs):
+        # the register marginal of |Psi><Psi|, exactly as reduce_density gives it
+        joint = VirtualSource(probs).joint_amplitudes().reshape(-1)
+        traced = reduce_density(np.outer(joint, joint.conj()), (4, 2), (0,))
+        assert rho_alice(VirtualSource(probs)).mat.tobytes() == traced.tobytes()
+
     def test_mixed_input(self):
         source = VirtualSource()
         mixed = DensityMatrix(np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex))
