@@ -150,7 +150,6 @@ class TestDensityMatrix:
         for mat in (np.zeros((0, 4, 4)), np.ones((1, 1)), np.ones((3, 1, 1)), np.ones((1, 1, 1))):
             assert _cholesky_accepts(mat)
             DensityMatrix(mat)
-        assert DensityMatrix(np.zeros((0, 4, 4))).mat.shape == (0, 4, 4)
 
     def test_haar_projectors_accepted(self):
         amps = haar_amplitudes(4, np.random.default_rng(7), (10_000,))
