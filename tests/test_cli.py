@@ -16,6 +16,13 @@ from ddiqkd.verify import check_flip_table
 # sha256 of the default keyrate-curve CSV and of its stdout summary line
 PINNED_CURVE_CSV = "b713048a5b852a9e06ada306551b110e1eea7a3bcda91a3bec570b20b5267343"
 PINNED_CURVE_SUMMARY = "65e2e47f8bcad249021142d78f4fa29fa2906e947bec5600272c8025e8d3e172"
+# (CSV, summary line) sha256 of three other curves; see test_other_curve_bytes_are_pinned
+PINNED_EXTENDED_CURVE = ("23788f50d940185cdd3ea3ee2e00bbab4a8a115d0c95e233154006d170b027bd",
+                         "7bb9a3cec7281f1bd51277e85edbdf6245e863a3929ee2f5784ccbc9d6695c8b")
+PINNED_FAR_CURVE = ("a7bb029d16a3aaf9482748fd374048bde0ff1df2bbe65e51fff84f3a9b625846",
+                    "263ab94d0a5d14d95d0099c8537304f639436033644fa10674e12beed743cbca")
+PINNED_EDGE_CURVE = ("57ee8533740c6a7a7f5ef7ea2636b0d313195946a9d775ccc4f49e66bc953c21",
+                     "5f3ed93a7483d8bc4b3ae1ffea6bf56ed1865304a5c7b63f0164aba8f6d86107")
 # sha256 of the stdout of verify-appendix --samples 1000 --seed 7, plain and
 # with --self-test-corrupt
 PINNED_APPENDIX = "71acdf04fae37bed6fbf3229346c467f7fd4f4911b8d21e7e270517fd34320c9"
@@ -299,6 +306,26 @@ class TestKeyrateCurveCommand:
         assert summary == '{"cutoff_bb84_km": 165.3125, "cutoff_proposal_km": 150.3125}\n'
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CURVE_CSV
         assert hashlib.sha256(summary.encode()).hexdigest() == PINNED_CURVE_SUMMARY
+
+    @pytest.mark.parametrize("argv, config, digests", [
+        # both cutoffs lie past the last length: found by extension
+        (["--distances", "0,50,100"], None, PINNED_EXTENDED_CURVE),
+        # every length lies past both cutoffs: bisected in [0, 2000]
+        (["--distances", "2000"], None, PINNED_FAR_CURVE),
+        # tests/test_rates.py's EDGE_PARAMS (p_dark is halved per detector):
+        # the optimum lies on the low-mu edge
+        ([], "p_dark = 1.2e-7\ne_mis = 0.097\n", PINNED_EDGE_CURVE),
+    ], ids=["extension", "past-both-cutoffs", "low-mu-edge"])
+    def test_other_curve_bytes_are_pinned(self, argv, config, digests, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        if config is not None:
+            cfg = tmp_path / "curve.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert main(["keyrate-curve", *argv, "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256(summary.encode()).hexdigest()) == digests
 
     def test_single_distance_row(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
