@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -209,6 +210,63 @@ def yield_table(params: RateParams, length_km) -> YieldTable:
                       p_dark=params.p_dark)
 
 
+def _rate_of_mu(terms, params: RateParams):
+    """The key rate as a function of mu: a protocol's gains, then
+    _secret_rate, the clamp at zero and the detector count.  Every rate,
+    search and cutoff batch evaluates this one composition.
+
+    ``terms`` is (gains of mu, Y0, Y1, 1 - h(e1), detectors), one column
+    per channel length; only the gains depend on mu.
+    """
+    gains, y0, y1, k1, detectors = terms
+
+    def rate(mu):
+        gain, err_gain = gains(mu)
+        return detectors * np.maximum(_secret_rate(y0, y1, k1, gain, err_gain, mu, params), 0.0)
+
+    return rate
+
+
+def _proposal_terms(yields: YieldTable):
+    """The proposal's terms for _rate_of_mu: four identical detectors."""
+    gains = partial(_proposal_gains, yields.eta, yields.e_mis, yields.p_dark)
+    return gains, yields.y0[0], yields.y1[0], yields.k1[0], 4.0
+
+
+def _reference_terms(params: RateParams, length_km):
+    """The two-detector reference's terms for _rate_of_mu.  Its gains
+    already count both detectors, so its detector count is 1."""
+    e, d, eta = params.e_mis, params.p_dark, _eta(params, length_km)
+    dark = d * (2.0 - d)  # Y_0: either detector dark-fires
+    y1 = eta + (1.0 - eta) * dark
+    e1y1 = (eta * (2.0 * e + d * (1.0 - 2.0 * e)) + (1.0 - eta) * dark) / 2.0
+    return partial(_bb84_gains, eta, e, d), dark, y1, 1.0 - _entropy(_ratio(e1y1, y1, 0.5)), 1.0
+
+
+def _side_by_side(left, right):
+    """Terms for _rate_of_mu whose columns are ``left``'s, then ``right``'s
+    (one 1-D array of lengths each).
+
+    mu has one column per length of either protocol, or one column that
+    all share (_MU_GRID), and each protocol's gains read their own block of
+    it.  A block is a strided view, but the gains take -(mu * eta), a fresh
+    array, before any exp or expm1, so every column rounds as it does in a
+    search of its own.
+    """
+    (left_gains, *left_columns), (right_gains, *right_columns) = left, right
+    n = len(left_columns[1])  # Y1 has one entry per length
+    width = n + len(right_columns[1])
+
+    def gains(mu):
+        # the coarse grid is one column of mu, shared by every length
+        left_mu, right_mu = (mu, mu) if mu.shape[1] == 1 else (mu[:, :n], mu[:, n:])
+        pairs = zip(left_gains(left_mu), right_gains(right_mu))
+        return [np.concatenate(pair, axis=1) for pair in pairs]
+
+    return gains, *(np.concatenate((np.full(n, a), np.full(width - n, b)))
+                    for a, b in zip(left_columns, right_columns))
+
+
 def key_rate(yields: YieldTable, params: RateParams, mu):
     """Lower bound on secret bits per pulse, summed over detectors.
 
@@ -216,54 +274,51 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
     yield table; vacuum errors are already folded into the error yields.
     mu may be an array broadcasting against ``yields.eta``.
     """
-    gain, err_gain = _proposal_gains(yields.eta, yields.e_mis, yields.p_dark, mu)
-    rate = _secret_rate(yields.y0[0], yields.y1[0], yields.k1[0], gain, err_gain, mu, params)
-    return 4.0 * np.maximum(rate, 0.0)  # four identical detectors
+    return _rate_of_mu(_proposal_terms(yields), params)(mu)
 
 
 def _optimize(rate_of_mu, scalar: bool):
     """The best point of _MU_GRID, refined on nested grids around it.
 
-    ``rate_of_mu`` takes one intensity per channel length along the last
-    axis.  Each zoom lays len(_MU_GRID) points across the two intervals
-    beside each length's best point, clipped to MU_SEARCH_RANGE, until the
-    spacing is below _MU_TOL: five rate evaluations in all.  A zoom grid
-    holds its centre exactly, and where the final rate is still lower
-    than the best rate on _MU_GRID, that grid point is the optimum.  So a
-    search never ends below its grid, and the optimized rate is positive
-    exactly where the grid maximum is.
+    ``rate_of_mu`` takes one intensity per column along the last axis: a
+    channel length, or in keyrate_curve's joint search one length of one
+    protocol.  Each zoom lays len(_MU_GRID) points across the two
+    intervals beside each column's best point, clipped to MU_SEARCH_RANGE,
+    until the spacing is below _MU_TOL: four rate evaluations in all, the
+    grid and three zooms, and the optimum's rate is read off the last zoom
+    grid.  A zoom grid holds its centre exactly, and where the final rate
+    is still lower than the best rate on _MU_GRID, that grid point and its
+    rate are the optimum.  So a search never ends below its grid, and the
+    optimized rate is positive exactly where the grid maximum is.
     Returns (mu_opt, rate) arrays, or floats if ``scalar``.
     """
     vals = rate_of_mu(_MU_GRID[:, None])
+    columns = np.arange(vals.shape[1])
     best = np.argmax(vals, axis=0)
-    mu, spacing = _MU_GRID[best], _MU_GRID[1] - _MU_GRID[0]
+    grid_best = vals[best, columns]
+    mu, rate, spacing = _MU_GRID[best], grid_best, _MU_GRID[1] - _MU_GRID[0]
     while spacing >= _MU_TOL:
         grid = np.clip(mu + spacing * _ZOOM, *MU_SEARCH_RANGE)
-        mu = np.take_along_axis(grid, np.argmax(rate_of_mu(grid), axis=0)[None], axis=0)[0]
+        vals = rate_of_mu(grid)
+        top = np.argmax(vals, axis=0)
+        mu, rate = grid[top, columns], vals[top, columns]
         spacing *= _ZOOM[1, 0] - _ZOOM[0, 0]
-    rate, grid_best = rate_of_mu(mu), vals.max(axis=0)
-    if (below := rate < grid_best).any():
-        mu = np.where(below, _MU_GRID[best], mu)
-        rate = rate_of_mu(mu)
+    below = rate < grid_best
+    mu, rate = np.where(below, _MU_GRID[best], mu), np.where(below, grid_best, rate)
     none = grid_best <= 0.0
     mu, rate = np.where(none, _MU_GRID[0], mu), np.where(none, 0.0, rate)
     return (float(mu[0]), float(rate[0])) if scalar else (mu, rate)
 
 
-def _grid_max(rate_of_mu):
+def _grid_max(terms, params: RateParams):
     """The best rate on _MU_GRID at each length: its sign is the optimized rate's."""
-    return rate_of_mu(_MU_GRID[:, None]).max(axis=0)
-
-
-def _proposal_rate(params: RateParams, length_km):
-    """The proposal's key rate as a function of mu, one mu per length."""
-    yields = yield_table(params, length_km)
-    return lambda mu: key_rate(yields, params, mu)
+    return _rate_of_mu(terms, params)(_MU_GRID[:, None]).max(axis=0)
 
 
 def optimize_mu(params: RateParams, length_km):
     """(mu_opt, rate) maximizing the key rate at a distance or array of them."""
-    return _optimize(_proposal_rate(params, np.atleast_1d(length_km)), np.ndim(length_km) == 0)
+    terms = _proposal_terms(yield_table(params, np.atleast_1d(length_km)))
+    return _optimize(_rate_of_mu(terms, params), np.ndim(length_km) == 0)
 
 
 def bb84_reference_rate(params: RateParams, length_km, mu):
@@ -271,30 +326,13 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
     length_km and mu may be arrays that broadcast against each other.
     """
-    return _reference_rate(params, length_km)(mu)
-
-
-def _bb84_rate(single, params: RateParams, mu):
-    """bb84_reference_rate from the receiver's (eta, Y0, Y1, 1 - h(e1))."""
-    eta, y0, y1, k1 = single
-    gain, err_gain = _bb84_gains(eta, params.e_mis, params.p_dark, mu)
-    return np.maximum(_secret_rate(y0, y1, k1, gain, err_gain, mu, params), 0.0)
-
-
-def _reference_rate(params: RateParams, length_km):
-    """The two-detector reference's key rate as a function of mu, one mu per length;
-    its eta, Y0, Y1 and 1 - h(e1) do not depend on mu and are computed once."""
-    e, d, eta = params.e_mis, params.p_dark, _eta(params, length_km)
-    dark = d * (2.0 - d)  # Y_0: either detector dark-fires
-    y1 = eta + (1.0 - eta) * dark
-    e1y1 = (eta * (2.0 * e + d * (1.0 - 2.0 * e)) + (1.0 - eta) * dark) / 2.0
-    single = eta, dark, y1, 1.0 - _entropy(_ratio(e1y1, y1, 0.5))
-    return lambda mu: _bb84_rate(single, params, mu)
+    return _rate_of_mu(_reference_terms(params, length_km), params)(mu)
 
 
 def optimize_mu_bb84(params: RateParams, length_km):
     """(mu_opt, rate) for the two-detector reference at a distance or array of them."""
-    return _optimize(_reference_rate(params, np.atleast_1d(length_km)), np.ndim(length_km) == 0)
+    terms = _reference_terms(params, np.atleast_1d(length_km))
+    return _optimize(_rate_of_mu(terms, params), np.ndim(length_km) == 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,16 +369,17 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
 def _cutoff(rate_at, lengths: list[float], rates) -> float:
     """Largest length with positive optimized rate, bisected to +-0.5 km.
 
-    ``rates`` are the optimized rates at ``lengths``.  The search starts
+    One protocol's cutoff: ``rates`` are its optimized rates at
+    ``lengths``, from ``keyrate_curve``'s joint search.  The search starts
     after the last listed length with key; if none has key but 0 km does,
     it bisects [0, lengths[0]], and if 0 km has none either it returns 0.
     ``rate_at`` gives, for an array of lengths at once, any rate with the
-    optimized rate's sign: ``keyrate_curve`` passes the best rate on
-    _MU_GRID, which is positive exactly where the optimized rate is,
-    because every zoom grid of ``_optimize`` holds the best point before it
-    and a search never ends below its grid.  The search runs on lengths
-    evaluated ahead in batches: all extension steps, then the bisection
-    midpoints five levels deep.
+    optimized rate's sign: ``keyrate_curve`` passes the protocol's best
+    rate on _MU_GRID, which is positive exactly where the optimized rate
+    is, because every zoom grid of ``_optimize`` holds the best point
+    before it and a search never ends below its grid.  The search runs on
+    lengths evaluated ahead in batches, one rate evaluation each: all
+    extension steps, then the bisection midpoints five levels deep.
     """
     positive = [length for length, rate in zip(lengths, rates) if rate > 0.0]
     if positive:
@@ -373,15 +412,23 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
 
 
 def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
-    """Optimized rates for both protocols over a sorted list of distances."""
+    """Optimized rates for both protocols over a sorted list of distances.
+
+    One _optimize searches both protocols at once, on side-by-side columns
+    [proposal at each length | reference at each length]: four rate
+    evaluations in all, and each column bit for bit what optimize_mu or
+    optimize_mu_bb84 gives at its length.  Each protocol's _cutoff then
+    evaluates its own grid maxima, one batch of lengths at a time.
+    """
     if sorted(lengths) != list(lengths):
         raise ValueError("lengths must be sorted ascending")
-    km = np.array(lengths, dtype=float)
-    mu_opt, rate = optimize_mu(params, km)
-    _, rate_ref = optimize_mu_bb84(params, km)
-    cut_prop = _cutoff(lambda L: _grid_max(_proposal_rate(params, L)), lengths, rate)
-    cut_ref = _cutoff(lambda L: _grid_max(_reference_rate(params, L)), lengths, rate_ref)
-    return KeyRateCurve(km, mu_opt, rate, rate_ref, cut_prop, cut_ref)
+    km, n = np.array(lengths, dtype=float), len(lengths)
+    joint = _side_by_side(_proposal_terms(yield_table(params, km)), _reference_terms(params, km))
+    mu, rate = _optimize(_rate_of_mu(joint, params), False)
+    cut_prop = _cutoff(lambda L: _grid_max(_proposal_terms(yield_table(params, L)), params),
+                       lengths, rate[:n])
+    cut_ref = _cutoff(lambda L: _grid_max(_reference_terms(params, L), params), lengths, rate[n:])
+    return KeyRateCurve(km, mu[:n], rate[:n], rate[n:], cut_prop, cut_ref)
 
 
 class SecurityRegime(Enum):

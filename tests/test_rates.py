@@ -396,6 +396,15 @@ def _scan_max(rate_at, params, length):
     return mus[k], vals[k]
 
 
+def _count_rate_evaluations(monkeypatch):
+    """The mu of every _secret_rate call from now on: one per rate evaluation."""
+    mus = []
+    secret_rate = rates._secret_rate
+    monkeypatch.setattr(rates, "_secret_rate",
+                        lambda *args: mus.append(args[5]) or secret_rate(*args))
+    return mus
+
+
 class TestOptimizeMu:
     def test_optimum_near_reference_intensity(self):
         mu_opt, rate = optimize_mu(FIG_PARAMS, 50.0)
@@ -443,16 +452,13 @@ class TestOptimizeMu:
         assert abs(mu_opt - mu_best) <= rates._MU_TOL / 2
         assert rate == pytest.approx(best, rel=1e-8)
 
-    @pytest.mark.parametrize("optimize, name", [(optimize_mu, "key_rate"),
-                                                (optimize_mu_bb84, "_bb84_rate")])
-    def test_five_rate_evaluations_per_search(self, optimize, name, monkeypatch):
-        # the grid, three zooms and the optimum's rate; EDGE_PARAMS peaks on the
-        # low edge, so every zoom grid is clipped there
-        mus = []
-        rate_fn = getattr(rates, name)
-        monkeypatch.setattr(rates, name, lambda *args: mus.append(args[-1]) or rate_fn(*args))
+    @pytest.mark.parametrize("optimize", [optimize_mu, optimize_mu_bb84])
+    def test_four_rate_evaluations_per_search(self, optimize, monkeypatch):
+        # the grid and three zooms; the optimum's rate is read off the last zoom
+        # grid.  EDGE_PARAMS peaks on the low edge, so every zoom grid is clipped there
+        mus = _count_rate_evaluations(monkeypatch)
         optimize(EDGE_PARAMS, np.array([0.0, 10.0, 30.0]))
-        assert len(mus) <= 5
+        assert len(mus) == 4
         lo, hi = rates.MU_SEARCH_RANGE
         for mu in mus:
             assert ((lo <= mu) & (mu <= hi)).all()
@@ -541,6 +547,28 @@ def _sequential_cutoff(rate_at, lengths):
 DEFAULT_LENGTHS = [float(x) for x in range(0, 181, 10)]
 
 
+def _seeded_points(count, seed=23):
+    """Seeded (alpha_db_per_km, e_mis, p_dark) points: e_mis = 0.5 u^3 and
+    p_dark log-uniform in [1e-9, 1e-2], so that most of them have key."""
+    rng = np.random.default_rng(seed)
+    return [RateParams(alpha_db_per_km=float(rng.uniform(0.0, 1.0)),
+                       e_mis=float(0.5 * rng.uniform() ** 3),
+                       p_dark=float(10.0 ** rng.uniform(-9.0, -2.0)))
+            for _ in range(count)]
+
+
+# keyrate_curve's joint search against optimize_mu and optimize_mu_bb84
+JOINT_SEARCH_POINTS = [
+    FIG_PARAMS,
+    EDGE_PARAMS,
+    RateParams(alpha_db_per_km=0.0, e_mis=0.5, p_dark=0.0),
+    RateParams(e_mis=0.5),
+    RateParams(p_dark=1.0 - 1e-9),
+    RateParams(alpha_db_per_km=0.05, e_mis=0.0, p_dark=0.999),
+    *_seeded_points(10),
+]
+
+
 def _assert_curve_matches_searches(params, lengths):
     """keyrate_curve agrees with optimize_mu and the one-length-at-a-time cutoffs."""
     curve = keyrate_curve(params, lengths)
@@ -579,8 +607,8 @@ class TestKeyrateCurve:
         assert curve.summary() == {"cutoff_proposal_km": 150.3125, "cutoff_bb84_km": 165.3125}
 
     def test_cutoffs_run_no_optimization(self, monkeypatch):
-        # one search per protocol, for the listed lengths; the cutoff batches
-        # read only the sign of the mu grid
+        # one search for both protocols, for the listed lengths; the cutoff
+        # batches read only the sign of the mu grid
         calls = []
         optimize = rates._optimize
         monkeypatch.setattr(rates, "_optimize", lambda *args: calls.append(args) or optimize(*args))
@@ -588,7 +616,25 @@ class TestKeyrateCurve:
                                 (RateParams(alpha_db_per_km=0.0), [0.0, 10.0])):
             calls.clear()
             keyrate_curve(params, lengths)
-            assert len(calls) == 2
+            assert len(calls) == 1
+
+    def test_default_curve_makes_six_rate_evaluations(self, monkeypatch):
+        # the joint search's grid and three zooms, then one batch per cutoff,
+        # each bisecting between two listed lengths
+        mus = _count_rate_evaluations(monkeypatch)
+        keyrate_curve(FIG_PARAMS, DEFAULT_LENGTHS)
+        assert len(mus) == 6
+
+    @pytest.mark.parametrize("params", JOINT_SEARCH_POINTS,
+                             ids=[f"point{k}" for k in range(len(JOINT_SEARCH_POINTS))])
+    def test_joint_search_matches_single_protocol_searches(self, params):
+        # bit for bit, the sign of zero included, so the CSV bytes cannot move
+        curve = keyrate_curve(params, DEFAULT_LENGTHS)
+        km = np.array(DEFAULT_LENGTHS)
+        mu_opt, rate = optimize_mu(params, km)
+        assert curve.mu_opt.tobytes() == mu_opt.tobytes()
+        assert curve.rate_proposal.tobytes() == rate.tobytes()
+        assert curve.rate_bb84.tobytes() == optimize_mu_bb84(params, km)[1].tobytes()
 
     @pytest.mark.parametrize("lengths", [[150.3], [2000.0], [155.0, 400.0]])
     def test_cutoff_when_listed_lengths_start_past_it(self, lengths):
