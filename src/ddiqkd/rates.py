@@ -258,7 +258,6 @@ def _side_by_side(left, right):
     width = n + len(right_columns[1])
 
     def gains(mu):
-        # the coarse grid is one column of mu, shared by every length
         left_mu, right_mu = (mu, mu) if mu.shape[1] == 1 else (mu[:, :n], mu[:, n:])
         pairs = zip(left_gains(left_mu), right_gains(right_mu))
         return [np.concatenate(pair, axis=1) for pair in pairs]
