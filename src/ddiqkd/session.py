@@ -26,11 +26,11 @@ unregistered photons, so n_sent = N_1 + ... + N_4 + U.  Dark counts OR in
 as independent Bernoulli(p_dark) bits.  A lone click on d needs the other
 three detectors silent, (1 - p_dark)^3 exp(-x (1 - T[c, d])), and d to
 fire; splitting N_d and U at 0, 1 and >= 2 photons gives its class.  The
-mean over the 16 codes, weighted by ``sift`` of every (code, detector)
-pair, gives the sifted cells, and a class's not-sifted cell is its matched
-share P(n_sent class k) / 2 less its sifted cells.  Every factor is a
-probability, so the table stays finite at any mu (the form
-exp(-x) expm1(x T) would overflow once x T exceeds ~710).
+mean over the 16 codes, weighted by ``_sift_table()`` (the table that
+``verify``'s flip-table check reads), gives the sifted cells, and a class's
+not-sifted cell is its matched share P(n_sent class k) / 2 less its
+sifted cells.  Every factor is a probability, so the table stays finite at
+any mu (the form exp(-x) expm1(x T) would overflow once x T exceeds ~710).
 """
 
 from __future__ import annotations
@@ -221,6 +221,16 @@ def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return matched, (code & 1) ^ _FLIP[bob_basis, detector]
 
 
+def _sift_table() -> np.ndarray:
+    """(2, 16, 4) booleans: a lone click on (code, detector) is sifted and gives
+    Bob Alice's bit (``[0]``) or the other bit (``[1]``).  Alice's bit is code
+    bit 2.  Built per call, not at import: only sessions and verify read it."""
+    code, detector = np.divmod(np.arange(64), 4)
+    matched, bob_bit = sift(code, detector)
+    error = bob_bit != ((code >> 2) & 1)
+    return np.stack([matched & ~error, matched & error]).reshape(2, 16, 4)
+
+
 def _poisson_classes(y):
     """P(Y = 0), P(Y = 1) and P(Y >= 2) of Y ~ Poisson(y), stacked on a new first axis."""
     e = np.exp(-y)
@@ -241,11 +251,7 @@ def _cell_probabilities(params: SessionParams) -> np.ndarray:
     lone *= (1.0 - d) ** 3 * np.exp(-params.mu * eta * (1.0 - table))
 
     # (error, code, detector) weights of the sift, with the code's 1/16
-    code, detector = np.divmod(np.arange(64), 4)
-    matched, bob_bit = sift(code, detector)
-    error = bob_bit != ((code >> 2) & 1)
-    weight = np.stack([matched & ~error, matched & error]).reshape(2, 16, 4) / 16.0
-    sifted = np.einsum("kcd,ecd->ked", lone, weight).reshape(3, 8)
+    sifted = np.einsum("kcd,ecd->ked", lone, _sift_table() / 16.0).reshape(3, 8)
 
     share = _poisson_classes(params.mu) / 2.0  # matched pulses of each photon class
     # rounding leaves ~ -1e-17 where a class's matched pulses are all sifted

@@ -11,25 +11,19 @@ register-basis-independence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .bsm import click_table, ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
 from .qstate import DensityMatrix, PureState, haar_amplitudes, max_trace_distance, random_unitary
-from .session import sift
+from .session import _sift_table
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    max_deviation: float
-    tolerance: float
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed max_deviation tolerance detail", defaults=("",))
 
 
 def _haar_qubits(n: int, rng) -> DensityMatrix:
@@ -38,18 +32,16 @@ def _haar_qubits(n: int, rng) -> DensityMatrix:
     return DensityMatrix(amps[:, :, None] * amps[:, None, :].conj())
 
 
-def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool = False,
-                               sender: DensityMatrix | None = None) -> CheckResult:
+def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool,
+                               sender: DensityMatrix) -> CheckResult:
     """rho_B equals rho_A for Haar-random inputs, and is input-independent.
 
     The deviation is the largest trace distance of any sample to rho_A or to
     sample 0, from ``max_trace_distance``: it diagonalizes only the
     differences whose Frobenius norm lets them reach the maximum.  sender
-    is rho_alice of the uniform source, built here when not given.
+    is rho_alice of the uniform source.
     """
-    source = VirtualSource()
-    sender = rho_alice(source) if sender is None else sender
-    rho = rho_bob(_haar_qubits(n_samples, rng), source, _corrupt_path_c_sign=corrupt)
+    rho = rho_bob(_haar_qubits(n_samples, rng), VirtualSource(), _corrupt_path_c_sign=corrupt)
     # every sample against the sender state and against the first sample
     refs = DensityMatrix(np.stack([sender.mat, rho.mat[0]])[:, None])
     worst = max_trace_distance(rho, refs)
@@ -57,18 +49,16 @@ def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool = False,
                        f"{n_samples} Haar-random inputs vs sender state and each other")
 
 
-def check_basis_independence(n_samples: int, rng, corrupt: bool = False,
-                             sender: DensityMatrix | None = None) -> CheckResult:
+def check_basis_independence(n_samples: int, rng, corrupt: bool,
+                             sender: DensityMatrix) -> CheckResult:
     """In any register basis U, rho_B is the sender state U rho_A U^dagger.
 
     The deviation is the largest entrywise difference over the computational
     basis and n_samples Haar-random ones, each with its own Haar-random input.
-    sender is rho_alice of the uniform source, built here when not given.
+    sender is rho_alice of the uniform source.
     """
-    source = VirtualSource()
-    sender = rho_alice(source) if sender is None else sender
     bases = np.concatenate([np.eye(4)[None], random_unitary(4, rng, (n_samples,))])
-    rho = rho_bob(_haar_qubits(n_samples + 1, rng), source, register_basis=bases,
+    rho = rho_bob(_haar_qubits(n_samples + 1, rng), VirtualSource(), register_basis=bases,
                   _corrupt_path_c_sign=corrupt)
     expected = bases @ sender.mat @ bases.conj().swapaxes(-1, -2)
     worst = float(np.max(np.abs(rho.mat - expected)))
@@ -92,21 +82,18 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
 def check_flip_table() -> CheckResult:
     """Ideal single photons never give Bob a wrong sifted bit.
 
-    Runs the reports' own `sift` and the ideal click table that the
-    sessions' cell probabilities are built from on all 16 setting codes x 4
-    detectors: exactly the 8 basis-matched codes are kept, each has exactly
-    two detectors that restore Alice's bit, and the click mass on detectors
-    that hand Bob the wrong bit is the deviation.
+    Reads the sessions' own sift table `session._sift_table` and ideal click
+    table on all 16 setting codes x 4 detectors: exactly the 8 basis-matched
+    codes are kept, each has exactly two detectors that restore Alice's bit,
+    and the click mass on detectors that hand Bob the wrong bit is the
+    deviation.
     """
-    code, detector = np.divmod(np.arange(64), 4)
-    matched, bob_bit = sift(code, detector)
-    matched = matched.reshape(16, 4)
-    agrees = (bob_bit == (code >> 2) & 1).reshape(16, 4)  # Alice's bit is code bit 2
+    right, wrong = _sift_table()
     basis_matched = np.array([alice.basis is path.basis
                               for alice in ALICE_SETTINGS for path in PATH_SETTINGS])
-    worst = float((click_table() * (matched & ~agrees)).sum(axis=1).max())
-    ok = ((matched == basis_matched[:, None]).all()
-          and ((matched & agrees).sum(axis=1) == 2 * basis_matched).all())
+    worst = float((click_table() * wrong).sum(axis=1).max())
+    ok = (((right | wrong) == basis_matched[:, None]).all()
+          and (right.sum(axis=1) == 2 * basis_matched).all())
     return CheckResult("flip-table-correlations", bool(ok) and worst < 1e-12, worst, 1e-12,
                        "all 8 basis-matched pairs, both agreement detectors")
 

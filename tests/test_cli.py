@@ -229,12 +229,23 @@ class TestVerifyAppendixCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_reversed_flip_table_fails(self, monkeypatch, capsys):
-        # the check must run the sift that produces the reports: swapping the
-        # rectilinear and diagonal flip rows hands Bob wrong bits
+        # the check must read the sift table that produces the reports:
+        # swapping the rectilinear and diagonal flip rows hands Bob wrong bits
+        # in the check and in the sessions' cells alike
+        params = Config(distances=(0.0,)).session_params
+        before = session._cell_probabilities(params)
         monkeypatch.setattr(session, "_FLIP", session._FLIP[::-1].copy())
+        after = session._cell_probabilities(params)
         result = check_flip_table()
         assert not result.passed
         assert result.max_deviation == 0.5
+
+        def sifted(cells):  # the sifted cells by (error, photon class, detector)
+            return cells[:27].reshape(3, 9)[:, :8].reshape(3, 2, 4).swapaxes(0, 1)
+
+        assert (sifted(before)[1] != sifted(after)[1]).any()
+        assert sifted(before)[1].sum() / sifted(before).sum() < 0.02
+        assert sifted(after)[1].sum() / sifted(after).sum() == pytest.approx(0.5, abs=1e-12)
         assert main(["verify-appendix", "--samples", "50"]) == 1
         assert "FAIL flip-table-correlations" in capsys.readouterr().out
 

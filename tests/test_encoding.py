@@ -336,7 +336,8 @@ class TestReceiverStateCheck:
     def test_deviation_is_full_stack_maximum(self, corrupt):
         source = VirtualSource()
         for seed in range(20):
-            result = check_receiver_state_fixed(1000, np.random.default_rng(seed), corrupt)
+            result = check_receiver_state_fixed(1000, np.random.default_rng(seed), corrupt,
+                                                rho_alice(source))
             amps = haar_amplitudes(2, np.random.default_rng(seed), (1000,))
             rho = rho_bob(qubits(amps), source, _corrupt_path_c_sign=corrupt)
             refs = DensityMatrix(np.stack([rho_alice(source).mat, rho.mat[0]])[:, None])
@@ -350,7 +351,8 @@ class TestBasisIndependenceCheck:
         # the path-c sign error is a unitary on rho_B; comparing states, not
         # spectra, catches it in every register basis
         for seed in range(5):
-            result = check_basis_independence(20, np.random.default_rng(seed), corrupt=corrupt)
+            result = check_basis_independence(20, np.random.default_rng(seed), corrupt,
+                                              rho_alice(VirtualSource()))
             assert result.passed is not corrupt, seed
             assert (result.max_deviation > 0.1) is corrupt, seed
 

@@ -26,7 +26,7 @@ from ddiqkd.rates import (
     security_regime,
     yield_table,
 )
-from ddiqkd.session import sift
+from ddiqkd.session import _sift_table
 
 FIG_PARAMS = RateParams(
     eta_det=0.145,
@@ -225,10 +225,9 @@ class TestYieldTable:
         averaged over the 8 matched codes; the error gains keep the codes in
         which the sift hands Bob the wrong bit on a lone click on i.
         """
-        code, detector = np.divmod(np.arange(64), 4)
-        matched, bob_bit = sift(code, detector)
-        matched = matched.reshape(16, 4)[:, 0]
-        wrong = (bob_bit != (code >> 2) & 1).reshape(16, 4)[matched]
+        right, wrong = _sift_table()  # the sessions' own (code, detector) weights
+        matched = (right | wrong)[:, 0]
+        wrong = wrong[matched]
         tables = {e: click_table(e)[matched] for e in (0.0, 0.015, 0.11, 0.3, 0.5)}
         worst = 0.0
         for eta, e, d, mu in itertools.product(

@@ -23,6 +23,7 @@ from ddiqkd.session import (
     SessionParams,
     SessionReport,
     _cell_probabilities,
+    _sift_table,
     projected_qber_from_visibility,
     run_session,
     sift,
@@ -139,6 +140,21 @@ class TestSift:
             assert m == (bit is not None), (c, d)
             if bit is not None:
                 assert b == bit, (c, d)
+
+    def test_sift_table_keeps_the_agreement_detectors(self):
+        # the sessions' and the flip-table check's weights: Bob's bit is right
+        # exactly on the agreement detectors of a matched pair and wrong on
+        # the other two; an unmatched pair keeps nothing
+        right, wrong = _sift_table()
+        assert right.shape == wrong.shape == (16, 4)
+        for code in range(16):
+            alice, bob = ALICE_SETTINGS[code // 4], PATHS[code % 4]
+            matched = alice.basis is bob.basis
+            agree = np.zeros(4, dtype=bool)
+            if matched:
+                agree[np.array(agreement_detectors(alice, bob)) - 1] = True
+            assert (right[code] == agree).all(), code
+            assert (wrong[code] == (matched & ~agree)).all(), code
 
 
 class TestProjectedQber:
