@@ -27,6 +27,9 @@ PINNED_EDGE_CURVE = ("57ee8533740c6a7a7f5ef7ea2636b0d313195946a9d775ccc4f49e66bc
 # with --self-test-corrupt
 PINNED_APPENDIX = "71acdf04fae37bed6fbf3229346c467f7fd4f4911b8d21e7e270517fd34320c9"
 PINNED_APPENDIX_CORRUPT = "c0ffe26dd7a6e1e2fa76dda8595749559d91676c2ebce2e0f6c3b766d6fcf205"
+# sha256 of the theory-table CSV at the default visibility and at --visibility 1
+PINNED_THEORY_TABLE = "8b18c80cef86f9d85dcfa3ffe92ff96daeee7bbd790aec25770b1c20f0c4999d"
+PINNED_THEORY_TABLE_IDEAL = "62ed6119ceab4cf1939d712cef1f64887358c94c762ff7da9b8298572ea487e2"
 
 
 @pytest.fixture
@@ -271,6 +274,14 @@ class TestTheoryTableCommand:
         assert main(["theory-table", "--visibility", "1.0"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 8
+
+    @pytest.mark.parametrize("flags, digest", [
+        ((), PINNED_THEORY_TABLE), (("--visibility", "1"), PINNED_THEORY_TABLE_IDEAL)])
+    def test_output_bytes_are_pinned(self, flags, digest, capsys):
+        # the click table behind it may be reorganized only in ways that keep every byte
+        assert main(["theory-table", *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestKeyrateCurveCommand:
