@@ -372,7 +372,8 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
     ``lengths``, from ``keyrate_curve``'s joint search.  The search starts
     after the last listed length with key; if none has key but 0 km does,
     it bisects [0, lengths[0]], and if 0 km has none either it returns 0.
-    ``rate_at`` gives, for an array of lengths at once, any rate with the
+    Where key lasts up to _CUTOFF_CAP_KM, it returns the cap, or the last
+    listed length with key if that lies past the cap.  ``rate_at`` gives, for an array of lengths at once, any rate with the
     optimized rate's sign: ``keyrate_curve`` passes the protocol's best
     rate on _MU_GRID, which is positive exactly where the optimized rate
     is, because every zoom grid of ``_optimize`` holds the best point
@@ -393,8 +394,8 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
         while steps[-1] < _CUTOFF_CAP_KM:
             steps.append(steps[-1] + _CUTOFF_STEP_KM)
         alive = rate_at(np.array(steps[1:-1])) > 0.0
-        if alive.all():
-            return _CUTOFF_CAP_KM
+        if alive.all():  # never below a listed length with key
+            return max(_CUTOFF_CAP_KM, lo)
         k = int(np.argmin(alive)) + 1
         lo, hi = steps[k - 1], steps[k]
     known = {}

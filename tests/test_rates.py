@@ -533,7 +533,7 @@ def _sequential_cutoff(rate_at, lengths):
             lo = hi
             hi += rates._CUTOFF_STEP_KM
         if hi >= rates._CUTOFF_CAP_KM:
-            return rates._CUTOFF_CAP_KM
+            return max(rates._CUTOFF_CAP_KM, lo)
     while hi - lo > rates._CUTOFF_TOL_KM:
         mid = 0.5 * (lo + hi)
         if rate_at(mid) > 0.0:
@@ -647,6 +647,17 @@ class TestKeyrateCurve:
         for lengths in ([0.0, 10.0], [990.0]):
             curve = keyrate_curve(lossless, lengths)
             assert curve.summary() == {"cutoff_proposal_km": 1000.0, "cutoff_bb84_km": 1000.0}
+
+    @pytest.mark.parametrize("params, lengths", [
+        (RateParams(alpha_db_per_km=0.01), [0.0, 1200.0]),
+        (RateParams(alpha_db_per_km=0.0), [2000.0]),
+    ], ids=["low-loss", "lossless"])
+    def test_cutoff_never_below_a_listed_length_with_key(self, params, lengths):
+        # the last length has key and lies past the cap, so the search has no
+        # extension step left: the cutoff is that length, not the cap
+        curve = _assert_curve_matches_searches(params, lengths)
+        assert curve.rate_proposal[-1] > 0.0 and curve.rate_bb84[-1] > 0.0
+        assert curve.summary() == {"cutoff_proposal_km": lengths[-1], "cutoff_bb84_km": lengths[-1]}
 
     def test_columns_are_read_only(self):
         curve = keyrate_curve(FIG_PARAMS, [0.0, 10.0])
