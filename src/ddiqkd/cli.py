@@ -106,7 +106,7 @@ def _parse_distances(text: str, error: str) -> tuple[float, ...]:
 
 
 def _config_updates(text: str) -> dict:
-    """The fields that ``key = value`` lines set; '#' starts a comment."""
+    """The fields that ``key = value`` lines set, each at most once; '#' starts a comment."""
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -116,6 +116,8 @@ def _config_updates(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in updates:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key == "distances":
             updates[key] = _parse_distances(value, f"line {lineno}: bad distances list")
         elif key in _FIELD_TYPES:

@@ -62,6 +62,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("wavelength = 1550\n")
 
+    @pytest.mark.parametrize("command, text, line", [
+        ("session", "mu = 0.5\n# the same key again\nmu = 0.9\n", "line 3: duplicate key 'mu'"),
+        ("keyrate-curve", "distances = 0,10\ndistances = 20\n", "line 2: duplicate key 'distances'"),
+    ], ids=["scalar", "distances"])
+    def test_repeated_key_is_usage_error(self, command, text, line, tmp_path, capsys):
+        # a key set twice is an error, not a silent last-one-wins
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
     def test_removed_q_key_is_usage_error(self, tmp_path, capsys):
         # q was a pure scale factor of the key rate and is no longer a key
         cfg = tmp_path / "q.cfg"
