@@ -11,7 +11,7 @@ The library is organized bottom-up:
 - channel:  Poisson photon statistics and lossy fiber
 - rates:    analytic yields, secret key rate, intensity optimization,
             distance sweeps, and the two-detector reference system
-- session:  vectorized Monte Carlo of full protocol runs and its sift
+- session:  vectorized Monte Carlo of full protocol runs and the sift rule
 - verify:   the model consistency checks
 - cli:      batch front end (``ddiqkd`` command)
 """
@@ -30,10 +30,8 @@ from .encoding import (
     Bb84Setting,
     PathSetting,
     VirtualSource,
-    apply_lon,
     bb84_state,
     hybrid_bell_expand,
-    lon_isometry,
     rho_alice,
     rho_bob,
 )
@@ -55,7 +53,6 @@ from .session import (
     SessionReport,
     projected_qber_from_visibility,
     run_session,
-    sift,
 )
 
 __version__ = "0.1.0"

@@ -27,8 +27,6 @@ __all__ = [
     "ALICE_SETTINGS",
     "PATH_SETTINGS",
     "bb84_state",
-    "lon_isometry",
-    "apply_lon",
     "lon_states",
     "bell_basis_matrix",
     "hybrid_bell_expand",
@@ -99,7 +97,7 @@ _KETS = np.array([[1.0, 0.0], [0.0, 1.0], [SQ2, SQ2], [SQ2, -SQ2]], dtype=comple
 # that never touch a state.
 # The four isometries I (x) |path>, shape (setting, pol (x) path, pol):
 # entry [s, 2 p + q, a] = delta_pa ket_s[q].
-_LON =(np.eye(2, dtype=complex)[None, :, None, :] * _KETS[:, None, :, None]).reshape(4, 4, 2)
+_LON = (np.eye(2, dtype=complex)[None, :, None, :] * _KETS[:, None, :, None]).reshape(4, 4, 2)
 
 # Alice's four photons through Bob's four settings, row 4 * alice + bob.
 _LON_STATES = (_LON[None] * _KETS[:, None, None, :]).sum(axis=-1).reshape(16, 4)
@@ -112,26 +110,6 @@ _LON_GRAM = (_LON[:, None, :, :, None] * _LON.conj()[None, :, :, None, :]).sum(a
 def bb84_state(setting: Bb84Setting) -> PureState:
     """Polarization qubit for one of the four BB84 settings."""
     return PureState(_KETS[setting.index].copy(), ("pol",))
-
-
-def lon_isometry(setting: PathSetting) -> np.ndarray:
-    """4x2 isometry taking a polarization qubit into the pol (x) path space.
-
-    The polarization is untouched; the path factor is set to the ket
-    addressed by the setting (a definite port for paths a/c, an equal
-    superposition with phase 0 or pi for path b).  The result is a
-    read-only view of a table built once.
-    """
-    return _LON[PATH_SETTINGS.index(setting)]
-
-
-def apply_lon(setting: PathSetting, pol: PureState) -> PureState:
-    """Send a polarization qubit (or a stack of them) through the LON at one setting."""
-    if pol.labels != ("pol",):
-        raise ValueError("input must be a single polarization qubit")
-    if not (np.abs(np.linalg.norm(pol.amps, axis=-1) - 1.0) <= 1e-12).all():  # NaN fails
-        raise ValueError("input is not normalized")
-    return PureState(pol.amps @ lon_isometry(setting).T, ("pol", "path"))
 
 
 def lon_states() -> PureState:

@@ -26,10 +26,10 @@ unregistered photons, so n_sent = N_1 + ... + N_4 + U.  Dark counts OR in
 as independent Bernoulli(p_dark) bits.  A lone click on d needs the other
 three detectors silent, (1 - p_dark)^3 exp(-x (1 - T[c, d])), and d to
 fire; splitting N_d and U at 0, 1 and >= 2 photons gives its class.  The
-mean over the 16 codes, weighted by ``_sift_table()`` (the table that
-``verify``'s flip-table check reads), gives the sifted cells, and a class's
-not-sifted cell is its matched share P(n_sent class k) / 2 less its
-sifted cells.  Every factor is a probability, so the table stays finite at
+mean over the 16 codes, weighted by ``_sift_table()`` (the sift rule,
+which ``verify``'s flip-table check reads too), gives the sifted cells,
+and a class's not-sifted cell is its matched share P(n_sent class k) / 2
+less its sifted cells.  Every factor is a probability, so the table stays finite at
 any mu (the form exp(-x) expm1(x T) would overflow once x T exceeds ~710).
 """
 
@@ -45,7 +45,6 @@ from .encoding import Basis, flip_detectors
 from .rates import RateParams, YieldTable, _eta, _ratio, _require_real, _secret_rate
 
 __all__ = [
-    "sift",
     "SessionParams",
     "SessionReport",
     "run_session",
@@ -206,29 +205,22 @@ _FLIP = np.array([[d in flip_detectors(basis) for d in (1, 2, 3, 4)]
                   for basis in (Basis.RECTILINEAR, Basis.DIAGONAL)])
 
 
-def sift(code: np.ndarray, detector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sift lone clicks, by setting code and 0-based clicking detector.
-
-    ``code = 4 * alice_state + bob_setting`` in the orders of ALICE_SETTINGS
-    and PATH_SETTINGS.  Returns (basis matched, Bob's bit after the flip
-    rule ``_FLIP``); a pulse is kept where it is matched.
-    """
-    detector = np.asarray(detector)
-    if not ((detector >= 0) & (detector <= 3)).all():
-        raise ValueError("detector index must be in 0..3")
-    bob_basis = (code >> 1) & 1
-    matched = (code >> 3) == bob_basis
-    return matched, (code & 1) ^ _FLIP[bob_basis, detector]
-
-
 def _sift_table() -> np.ndarray:
     """(2, 16, 4) booleans: a lone click on (code, detector) is sifted and gives
-    Bob Alice's bit (``[0]``) or the other bit (``[1]``).  Alice's bit is code
-    bit 2.  Built per call, not at import: only sessions and verify read it."""
-    code, detector = np.divmod(np.arange(64), 4)
-    matched, bob_bit = sift(code, detector)
-    error = bob_bit != ((code >> 2) & 1)
-    return np.stack([matched & ~error, matched & error]).reshape(2, 16, 4)
+    Bob Alice's bit (``[0]``) or the other bit (``[1]``).
+
+    The one statement of the sift rule.  ``code = 4 * alice_state +
+    bob_setting`` in the orders of ALICE_SETTINGS and PATH_SETTINGS, so its
+    bits are, from bit 3 down, Alice's basis, Alice's bit, Bob's basis and
+    Bob's setting bit.  A click is sifted where the bases match; Bob's bit
+    is his setting bit, flipped where ``_FLIP`` says for his basis and the
+    0-based detector.  Built per call, not at import: only sessions and
+    verify read it."""
+    code = np.arange(16)
+    bob_basis = (code >> 1) & 1
+    matched = ((code >> 3) == bob_basis)[:, None]
+    error = ((code & 1)[:, None] ^ _FLIP[bob_basis]) != ((code >> 2) & 1)[:, None]
+    return np.stack([matched & ~error, matched & error])
 
 
 def _poisson_classes(y):

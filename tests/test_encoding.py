@@ -11,12 +11,11 @@ from ddiqkd.encoding import (
     Bb84Setting,
     PathSetting,
     VirtualSource,
+    _LON,
     agreement_detectors,
-    apply_lon,
     bb84_state,
     bell_basis_matrix,
     hybrid_bell_expand,
-    lon_isometry,
     lon_states,
     rho_alice,
     rho_bob,
@@ -34,9 +33,13 @@ from ddiqkd.verify import check_basis_independence, check_receiver_state_fixed
 SQ2 = 1.0 / np.sqrt(2.0)
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
-
-def haar_qubit(rng):
-    return PureState(haar_amplitudes(2, rng), ("pol",))
+# Bob's four LON isometries I (x) |path>, setting by setting with np.kron,
+# in the order of PATH_SETTINGS
+PATH_KETS = {PathSetting.A: [1, 0], PathSetting.C: [0, 1],
+             PathSetting.B0: [SQ2, SQ2], PathSetting.BPI: [SQ2, -SQ2]}
+KRON_LON = np.array([np.kron(np.eye(2, dtype=complex),
+                             np.array(PATH_KETS[path], dtype=complex).reshape(2, 1))
+                     for path in PATH_SETTINGS])
 
 
 def projector(amps):
@@ -50,12 +53,17 @@ def qubits(amps) -> DensityMatrix:
     return DensityMatrix(projector(amps))
 
 
+def photon(alice, path):
+    """Alice's BB84 photon through Bob's LON at ``path``: its row of lon_states()."""
+    return PureState(lon_states().amps[4 * alice.index + PATH_SETTINGS.index(path)], ("pol", "path"))
+
+
 def _rho_bob_oracle(amps, source, basis, corrupt=False):
     """One pure input, one register basis: the joint register (x) modes state
     built setting by setting, then an explicit partial trace over the modes."""
     joint = np.zeros((4, 4), dtype=complex)
     for i, setting in enumerate(PATH_SETTINGS):
-        optical = lon_isometry(setting) @ amps
+        optical = KRON_LON[i] @ amps
         if corrupt and setting is PathSetting.C:
             optical = -optical
         joint += np.sqrt(source.probs[i]) * np.outer(basis[:, i], optical)
@@ -84,67 +92,36 @@ class TestBb84States:
 
 class TestLonIsometry:
     def test_path_a_keeps_port1(self):
-        out = apply_lon(PathSetting.A, bb84_state(Bb84Setting(Basis.RECTILINEAR, 0)))
+        out = photon(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.A)
         np.testing.assert_allclose(out.amps, [1, 0, 0, 0])
 
     def test_path_c_moves_to_port2(self):
-        out = apply_lon(PathSetting.C, bb84_state(Bb84Setting(Basis.RECTILINEAR, 1)))
+        out = photon(Bb84Setting(Basis.RECTILINEAR, 1), PathSetting.C)
         np.testing.assert_allclose(out.amps, [0, 0, 0, 1])
 
     def test_path_b0_superposes_ports(self):
-        out = apply_lon(PathSetting.B0, bb84_state(Bb84Setting(Basis.RECTILINEAR, 0)))
+        out = photon(Bb84Setting(Basis.RECTILINEAR, 0), PathSetting.B0)
         np.testing.assert_allclose(out.amps, [SQ2, SQ2, 0, 0], atol=1e-15)
 
-    def test_norm_preserved_for_random_inputs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            qubit = haar_qubit(rng)
-            for path in PATHS:
-                assert np.linalg.norm(apply_lon(path, qubit).amps) == pytest.approx(
-                    1.0, abs=1e-12
-                )
-
-    def test_lon_states_match_apply_lon(self):
-        states = lon_states()
-        assert states.amps.shape == (16, 4)
-        for a, alice in enumerate(ALICE_SETTINGS):
-            for b, path in enumerate(PATH_SETTINGS):
-                np.testing.assert_array_equal(states.amps[4 * a + b],
-                                              apply_lon(path, bb84_state(alice)).amps)
-        pols = PureState([bb84_state(alice).amps for alice in ALICE_SETTINGS], ("pol",))
-        for b, path in enumerate(PATH_SETTINGS):
-            np.testing.assert_array_equal(apply_lon(path, pols).amps, states.amps[b::4])
-
     def test_isometry_matrices(self):
-        for path in PATHS:
-            m = lon_isometry(path)
-            np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
-
-    def test_unnormalized_input_rejected(self):
-        bad = PureState(np.array([1.0, 0.0]), ("pol",))
-        for amps in ([2.0, 0.0], [np.nan, 0.0]):
-            object.__setattr__(bad, "amps", np.array(amps, dtype=complex))
-            with pytest.raises(ValueError, match="input is not normalized"):
-                apply_lon(PathSetting.A, bad)
+        # L^dagger L = I for each setting: rho_bob's trace over the modes relies on it
+        np.testing.assert_allclose(_LON.conj().swapaxes(-1, -2) @ _LON,
+                                   np.broadcast_to(np.eye(2), (4, 2, 2)), atol=1e-14)
 
     def test_tables_match_kron_construction(self):
         # the isometries I (x) |path> and the 16 photons, bit for bit
-        kets = {PathSetting.A: [1, 0], PathSetting.C: [0, 1],
-                PathSetting.B0: [SQ2, SQ2], PathSetting.BPI: [SQ2, -SQ2]}
-        lon = [np.kron(np.eye(2, dtype=complex), np.array(kets[path], dtype=complex).reshape(2, 1))
-               for path in PATH_SETTINGS]
-        for path, expected in zip(PATH_SETTINGS, lon):
-            assert lon_isometry(path).tobytes() == expected.tobytes()
+        assert _LON.shape == KRON_LON.shape and _LON.tobytes() == KRON_LON.tobytes()
         pol = np.array([bb84_state(alice).amps for alice in ALICE_SETTINGS])
-        states = np.einsum("bij,aj->abi", np.array(lon), pol).reshape(16, 4)
+        states = np.einsum("bij,aj->abi", KRON_LON, pol).reshape(16, 4)
+        assert lon_states().amps.shape == (16, 4)
         assert lon_states().amps.tobytes() == states.tobytes()
 
     def test_tables_are_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
-            lon_isometry(PathSetting.A)[0, 0] = 2.0
+            _LON[0, 0, 0] = 2.0
         with pytest.raises(ValueError, match="read-only"):
             lon_states().amps[0, 0] = 2.0
-        np.testing.assert_array_equal(lon_isometry(PathSetting.A), [[1, 0], [0, 0], [0, 1], [0, 0]])
+        np.testing.assert_array_equal(_LON[0], [[1, 0], [0, 0], [0, 1], [0, 0]])
 
 
 class TestBellExpansion:
@@ -158,12 +135,12 @@ class TestBellExpansion:
 
     def test_plus45_through_b0(self):
         # (|H>+|V>)(|1>+|2>)/2 expands to (phi+ + psi+)/sqrt(2) by hand
-        state = apply_lon(PathSetting.B0, bb84_state(Bb84Setting(Basis.DIAGONAL, 0)))
+        state = photon(Bb84Setting(Basis.DIAGONAL, 0), PathSetting.B0)
         np.testing.assert_allclose(hybrid_bell_expand(state), [SQ2, 0, SQ2, 0], atol=1e-15)
 
     def test_plus45_through_bpi(self):
         # (|H>+|V>)(|1>-|2>)/2 expands to (phi- - psi-)/sqrt(2) by hand
-        state = apply_lon(PathSetting.BPI, bb84_state(Bb84Setting(Basis.DIAGONAL, 0)))
+        state = photon(Bb84Setting(Basis.DIAGONAL, 0), PathSetting.BPI)
         np.testing.assert_allclose(hybrid_bell_expand(state), [0, SQ2, 0, -SQ2], atol=1e-15)
 
     def test_coefficients_are_normalized(self):
@@ -362,7 +339,7 @@ def _rho_bob_einsum(sigma, source, basis=None, corrupt=False):
     amp = np.sqrt(source.probs)
     if corrupt:
         amp[PATH_SETTINGS.index(PathSetting.C)] *= -1.0
-    lon = np.array([w * lon_isometry(path) for w, path in zip(amp, PATH_SETTINGS)])
+    lon = amp[:, None, None] * KRON_LON
     register = np.einsum("ima,...ab,jmb->...ij", lon, sigma, lon.conj())
     if basis is not None:
         register = basis @ register @ basis.conj().swapaxes(-1, -2)
@@ -403,7 +380,7 @@ class TestFlipStructure:
             for path in PATHS:
                 if alice.basis is not path.basis:
                     continue
-                dist = np.abs(hybrid_bell_expand(apply_lon(path, bb84_state(alice)))) ** 2
+                dist = np.abs(hybrid_bell_expand(photon(alice, path))) ** 2
                 pair = agreement_detectors(alice, path)
                 on_pair = sum(dist[i - 1] for i in pair)
                 assert on_pair == pytest.approx(1.0, abs=1e-12)

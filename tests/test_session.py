@@ -26,7 +26,6 @@ from ddiqkd.session import (
     _sift_table,
     projected_qber_from_visibility,
     run_session,
-    sift,
 )
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
@@ -79,9 +78,12 @@ def _code(alice, bob):
 
 
 def _sift_one(alice, bob, detector):
-    """`sift` of one lone click on 1-based ``detector``: (matched, Bob's bit)."""
-    matched, bob_bit = sift(np.array([_code(alice, bob)]), np.array([detector - 1]))
-    return bool(matched[0]), int(bob_bit[0])
+    """The sift table on one lone click on 1-based ``detector``: (kept, Bob's
+    bit), the bit None where the click is not kept."""
+    right, wrong = _sift_table()[:, _code(alice, bob), detector - 1]
+    if not (right or wrong):
+        return False, None
+    return True, alice.bit ^ int(wrong)
 
 
 def _scalar_sift(alice, bob, detector):
@@ -132,14 +134,15 @@ class TestSift:
                     assert matched and bob_bit == alice.bit
 
     def test_vectorized_sift_matches_scalar(self):
-        # every (Alice state, Bob setting) code against every lone detector
-        code, detector = np.divmod(np.arange(64), 4)
-        matched, bob_bit = sift(code, detector)
-        for c, d, m, b in zip(code, detector, matched, bob_bit):
-            bit = _scalar_sift(ALICE_SETTINGS[c >> 2], PATHS[c & 3], int(d) + 1)
-            assert m == (bit is not None), (c, d)
-            if bit is not None:
-                assert b == bit, (c, d)
+        # the table on every (Alice state, Bob setting) code and every lone detector
+        table = _sift_table()
+        assert table.shape == (2, 16, 4) and table.dtype == bool
+        for code, detector in itertools.product(range(16), range(4)):
+            alice = ALICE_SETTINGS[code >> 2]
+            bit = _scalar_sift(alice, PATHS[code & 3], detector + 1)
+            right, wrong = table[:, code, detector]
+            assert right == (bit == alice.bit), (code, detector)
+            assert wrong == (bit is not None and bit != alice.bit), (code, detector)
 
     def test_sift_table_keeps_the_agreement_detectors(self):
         # the sessions' and the flip-table check's weights: Bob's bit is right
