@@ -373,11 +373,12 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
     after the last listed length with key; if none has key but 0 km does,
     it bisects [0, lengths[0]], and if 0 km has none either it returns 0.
     Where key lasts up to _CUTOFF_CAP_KM, it returns the cap, or the last
-    listed length with key if that lies past the cap.  ``rate_at`` gives, for an array of lengths at once, any rate with the
-    optimized rate's sign: ``keyrate_curve`` passes the protocol's best
-    rate on _MU_GRID, which is positive exactly where the optimized rate
-    is, because every zoom grid of ``_optimize`` holds the best point
-    before it and a search never ends below its grid.  The search runs on
+    listed length with key if that lies past the cap.  ``rate_at`` gives,
+    for an array of lengths at once, any rate with the optimized rate's
+    sign: ``keyrate_curve`` passes the protocol's best rate on _MU_GRID,
+    which is positive exactly where the optimized rate is, because every
+    zoom grid of ``_optimize`` holds the best point before it and a search
+    never ends below its grid.  The search runs on
     lengths evaluated ahead in batches, one rate evaluation each: all
     extension steps, then the bisection midpoints five levels deep.
     """

@@ -29,8 +29,9 @@ fire; splitting N_d and U at 0, 1 and >= 2 photons gives its class.  The
 mean over the 16 codes, weighted by ``_sift_table()`` (the sift rule,
 which ``verify``'s flip-table check reads too), gives the sifted cells,
 and a class's not-sifted cell is its matched share P(n_sent class k) / 2
-less its sifted cells.  Every factor is a probability, so the table stays finite at
-any mu (the form exp(-x) expm1(x T) would overflow once x T exceeds ~710).
+less its sifted cells.  Every factor is a probability, so the table stays
+finite at any mu (the form exp(-x) expm1(x T) would overflow once x T
+exceeds ~710).
 """
 
 from __future__ import annotations

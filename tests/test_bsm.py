@@ -29,7 +29,8 @@ PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
 def photon(alice, path):
     """Alice's BB84 photon through Bob's LON at ``path``: its row of lon_states()."""
-    return PureState(lon_states().amps[4 * alice.index + PATH_SETTINGS.index(path)], ("pol", "path"))
+    code = 4 * alice.index + PATH_SETTINGS.index(path)
+    return PureState(lon_states().amps[code], ("pol", "path"))
 
 
 class TestIdealDistribution:

@@ -63,8 +63,9 @@ class TestConfig:
             parse_config("wavelength = 1550\n")
 
     @pytest.mark.parametrize("command, text, line", [
-        ("session", "mu = 0.5\n# the same key again\nmu = 0.9\n", "line 3: duplicate key 'mu'"),
-        ("keyrate-curve", "distances = 0,10\ndistances = 20\n", "line 2: duplicate key 'distances'"),
+        ("session", "mu = 0.5\n# again\nmu = 0.9\n", "line 3: duplicate key 'mu'"),
+        ("keyrate-curve", "distances = 0,10\ndistances = 20\n",
+         "line 2: duplicate key 'distances'"),
     ], ids=["scalar", "distances"])
     def test_repeated_key_is_usage_error(self, command, text, line, tmp_path, capsys):
         # a key set twice is an error, not a silent last-one-wins

@@ -55,7 +55,8 @@ def qubits(amps) -> DensityMatrix:
 
 def photon(alice, path):
     """Alice's BB84 photon through Bob's LON at ``path``: its row of lon_states()."""
-    return PureState(lon_states().amps[4 * alice.index + PATH_SETTINGS.index(path)], ("pol", "path"))
+    code = 4 * alice.index + PATH_SETTINGS.index(path)
+    return PureState(lon_states().amps[code], ("pol", "path"))
 
 
 def _rho_bob_oracle(amps, source, basis, corrupt=False):
