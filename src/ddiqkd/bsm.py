@@ -50,20 +50,18 @@ def ideal_bsm_distribution(state: PureState) -> np.ndarray:
 
 
 # The optical network as a unitary, input modes (H,inp1), (H,inp2), (V,inp1),
-# (V,inp2) -> detector modes D1..D4, written out rather than multiplied from
-# its elements, so nothing is built at import or per call.  The recombining PBS
-# sends (H,inp1) and (V,inp2) into arm 1, (H,inp2) and (V,inp1) into arm 2;
-# the rotator in each arm takes H -> +45 and V -> -45; the final PBS of
-# arm 1 sends H to D1 and V to D2, that of arm 2 sends H to D3 and V to D4.
-_NETWORK = np.array(
-    [
-        [SQ2, 0.0, 0.0, SQ2],    # D1: ((H,inp1) + (V,inp2))/sqrt2
-        [SQ2, 0.0, 0.0, -SQ2],   # D2: ((H,inp1) - (V,inp2))/sqrt2
-        [0.0, SQ2, SQ2, 0.0],    # D3: ((H,inp2) + (V,inp1))/sqrt2
-        [0.0, SQ2, -SQ2, 0.0],   # D4: ((H,inp2) - (V,inp1))/sqrt2
-    ],
-    dtype=complex,
-)
+# (V,inp2) -> detector modes D1..D4, stated by its elements and built once.
+# The recombining PBS sends input modes 0, 3, 1, 2 to (H,arm1), (V,arm1),
+# (H,arm2), (V,arm2); the rotator in each arm takes H -> +45 and V -> -45; the
+# final PBS of arm 1 sends H to D1 and V to D2, that of arm 2 sends H to D3 and
+# V to D4.  verify's bsm-model-equivalence compares it with encoding's Bell
+# table, which every report reads.
+_PBS_ORDER = [0, 3, 1, 2]
+# rows D1..D4, columns (H,arm1), (V,arm1), (H,arm2), (V,arm2)
+_ROTATORS = [[SQ2, SQ2, 0.0, 0.0], [SQ2, -SQ2, 0.0, 0.0],
+             [0.0, 0.0, SQ2, SQ2], [0.0, 0.0, SQ2, -SQ2]]
+_NETWORK = np.zeros((4, 4), dtype=complex)
+_NETWORK[:, _PBS_ORDER] = _ROTATORS
 _NETWORK.flags.writeable = False
 
 

@@ -3,8 +3,12 @@
 Subcommands: keyrate-curve, session, verify-appendix, theory-table.
 Configuration comes from a flat ``key = value`` file plus command-line
 overrides (overrides win); the two are merged and validated as one config.
-A named subcommand builds only its own parser; the full four-command parser
-handles everything else, arguments that parser leaves over included.
+A well-formed call is read in one pass over the flag table and builds no
+parser: the subcommand, then only its own flags spelled out in full, a
+store_true flag without a value and every other flag followed by a value
+that does not start with '-' and converts with the flag's type.  Everything
+else, help and every usage error included, goes to the full four-command
+argparse parser, the one source of those texts.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 
@@ -243,11 +247,10 @@ _COMMANDS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with the flags of the subcommand ``name``."""
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add the flags of the subcommand ``name`` to ``parser``."""
     for flag in _COMMANDS[name][1]:
         parser.add_argument(flag, **_FLAGS[flag])
-    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,17 +266,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scan(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """``_build_parser().parse_args([command, *tokens])`` less ``command``, or None.
+
+    Reads only the well-formed call of the module docstring, a repeated flag
+    keeping its last value; anything else gives None, for argparse to read.
+    """
+    specs = {flag: (_FLAGS[flag].get("dest", flag[2:].replace("-", "_")), _FLAGS[flag])
+             for flag in _COMMANDS[command][1]}
+    values = {dest: spec.get("default", False if "action" in spec else None)
+              for dest, spec in specs.values()}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token not in specs:
+            return None
+        dest, spec = specs[token]
+        if "action" in spec:  # store_true
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value fails as one that starts with '-'
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is not None:  # the parser that add_parser makes for it, alone
-        own = _add_flags(argparse.ArgumentParser(prog=f"ddiqkd {command}"), command)
-        args, rest = own.parse_known_args(argv[1:])
-    if command is None or rest:
-        # help, no command or arguments left over: the full parser prints what it always did
+    args = None if command is None else _scan(command, argv[1:])
+    if args is None:  # help, usage errors and every other spelling: the full parser
         args = _build_parser().parse_args(argv)
-        command = args.command
+        command = vars(args).pop("command")
     # a flag overrides the config field of its dest; fields without a flag read None
     overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
     _, _, handler = _COMMANDS[command]

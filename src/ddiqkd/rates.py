@@ -372,13 +372,14 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
     ``lengths``, from ``keyrate_curve``'s joint search.  The search starts
     after the last listed length with key; if none has key but 0 km does,
     it bisects [0, lengths[0]], and if 0 km has none either it returns 0.
-    Where key lasts up to _CUTOFF_CAP_KM, it returns the cap, or the last
-    listed length with key if that lies past the cap.  ``rate_at`` gives,
-    for an array of lengths at once, any rate with the optimized rate's
-    sign: ``keyrate_curve`` passes the protocol's best rate on _MU_GRID,
-    which is positive exactly where the optimized rate is, because every
-    zoom grid of ``_optimize`` holds the best point before it and a search
-    never ends below its grid.  The search runs on
+    The extension runs in _CUTOFF_STEP_KM steps and returns _CUTOFF_CAP_KM
+    only if every step, the first at or past the cap included, has key; a
+    last listed length with key at or past the cap is the cutoff itself.
+    ``rate_at`` gives, for an array of lengths at once, any rate with the
+    optimized rate's sign: ``keyrate_curve`` passes the protocol's best
+    rate on _MU_GRID, which is positive exactly where the optimized rate
+    is, because every zoom grid of ``_optimize`` holds the best point
+    before it and a search never ends below its grid.  The search runs on
     lengths evaluated ahead in batches, one rate evaluation each: all
     extension steps, then the bisection midpoints five levels deep.
     """
@@ -391,12 +392,14 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
     else:
         return 0.0
     if hi is None:  # extend by whole steps; the first step at or past cap ends the search
+        if lo >= _CUTOFF_CAP_KM:  # never below a listed length with key
+            return lo
         steps = [lo, lo + _CUTOFF_STEP_KM]
         while steps[-1] < _CUTOFF_CAP_KM:
             steps.append(steps[-1] + _CUTOFF_STEP_KM)
-        alive = rate_at(np.array(steps[1:-1])) > 0.0
-        if alive.all():  # never below a listed length with key
-            return max(_CUTOFF_CAP_KM, lo)
+        alive = rate_at(np.array(steps[1:])) > 0.0
+        if alive.all():
+            return _CUTOFF_CAP_KM
         k = int(np.argmin(alive)) + 1
         lo, hi = steps[k - 1], steps[k]
     known = {}

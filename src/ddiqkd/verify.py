@@ -67,7 +67,11 @@ def check_basis_independence(n_samples: int, rng, corrupt: bool,
 
 
 def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
-    """Mode-network and Bell-projector click distributions agree."""
+    """The optical network and the Bell table every report reads give the same clicks.
+
+    The network is built from its optical elements (``bsm._NETWORK``); the
+    Bell projector reads encoding's Bell table, as ``click_table`` does.
+    """
     states = PureState(np.concatenate([lon_states().amps, haar_amplitudes(4, rng, (n_samples,))]),
                        ("pol", "path"))
     worst = float(np.max(np.abs(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ddiqkd import bsm
 from ddiqkd.bsm import (
     THEORY_ROWS,
     click_table,
@@ -11,6 +12,7 @@ from ddiqkd.bsm import (
     mode_network_matrix,
     theory_table,
 )
+from ddiqkd.cli import main
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
     PATH_SETTINGS,
@@ -72,6 +74,18 @@ class TestModeNetwork:
         had = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
         rotators = np.kron(np.eye(2), had)
         assert mode_network_matrix().tobytes() == (rotators @ pbs).tobytes()
+
+    def test_a_swapped_rotator_row_fails_the_check(self, monkeypatch, capsys):
+        # the check compares the reports' Bell table with the network built
+        # from its optical elements, so a wrong element fails it
+        network = np.zeros((4, 4), dtype=complex)
+        network[:, bsm._PBS_ORDER] = np.array(bsm._ROTATORS)[[1, 0, 2, 3]]  # arm 1's rows
+        monkeypatch.setattr(bsm, "_NETWORK", network)
+        assert main(["verify-appendix", "--samples", "100", "--seed", "7"]) == 1
+        failed = [line.split() for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert [words[1] for words in failed] == ["bsm-model-equivalence:"]
+        assert float(failed[0][4]) >= 0.5  # +45 through b0 alone moves half its mass
 
     def test_matrix_is_a_writable_copy(self):
         m = mode_network_matrix()

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
@@ -441,14 +442,14 @@ class TestUsage:
         ["verify-appendix", "--samples"], ["verify-appendix", "--samples", "1.5"],
         ["theory-table", "--frobnicate"], ["theory-table", "--seed", "1"],
         ["theory-table", "--visibility"], ["theory-table", "--visibility", "high"],
-        # arguments the command's own parser leaves over, help after an unknown
-        # flag, a repeated flag's bad value and a flag missing its value
+        # a stray argument, '--', help after an unknown flag, a repeated flag's
+        # bad value and a flag missing its value
         ["session", "extra"], ["session", "--", "x"], ["session", "--frobnicate", "-h"],
         ["verify-appendix", "--samples", "5", "--samples", "x"], ["theory-table", "--out"],
     ], ids=" ".join)
     def test_help_and_usage_match_the_full_parser(self, argv, capsys):
-        # main parses a named command with that command's parser alone; what it
-        # prints must not change
+        # main reads a well-formed call without argparse; what it prints for
+        # every other call must be the full parser's
         assert _outcome(main, argv, capsys) == _outcome(_build_parser().parse_args, argv, capsys)
 
     @pytest.mark.parametrize("argv", [
@@ -459,7 +460,8 @@ class TestUsage:
         ["theory-table"], ["theory-table", "--visibility", "0.5", "--out", "t.csv"],
     ], ids=" ".join)
     def test_command_flags_match_the_full_parser(self, argv, monkeypatch, tmp_path):
-        # the arguments a handler gets equal the full parser's, abbreviations included
+        # the arguments a handler gets equal the full parser's, whether main
+        # reads the call itself or hands it on (the abbreviation --pul)
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("")
         argv = [*argv, "--config", str(cfg)]
@@ -471,6 +473,41 @@ class TestUsage:
         full = vars(_build_parser().parse_args(argv))
         assert full.pop("command") == argv[0]
         assert seen == [full]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_random_calls_match_the_full_parser(self, command, monkeypatch, capsys):
+        # seeded argv over every flag, the spellings only argparse reads and a
+        # few values: main either hands the handler the full parser's
+        # namespace or ends exactly as the full parser does
+        rng = random.Random(f"scan {command}")
+        values = ["", "x", "1", "1.5", "nan"]
+        alphabet = [*cli._FLAGS, "-h", "--help", "--", "--pul", "--seed=3", "-", "-0.5", *values]
+        # each token is mostly one that fits where it stands: a flag of the
+        # command, or a value its type converts
+        typed = {int: ["1"], float: ["1", "1.5", "nan"]}
+        fits = {flag: None if "action" in spec else typed.get(spec.get("type"), values)
+                for flag, spec in cli._FLAGS.items()}
+        own = list(cli._COMMANDS[command][1])
+        seen = []
+        help_text, flags, _ = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            (help_text, flags, lambda _, args: seen.append(vars(args)) or 0))
+        monkeypatch.setattr(cli, "load_config", lambda path, overrides: None)
+        full = _build_parser()
+        for _ in range(200):
+            argv, slot = [command], None
+            for _ in range(rng.randrange(7)):
+                argv.append(rng.choice((slot or own) if rng.random() < 0.8 else alphabet))
+                slot = None if slot else fits.get(argv[-1])
+            try:
+                expected = vars(full.parse_args(argv))
+            except SystemExit as exc:
+                ended = (exc.code, *capsys.readouterr())
+                assert _outcome(main, argv, capsys) == ended, argv
+                continue
+            assert expected.pop("command") == command
+            assert main(argv) == 0, argv
+            assert repr(seen.pop()) == repr(expected), argv  # repr: a NaN value equals itself
 
     def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
         # the path entry() takes
@@ -493,13 +530,12 @@ class TestUsage:
             assert capsys.readouterr().err == f"{usage}ddiqkd: error: {error}\n"
 
     @pytest.mark.parametrize("argv, built", [
-        (["theory-table", "--visibility", "1.0"], ["theory-table"]),
+        (["theory-table", "--visibility", "1.0"], []),
         (["--help"], ["", "keyrate-curve", "session", "verify-appendix", "theory-table"]),
-        # the command's parser leaves --frobnicate over, so the full parser reports it
         (["session", "--frobnicate"],
-         ["session", "", "keyrate-curve", "session", "verify-appendix", "theory-table"]),
+         ["", "keyrate-curve", "session", "verify-appendix", "theory-table"]),
     ])
-    def test_a_command_builds_only_its_own_parser(self, argv, built, monkeypatch, capsys):
+    def test_only_help_and_usage_errors_build_parsers(self, argv, built, monkeypatch, capsys):
         # every ArgumentParser a call constructs, by the command its prog names
         progs = []
         init = argparse.ArgumentParser.__init__

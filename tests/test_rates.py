@@ -528,12 +528,14 @@ def _sequential_cutoff(rate_at, lengths):
     else:
         return 0.0
     if hi is None:
+        if lo >= rates._CUTOFF_CAP_KM:
+            return lo
         hi = lo + rates._CUTOFF_STEP_KM
-        while rate_at(hi) > 0.0 and hi < rates._CUTOFF_CAP_KM:
+        while rate_at(hi) > 0.0:  # the cap only if the step at or past it has key
+            if hi >= rates._CUTOFF_CAP_KM:
+                return rates._CUTOFF_CAP_KM
             lo = hi
             hi += rates._CUTOFF_STEP_KM
-        if hi >= rates._CUTOFF_CAP_KM:
-            return max(rates._CUTOFF_CAP_KM, lo)
     while hi - lo > rates._CUTOFF_TOL_KM:
         mid = 0.5 * (lo + hi)
         if rate_at(mid) > 0.0:
@@ -658,6 +660,14 @@ class TestKeyrateCurve:
         curve = _assert_curve_matches_searches(params, lengths)
         assert curve.rate_proposal[-1] > 0.0 and curve.rate_bb84[-1] > 0.0
         assert curve.summary() == {"cutoff_proposal_km": lengths[-1], "cutoff_bb84_km": lengths[-1]}
+
+    def test_cutoff_is_the_cap_only_if_the_cap_has_key(self):
+        # every 25 km step below the cap has key, the 1000 km step has none:
+        # the cutoff is bisected between the last two steps
+        params = RateParams(alpha_db_per_km=0.0306)
+        assert optimize_mu(params, 1000.0)[1] == 0.0
+        curve = _assert_curve_matches_searches(params, [0.0, 500.0])
+        assert curve.cutoff_proposal_km == 980.859375
 
     def test_columns_are_read_only(self):
         curve = keyrate_curve(FIG_PARAMS, [0.0, 10.0])
