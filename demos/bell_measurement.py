@@ -12,14 +12,15 @@ import numpy as np
 
 from ddiqkd.bsm import (
     THEORY_ROWS,
+    click_table,
     ideal_bsm_distribution,
     mode_network_distribution,
     mode_network_matrix,
+    sift_table,
     theory_table,
     theory_row_label,
 )
 from ddiqkd.qstate import PureState, haar_amplitudes
-from ddiqkd.session import projected_qber_from_visibility
 
 print("Optical network (rows D1..D4, columns H1,H2,V1,V2), times sqrt(2):")
 print(np.round(mode_network_matrix().real * np.sqrt(2), 10), "\n")
@@ -43,6 +44,7 @@ def show_table(vis):
 show_table(1.0)
 show_table(0.884)
 
-qber = projected_qber_from_visibility(0.884)
+# the largest click mass that the sift hands Bob as a wrong bit, over all codes
+qber = (click_table(0.0, 0.884) * sift_table()[1]).sum(axis=1).max()
 print(f"A fringe visibility of 88.4% projects to a QBER of {qber:.1%}:")
 print("each diagonal row moves (1-V)/2 of its mass onto the wrong detector pair.")

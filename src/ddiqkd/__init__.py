@@ -7,11 +7,12 @@ The library is organized bottom-up:
 - qstate:   tiny complex linear algebra (pure states, density matrices)
 - encoding: BB84 polarization states, the path-encoding network, and the
             virtual-protocol identities behind the security argument
-- bsm:      ideal and mode-network Bell measurement
+- bsm:      ideal and mode-network Bell measurement, the click table and
+            the sift rule
 - channel:  Poisson photon statistics and lossy fiber
 - rates:    analytic yields, secret key rate, intensity optimization,
             distance sweeps, and the two-detector reference system
-- session:  vectorized Monte Carlo of full protocol runs and the sift rule
+- session:  vectorized Monte Carlo of full protocol runs
 - verify:   the model consistency checks
 - cli:      batch front end (``ddiqkd`` command)
 """
@@ -48,11 +49,6 @@ from .rates import (
     security_regime,
     yield_table,
 )
-from .session import (
-    SessionParams,
-    SessionReport,
-    projected_qber_from_visibility,
-    run_session,
-)
+from .session import SessionParams, SessionReport, run_session
 
 __version__ = "0.1.0"

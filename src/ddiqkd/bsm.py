@@ -8,9 +8,11 @@ exactly; the network exists so the optical layout can be audited.
 
 ``click_table`` is the receiver's device model: the per-photon click
 distribution over D1..D4 for every (Alice state, Bob setting) pair, with
-misalignment and interference visibility folded in.  The Monte Carlo builds
-its exact cell probabilities from it, ``theory_table`` is a slice of it,
-and the flip-table check reads it.
+misalignment and interference visibility folded in.  ``sift_table`` is the
+classical processing of a lone click on the same (code, detector) grid:
+whether it is kept and whether Bob's bit is right.  The Monte Carlo builds
+its exact cell probabilities from the two, ``theory_table`` is a slice of
+the click table, and the flip-table check reads both.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "mode_network_matrix",
     "mode_network_distribution",
     "click_table",
+    "sift_table",
     "THEORY_ROWS",
     "theory_table",
 ]
@@ -111,6 +114,30 @@ def click_table(e_mis: float = 0.0, visibility: float = 1.0) -> np.ndarray:
     table[table < 1e-12] = 0.0
     table /= table.sum(axis=1, keepdims=True)
     return (1.0 - e_mis) * table + e_mis * table[np.arange(16) ^ 4]
+
+
+# Bob flips his setting bit when 0-based detector d clicks in basis b (0
+# rectilinear, 1 diagonal): _FLIP[b, d].  Rectilinear flips on D3 and D4,
+# diagonal on D2 and D4.
+_FLIP = np.array([[False, False, True, True], [False, True, False, True]])
+
+
+def sift_table() -> np.ndarray:
+    """(2, 16, 4) booleans: a lone click on (code, detector) is sifted and gives
+    Bob Alice's bit (``[0]``) or the other bit (``[1]``).
+
+    The one statement of the sift rule.  ``code = 4 * alice_state +
+    bob_setting`` in the orders of ALICE_SETTINGS and PATH_SETTINGS, so its
+    bits are, from bit 3 down, Alice's basis, Alice's bit, Bob's basis and
+    Bob's setting bit.  A click is sifted where the bases match; Bob's bit
+    is his setting bit, flipped where ``_FLIP`` says for his basis and the
+    0-based detector.  Built per call, not at import: only sessions and
+    verify read it."""
+    code = np.arange(16)
+    bob_basis = (code >> 1) & 1
+    matched = ((code >> 3) == bob_basis)[:, None]
+    error = ((code & 1)[:, None] ^ _FLIP[bob_basis]) != ((code >> 2) & 1)[:, None]
+    return np.stack([matched & ~error, matched & error])
 
 
 # The eight basis-matched (Alice state, Bob setting) combinations, in the

@@ -34,7 +34,6 @@ __all__ = [
     "rho_alice",
     "rho_bob",
     "agreement_detectors",
-    "flip_detectors",
 ]
 
 
@@ -235,8 +234,3 @@ def agreement_detectors(alice: Bb84Setting, bob: PathSetting) -> tuple[int, int]
     if alice.basis is Basis.RECTILINEAR:
         return (1, 2) if alice.bit == bob.bit else (3, 4)
     return (1, 3) if alice.bit == bob.bit else (2, 4)
-
-
-def flip_detectors(basis: Basis) -> tuple[int, int]:
-    """Detectors (1-based) whose click means Bob flips his bit in this basis."""
-    return (3, 4) if basis is Basis.RECTILINEAR else (2, 4)

@@ -152,8 +152,8 @@ def _bb84_gains(eta, e, d, mu):
 
 def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
     """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero."""
-    if not (np.asarray(mu) > 0.0).all():
-        raise ValueError("mu must be positive")
+    if not ((np.asarray(mu) > 0.0).all() and (np.asarray(mu) < np.inf).all()):  # NaN fails too
+        raise ValueError("mu must be positive and finite")
     p0 = np.exp(-mu)
     privacy = p0 * y0 + mu * p0 * y1 * k1
     correction = gain * params.f_ec * _entropy(_ratio(err_gain, gain, 0.0))
@@ -416,7 +416,7 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
 
 
 def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
-    """Optimized rates for both protocols over a sorted list of distances.
+    """Optimized rates for both protocols over a sorted list of finite distances.
 
     One _optimize searches both protocols at once, on side-by-side columns
     [proposal at each length | reference at each length]: four rate
@@ -427,6 +427,8 @@ def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
     if sorted(lengths) != list(lengths):
         raise ValueError("lengths must be sorted ascending")
     km, n = np.array(lengths, dtype=float), len(lengths)
+    if not (km < np.inf).all():  # an infinite length would bisect [lo, inf] forever
+        raise ValueError("lengths must be finite")
     joint = _side_by_side(_proposal_terms(yield_table(params, km)), _reference_terms(params, km))
     mu, rate = _optimize(_rate_of_mu(joint, params), False)
     cut_prop = _cutoff(lambda L: _grid_max(_proposal_terms(yield_table(params, L)), params),

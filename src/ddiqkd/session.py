@@ -26,12 +26,11 @@ unregistered photons, so n_sent = N_1 + ... + N_4 + U.  Dark counts OR in
 as independent Bernoulli(p_dark) bits.  A lone click on d needs the other
 three detectors silent, (1 - p_dark)^3 exp(-x (1 - T[c, d])), and d to
 fire; splitting N_d and U at 0, 1 and >= 2 photons gives its class.  The
-mean over the 16 codes, weighted by ``_sift_table()`` (the sift rule,
-which ``verify``'s flip-table check reads too), gives the sifted cells,
-and a class's not-sifted cell is its matched share P(n_sent class k) / 2
-less its sifted cells.  Every factor is a probability, so the table stays
-finite at any mu (the form exp(-x) expm1(x T) would overflow once x T
-exceeds ~710).
+mean over the 16 codes, weighted by the sift rule ``bsm.sift_table()``,
+gives the sifted cells, and a class's not-sifted cell is its matched share
+P(n_sent class k) / 2 less its sifted cells.  Every factor is a
+probability, so the table stays finite at any mu (the form exp(-x)
+expm1(x T) would overflow once x T exceeds ~710).
 """
 
 from __future__ import annotations
@@ -41,25 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsm import click_table
-from .encoding import Basis, flip_detectors
+from .bsm import click_table, sift_table
 from .rates import RateParams, YieldTable, _eta, _ratio, _require_real, _secret_rate
 
-__all__ = [
-    "SessionParams",
-    "SessionReport",
-    "run_session",
-    "projected_qber_from_visibility",
-]
+__all__ = ["SessionParams", "SessionReport", "run_session"]
 
 MAX_PULSES = 2**63 - 1  # the largest count ``Generator.multinomial`` takes
-
-
-def projected_qber_from_visibility(visibility: float) -> float:
-    """Error rate (1-V)/2 implied by an interference visibility V."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
-    return (1.0 - visibility) / 2.0
 
 
 @dataclass(frozen=True)
@@ -201,29 +187,6 @@ class SessionReport:
         }
 
 
-# Bob flips his bit when detector d (0-based) clicks in basis b: _FLIP[b, d]
-_FLIP = np.array([[d in flip_detectors(basis) for d in (1, 2, 3, 4)]
-                  for basis in (Basis.RECTILINEAR, Basis.DIAGONAL)])
-
-
-def _sift_table() -> np.ndarray:
-    """(2, 16, 4) booleans: a lone click on (code, detector) is sifted and gives
-    Bob Alice's bit (``[0]``) or the other bit (``[1]``).
-
-    The one statement of the sift rule.  ``code = 4 * alice_state +
-    bob_setting`` in the orders of ALICE_SETTINGS and PATH_SETTINGS, so its
-    bits are, from bit 3 down, Alice's basis, Alice's bit, Bob's basis and
-    Bob's setting bit.  A click is sifted where the bases match; Bob's bit
-    is his setting bit, flipped where ``_FLIP`` says for his basis and the
-    0-based detector.  Built per call, not at import: only sessions and
-    verify read it."""
-    code = np.arange(16)
-    bob_basis = (code >> 1) & 1
-    matched = ((code >> 3) == bob_basis)[:, None]
-    error = ((code & 1)[:, None] ^ _FLIP[bob_basis]) != ((code >> 2) & 1)[:, None]
-    return np.stack([matched & ~error, matched & error])
-
-
 def _poisson_classes(y):
     """P(Y = 0), P(Y = 1) and P(Y >= 2) of Y ~ Poisson(y), stacked on a new first axis."""
     e = np.exp(-y)
@@ -243,8 +206,8 @@ def _cell_probabilities(params: SessionParams) -> np.ndarray:
     # times P(the other three detectors stay silent)
     lone *= (1.0 - d) ** 3 * np.exp(-params.mu * eta * (1.0 - table))
 
-    # (error, code, detector) weights of the sift, with the code's 1/16
-    sifted = np.einsum("kcd,ecd->ked", lone, _sift_table() / 16.0).reshape(3, 8)
+    # (error, code, detector) weights of bsm's sift rule, with the code's 1/16
+    sifted = np.einsum("kcd,ecd->ked", lone, sift_table() / 16.0).reshape(3, 8)
 
     share = _poisson_classes(params.mu) / 2.0  # matched pulses of each photon class
     # rounding leaves ~ -1e-17 where a class's matched pulses are all sifted

@@ -15,10 +15,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .bsm import click_table, ideal_bsm_distribution, mode_network_distribution, mode_network_matrix
+from .bsm import (click_table, ideal_bsm_distribution, mode_network_distribution,
+                  mode_network_matrix, sift_table)
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
 from .qstate import DensityMatrix, PureState, haar_amplitudes, max_trace_distance, random_unitary
-from .session import _sift_table
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
 
@@ -86,13 +86,13 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
 def check_flip_table() -> CheckResult:
     """Ideal single photons never give Bob a wrong sifted bit.
 
-    Reads the sessions' own sift table `session._sift_table` and ideal click
-    table on all 16 setting codes x 4 detectors: exactly the 8 basis-matched
-    codes are kept, each has exactly two detectors that restore Alice's bit,
-    and the click mass on detectors that hand Bob the wrong bit is the
-    deviation.
+    Reads ``bsm.sift_table``, which weights the sessions' cells, and the
+    ideal click table on all 16 setting codes x 4 detectors: exactly the 8
+    basis-matched codes are kept, each has exactly two detectors that
+    restore Alice's bit, and the click mass on detectors that hand Bob the
+    wrong bit is the deviation.
     """
-    right, wrong = _sift_table()
+    right, wrong = sift_table()
     basis_matched = np.array([alice.basis is path.basis
                               for alice in ALICE_SETTINGS for path in PATH_SETTINGS])
     worst = float((click_table() * wrong).sum(axis=1).max())

@@ -10,6 +10,7 @@ from ddiqkd.bsm import (
     ideal_bsm_distribution,
     mode_network_distribution,
     mode_network_matrix,
+    sift_table,
     theory_table,
 )
 from ddiqkd.cli import main
@@ -24,7 +25,7 @@ from ddiqkd.encoding import (
 )
 from ddiqkd.qstate import PureState, haar_amplitudes
 from ddiqkd.rates import RateParams, yield_table
-from ddiqkd.session import SessionParams, _sift_table, run_session
+from ddiqkd.session import SessionParams, run_session
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
@@ -149,7 +150,7 @@ class TestDetect:
         assert route.shape == (16, 4)
         assert np.all(route >= 0.0)
         np.testing.assert_allclose(route.sum(axis=1), 1.0, atol=1e-15)
-        assert _sift_table().shape == (2, 16, 4)
+        assert sift_table().shape == (2, 16, 4)
 
     def test_dark_only_single_click_rate(self):
         # P(exactly one click) = 4 p (1-p)^3 for independent dark counts;

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ddiqkd import cli, session
+from ddiqkd import bsm, cli, session
 from ddiqkd.cli import Config, ConfigError, _build_parser, load_config, main
 from ddiqkd.verify import check_flip_table
 
@@ -250,7 +250,7 @@ class TestVerifyAppendixCommand:
         # in the check and in the sessions' cells alike
         params = Config(distances=(0.0,)).session_params
         before = session._cell_probabilities(params)
-        monkeypatch.setattr(session, "_FLIP", session._FLIP[::-1].copy())
+        monkeypatch.setattr(bsm, "_FLIP", bsm._FLIP[::-1].copy())
         after = session._cell_probabilities(params)
         result = check_flip_table()
         assert not result.passed

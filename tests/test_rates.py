@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ddiqkd import rates
-from ddiqkd.bsm import click_table
+from ddiqkd.bsm import click_table, sift_table
 from ddiqkd.channel import poisson_pn
 from ddiqkd.rates import (
     RateParams,
@@ -26,7 +26,6 @@ from ddiqkd.rates import (
     security_regime,
     yield_table,
 )
-from ddiqkd.session import _sift_table
 
 FIG_PARAMS = RateParams(
     eta_det=0.145,
@@ -225,7 +224,7 @@ class TestYieldTable:
         averaged over the 8 matched codes; the error gains keep the codes in
         which the sift hands Bob the wrong bit on a lone click on i.
         """
-        right, wrong = _sift_table()  # the sessions' own (code, detector) weights
+        right, wrong = sift_table()  # the sessions' own (code, detector) weights
         matched = (right | wrong)[:, 0]
         wrong = wrong[matched]
         tables = {e: click_table(e)[matched] for e in (0.0, 0.015, 0.11, 0.3, 0.5)}
@@ -318,7 +317,7 @@ class TestKeyRate:
             noisy = key_rate(yield_table(noisier, length), noisier, 0.7)
             assert noisy < clean
 
-    @pytest.mark.parametrize("mu", [0.0, -0.5, math.nan])
+    @pytest.mark.parametrize("mu", [0.0, -0.5, math.nan, math.inf])
     def test_nonpositive_mu_rejected(self, mu):
         yt = yield_table(FIG_PARAMS, 50.0)
         with pytest.raises(ValueError, match="mu"):
@@ -679,6 +678,12 @@ class TestKeyrateCurve:
     def test_unsorted_lengths_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             keyrate_curve(FIG_PARAMS, [10.0, 0.0])
+
+    @pytest.mark.parametrize("lengths", [[math.inf], [0.0, math.inf]])
+    def test_infinite_lengths_rejected(self, lengths):
+        # key at 0 km and none at inf used to bisect [0, inf] forever
+        with pytest.raises(ValueError, match="finite"):
+            keyrate_curve(FIG_PARAMS, lengths)
 
 
 class TestSecurityRegime:

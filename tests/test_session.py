@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from ddiqkd.bsm import click_table, sift_table
 from ddiqkd.cli import Config
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
@@ -23,8 +24,6 @@ from ddiqkd.session import (
     SessionParams,
     SessionReport,
     _cell_probabilities,
-    _sift_table,
-    projected_qber_from_visibility,
     run_session,
 )
 
@@ -80,7 +79,7 @@ def _code(alice, bob):
 def _sift_one(alice, bob, detector):
     """The sift table on one lone click on 1-based ``detector``: (kept, Bob's
     bit), the bit None where the click is not kept."""
-    right, wrong = _sift_table()[:, _code(alice, bob), detector - 1]
+    right, wrong = sift_table()[:, _code(alice, bob), detector - 1]
     if not (right or wrong):
         return False, None
     return True, alice.bit ^ int(wrong)
@@ -135,7 +134,7 @@ class TestSift:
 
     def test_vectorized_sift_matches_scalar(self):
         # the table on every (Alice state, Bob setting) code and every lone detector
-        table = _sift_table()
+        table = sift_table()
         assert table.shape == (2, 16, 4) and table.dtype == bool
         for code, detector in itertools.product(range(16), range(4)):
             alice = ALICE_SETTINGS[code >> 2]
@@ -148,7 +147,7 @@ class TestSift:
         # the sessions' and the flip-table check's weights: Bob's bit is right
         # exactly on the agreement detectors of a matched pair and wrong on
         # the other two; an unmatched pair keeps nothing
-        right, wrong = _sift_table()
+        right, wrong = sift_table()
         assert right.shape == wrong.shape == (16, 4)
         for code in range(16):
             alice, bob = ALICE_SETTINGS[code // 4], PATHS[code % 4]
@@ -160,19 +159,21 @@ class TestSift:
             assert (wrong[code] == (matched & ~agree)).all(), code
 
 
-class TestProjectedQber:
-    def test_perfect_interference(self):
-        assert projected_qber_from_visibility(1.0) == 0.0
-
-    def test_reference_visibility(self):
-        assert projected_qber_from_visibility(0.884) == pytest.approx(0.058, abs=1e-12)
-
-    def test_no_interference(self):
-        assert projected_qber_from_visibility(0.0) == 0.5
+class TestVisibility:
+    @pytest.mark.parametrize("visibility", [0.0, 0.5, 0.884, 1.0])
+    def test_diagonal_rows_move_half_the_lost_visibility_to_wrong_bits(self, visibility):
+        # the click mass on the detectors that hand Bob the wrong bit is
+        # (1-V)/2 on the four diagonal matched rows and 0 on the rectilinear ones
+        wrong = (click_table(0.0, visibility) * sift_table()[1]).sum(axis=1)
+        for alice, bob in itertools.product(ALICE_SETTINGS, PATHS):
+            if alice.basis is bob.basis is Basis.DIAGONAL:
+                assert wrong[_code(alice, bob)] == pytest.approx((1 - visibility) / 2, abs=1e-15)
+            elif alice.basis is bob.basis:
+                assert wrong[_code(alice, bob)] == 0.0
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            projected_qber_from_visibility(1.1)
+        with pytest.raises(ValueError, match="visibility"):
+            click_table(0.0, 1.1)
 
 
 class TestRunSession:
@@ -475,6 +476,67 @@ class TestWholeVector:
         params = fig_session(10**9)
         drawn = dataclasses.replace(params, model=dataclasses.replace(FIG_MODEL, e_mis=0.02))
         assert _g_statistic(run_session(drawn, 1), params) > CHI2_27_AT_1E_6
+
+
+def _photon_by_photon(params, seed):
+    """A session simulated pulse by pulse from the stated model, as a report:
+    a setting code uniform over 16 and Poisson(mu) photons, each registered
+    on detector j with probability eta T[c, j] (T = ``click_table(e_mis)``)
+    and lost otherwise, Bernoulli(p_dark) dark counts ORed in, and a lone
+    click kept where the bases match, Bob's bit right exactly on the pair
+    of ``agreement_detectors``.  It reads neither the cells nor the sift table."""
+    n, model, eta = params.n_pulses, params.model, params.eta
+    agree = np.zeros((16, 4), dtype=bool)
+    matched = np.zeros(16, dtype=bool)
+    for alice, bob in itertools.product(ALICE_SETTINGS, PATHS):
+        if alice.basis is bob.basis:
+            matched[_code(alice, bob)] = True
+            agree[_code(alice, bob), np.array(agreement_detectors(alice, bob)) - 1] = True
+    rng = np.random.default_rng(seed)
+    code = rng.integers(16, size=n)
+    photons = rng.poisson(params.mu, size=n)
+    routes = np.column_stack([eta * click_table(model.e_mis), np.full(16, 1.0 - eta)])
+    fired = rng.multinomial(photons, routes[code])[:, :4] > 0
+    fired |= rng.random((n, 4)) < model.p_dark
+    detector = fired.argmax(axis=1)
+    sifted = np.where(fired.sum(axis=1) == 1, 4 * ~agree[code, detector] + detector, 8)
+    cell = np.where(matched[code], 9 * np.minimum(photons, 2) + sifted, 27)
+    return SessionReport(params, seed, np.bincount(cell, minlength=28)[:27].reshape(3, 9))
+
+
+class TestPhotonByPhoton:
+    """The session's cells against an independent photon-by-photon sampler.
+
+    At 5 * 10^5 pulses every expected cell of these points holds at least 36
+    counts, so G is close to chi^2 with 27 degrees of freedom.  Seeds and
+    bound were fixed before the first run; do not re-pick them.
+    """
+
+    POINTS = {
+        "bright_misaligned": (0.7, 0.0, RateParams(eta_det=1.0, p_dark=0.3, e_mis=0.25)),
+        "multi_photon_random_bits": (5.0, 0.0, RateParams(eta_det=1.0, p_dark=0.05, e_mis=0.5)),
+        "lossy": (2.0, 10.0, RateParams(eta_det=0.5, p_dark=0.01)),
+    }
+
+    @staticmethod
+    def _params(name, e_mis=None):
+        mu, length_km, model = TestPhotonByPhoton.POINTS[name]
+        if e_mis is not None:
+            model = dataclasses.replace(model, e_mis=e_mis)
+        return SessionParams(n_pulses=500_000, mu=mu, length_km=length_km, model=model)
+
+    @pytest.mark.parametrize("seed, name", enumerate(POINTS, start=101))
+    def test_sampler_fits_the_cells(self, seed, name):
+        params = self._params(name)
+        expected = params.n_pulses * _cell_probabilities(params)
+        assert expected.min() >= 30.0, expected.min()
+        g = _g_statistic(_photon_by_photon(params, seed), params)
+        assert g <= CHI2_27_AT_1E_6, g
+
+    def test_a_wrong_model_fails(self):
+        # drawn at e_mis = 0.015, compared with the cells of e_mis = 0.03
+        rep = _photon_by_photon(self._params("lossy"), 104)
+        assert _g_statistic(rep, self._params("lossy", e_mis=0.03)) > CHI2_27_AT_1E_6
 
 
 class TestCellProbabilities:
