@@ -176,6 +176,21 @@ class TestVisibility:
             click_table(0.0, 1.1)
 
 
+class TestProjectedQber:
+    # the QBER a visibility projects onto the sifted key, read from the
+    # click table as acceptance criterion 4 reads it: the largest wrong-bit
+    # click mass over the matched rows of click_table(0, V)
+    @staticmethod
+    def _qber(visibility):
+        return (click_table(0.0, visibility) * sift_table()[1]).sum(axis=1).max()
+
+    def test_reference_visibility(self):
+        assert self._qber(0.884) == pytest.approx(0.058, abs=1e-12)
+
+    def test_no_interference(self):
+        assert self._qber(0.0) == 0.5
+
+
 class TestRunSession:
     def test_deterministic_given_seed(self):
         params = fig_session(200_000)
