@@ -638,6 +638,13 @@ PINNED_REPORTS = {
     "cli_defaults_100km": (
         Config(distances=(100.0,)).session_params, 1,
         "f02f6eb91244c6f9789885a9523b953b5fc9d760ef5f8774be9fd45b137af4df"),
+    # perfbench's 10^7-pulse session workloads (session_0km, session_100km) at seed 1
+    "benchmark_0km": (
+        Config(distances=(0.0,), n_pulses=10**7).session_params, 1,
+        "e1bb7bd4666485d0e80a0defe198bbfec01d75aa2489b003b6e3d5a4dbc9f216"),
+    "benchmark_100km": (
+        Config(distances=(100.0,), n_pulses=10**7).session_params, 1,
+        "cd19b2c8688f3175687f21498b8f12decfb707bd603549af70060e151c8c8d49"),
     "bright_noisy": (
         _pinned(50_000, mu=5.0, e_mis=0.5, p_dark=0.9), 2,
         "da06d7c8a50b1584798ce4c31fcb555a07b7fabece43cafd831e5495d06ace24"),
