@@ -7,8 +7,8 @@ The library is organized bottom-up:
 - qstate:   tiny complex linear algebra (pure states, density matrices)
 - encoding: BB84 polarization states, the path-encoding network, and the
             virtual-protocol identities behind the security argument
-- bsm:      ideal and mode-network Bell measurement, the click table and
-            the sift rule
+- bsm:      ideal and mode-network Bell measurement, the click table, the
+            sift rule and the per-detector routes
 - channel:  Poisson photon statistics and lossy fiber
 - rates:    analytic yields, secret key rate, intensity optimization,
             distance sweeps, and the two-detector reference system

@@ -10,9 +10,9 @@ exactly; the network exists so the optical layout can be audited.
 distribution over D1..D4 for every (Alice state, Bob setting) pair, with
 misalignment and interference visibility folded in.  ``sift_table`` is the
 classical processing of a lone click on the same (code, detector) grid:
-whether it is kept and whether Bob's bit is right.  The Monte Carlo builds
-its exact cell probabilities from the two, ``theory_table`` is a slice of
-the click table, and the flip-table check reads both.
+whether it is kept and whether Bob's bit is right.  ``detector_routes``,
+the two reduced to one detector's two roles, is what the rate engine and the
+Monte Carlo read; the flip-table check compares it with the other two.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "mode_network_distribution",
     "click_table",
     "sift_table",
+    "detector_routes",
     "THEORY_ROWS",
     "theory_table",
 ]
@@ -131,13 +132,21 @@ def sift_table() -> np.ndarray:
     bits are, from bit 3 down, Alice's basis, Alice's bit, Bob's basis and
     Bob's setting bit.  A click is sifted where the bases match; Bob's bit
     is his setting bit, flipped where ``_FLIP`` says for his basis and the
-    0-based detector.  Built per call, not at import: only sessions and
-    verify read it."""
+    0-based detector.  Built per call, not at import: only verify, a demo
+    and the tests read it."""
     code = np.arange(16)
     bob_basis = (code >> 1) & 1
     matched = ((code >> 3) == bob_basis)[:, None]
     error = ((code & 1)[:, None] ^ _FLIP[bob_basis]) != ((code >> 2) & 1)[:, None]
     return np.stack([matched & ~error, matched & error])
+
+
+def detector_routes(e_mis: float = 0.0):
+    """(T, 1 - T) of a detector's agreement role (a lone click gives Bob
+    Alice's bit) and error role, T its click probability per photon.  The one
+    statement of the routing: each sifted cell of ``click_table(e_mis)`` is
+    its role's T bit for bit, and a detector holds each role in 4 of 16 codes."""
+    return ((1.0 - e_mis) / 2.0, (1.0 + e_mis) / 2.0), (e_mis / 2.0, (2.0 - e_mis) / 2.0)
 
 
 # The eight basis-matched (Alice state, Bob setting) combinations, in the

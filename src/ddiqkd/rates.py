@@ -1,33 +1,19 @@
 """Analytic yields, secret key rate, and the distance/intensity sweeps.
 
-The device model is pinned as follows.  With eta = eta_det * transmittance
-and flip probability e = e_mis, a photon that survives to the receiver is
-routed, for a basis-matched setting pair, onto one detector of the
-"agreement" pair if unflipped or of the "error" pair if flipped (half/half
-within the pair).  Photons in a multi-photon pulse act independently.  Each
-detector dark-fires independently with probability d per gate, and only
-events where exactly one detector clicks are kept.
+The device model is pinned as follows.  With eta = eta_det * transmittance,
+x = mu eta and e = e_mis, a photon of a basis-matched pulse clicks a
+detector with probability eta T, T = (1-e)/2 or e/2 for its agreement or
+error role in ``bsm.detector_routes(e)``; every detector holds each role
+half the time.  Photons act independently, each detector dark-fires with
+probability d per gate, and only lone clicks are kept.  Over a pulse's
+Poisson(mu) photons, a detector of role T gives a lone click with probability
 
-Averaged over the eight basis-matched setting pairs, every detector plays
-the agreement role half the time, so all four detectors share the same
-per-photon-number yield and error:
+    (1-d)^3 [ d e^{-x} - e^{-x(1-T)} expm1(-x T) ]
 
-    Y_n   = (1-d)^3 [ (a^n + b^n)/2 - (1-eta)^n (1-d) ]
-    e_nY_n= (1-d)^3 [ (b^n - (1-eta)^n)/2 + (1-eta)^n d/2 ]
-
-with a = 1 - eta(1+e)/2 (nothing lands on the other three detectors when
-this one is in the agreement pair) and b = 1 - eta(2-e)/2 (error-pair
-role).  Gains and overall error rates are Poisson mixtures over n, which
-sum exactly because sum_n p_n(mu) x^n = exp(-mu(1-x)).  With x = mu eta,
-A = exp(-x(1+e)/2), B = exp(-x(2-e)/2) and V = exp(-x):
-
-    Q   = (1-d)^3 [ d V - (A expm1(-x(1-e)/2) + B expm1(-x e/2))/2 ]
-    E Q = (1-d)^3 [ d V - B expm1(-x e/2) ] / 2
-
+Q is the mean over the two roles, and E Q is half the error role's value.
 Every term is nonnegative, so the gains keep full relative accuracy at any
-loss, and they hold for every mu > 0.  They are the per-detector averages,
-over the eight matched setting pairs, of the lone-click probabilities that
-``bsm.click_table(e)`` implies (the tests check this to 1e-12).
+loss and hold for every mu > 0 (the tests check them to 1e-12 against the
+lone clicks that ``bsm.click_table(e)`` implies).
 
 The per-pulse key contribution of detector i is
 
@@ -50,6 +36,7 @@ from functools import partial
 
 import numpy as np
 
+from .bsm import detector_routes
 from .channel import transmittance
 
 MU_SEARCH_RANGE = (0.01, 2.0)
@@ -124,11 +111,12 @@ def _eta(params: RateParams, length_km):
 
 
 def _proposal_gains(eta, e, d, mu):
-    """(Q, E Q) of one detector, in closed form (see the module docstring)."""
+    """(Q, E Q) of one detector on the roles of detector_routes(e) (module docstring)."""
+    (right, right_rest), (wrong, wrong_rest) = detector_routes(e)
     nx = -(mu * eta)  # -x; negation and halving are exact: nx * (e / 2) == -x * e / 2
     dv = d * np.exp(nx)
-    b = np.exp(nx * ((2.0 - e) / 2.0)) * np.expm1(nx * (e / 2.0))
-    a = np.exp(nx * ((1.0 + e) / 2.0)) * np.expm1(nx * ((1.0 - e) / 2.0))
+    b = np.exp(nx * wrong_rest) * np.expm1(nx * wrong)
+    a = np.exp(nx * right_rest) * np.expm1(nx * right)
     cube = (1.0 - d) ** 3
     return cube * (dv - (a + b) / 2.0), cube * (dv - b) / 2.0
 
@@ -143,10 +131,10 @@ def _bb84_gains(eta, e, d, mu):
     2 E Q = -expm1(-x e)(1 + (1-d) W) + d C + d(1-d) V, all terms nonnegative.
     """
     nx = -(mu * eta)  # -x
-    v, nxe = np.exp(nx), nx * e
+    v, nxe, keep = np.exp(nx), nx * e, 1.0 - e  # this receiver keeps the bit with 1 - e
     gain = d * (2.0 - d) * v - np.expm1(nx)
     flip = -np.expm1(nxe)
-    err = flip * (1.0 + (1.0 - d) * np.exp(nx * (1.0 - e))) + d * np.exp(nxe) + d * (1.0 - d) * v
+    err = flip * (1.0 + (1.0 - d) * np.exp(nx * keep)) + d * np.exp(nxe) + d * (1.0 - d) * v
     return gain, err / 2.0
 
 

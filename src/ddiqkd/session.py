@@ -17,20 +17,19 @@ cell holds the unmatched pulses, with probability exactly 1/2.  A report
 is the (3, 9) array of the 27 matched cells: every tally it gives, per
 detector and photon class, is a sum of them.
 
-The cell probabilities are exact.  A pulse draws a setting code
-c = 4 * alice_state + bob_setting uniformly from 16, and with
-eta = t * eta_det and x = mu eta, Poisson thinning of its Poisson(mu)
-photons gives independent registered counts N_j ~ Poisson(x T[c, j]) on
-the detectors, T = ``bsm.click_table(e_mis)``, and U ~ Poisson(mu (1 - eta))
-unregistered photons, so n_sent = N_1 + ... + N_4 + U.  Dark counts OR in
-as independent Bernoulli(p_dark) bits.  A lone click on d needs the other
-three detectors silent, (1 - p_dark)^3 exp(-x (1 - T[c, d])), and d to
-fire; splitting N_d and U at 0, 1 and >= 2 photons gives its class.  The
-mean over the 16 codes, weighted by the sift rule ``bsm.sift_table()``,
-gives the sifted cells, and a class's not-sifted cell is its matched share
-P(n_sent class k) / 2 less its sifted cells.  Every factor is a
-probability, so the table stays finite at any mu (the form exp(-x)
-expm1(x T) would overflow once x T exceeds ~710).
+The cell probabilities are exact.  Of the 16 setting codes, each detector
+holds each role of ``bsm.detector_routes(e_mis)`` in 4, with click
+probability T: agreement (a lone click gives Bob Alice's bit) or error.
+With eta = t * eta_det and x = mu eta, Poisson thinning of a pulse's
+Poisson(mu) photons gives independent counts N ~ Poisson(x T) on the
+detector, Poisson(x (1 - T)) on the other three and U ~ Poisson(mu (1 - eta))
+unregistered, summing to n_sent; dark counts OR in as Bernoulli(p_dark).
+A lone click needs the other three silent, (1 - p_dark)^3 exp(-x (1 - T)),
+and the detector to fire; splitting N and U at 0, 1 and >= 2 photons gives
+its class.  Each role's value, weighted 4/16, is a sifted cell of each of
+D1..D4; a class's not-sifted cell is P(class k) / 2 less its sifted cells.
+Every factor is a probability, so the table stays finite at any mu (the
+form exp(-x) expm1(x T) would overflow once x T exceeds ~710).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsm import click_table, sift_table
+from .bsm import detector_routes
 from .rates import RateParams, YieldTable, _eta, _ratio, _require_real, _secret_rate
 
 __all__ = ["SessionParams", "SessionReport", "run_session"]
@@ -195,19 +194,18 @@ def _poisson_classes(y):
 
 def _cell_probabilities(params: SessionParams) -> np.ndarray:
     """The 28 cell probabilities of one pulse, in the order of the module docstring."""
-    d, eta = params.model.p_dark, params.eta
-    table = click_table(params.model.e_mis)
-    n0, n1, n2 = _poisson_classes(params.mu * eta * table)  # min(N_d, 2) per (code, detector)
-    u0, u1, u2 = _poisson_classes(params.mu * (1.0 - eta))  # min(U, 2)
+    d, x = params.model.p_dark, params.mu * params.eta
+    click, others = np.array(detector_routes(params.model.e_mis)).T  # T and 1 - T of each role
+    n0, n1, n2 = _poisson_classes(x * click)  # min(N, 2) on the detector, per role
+    u0, u1, u2 = _poisson_classes(params.mu * (1.0 - params.eta))  # min(U, 2)
     fired_dark = d * n0  # the detector fires on its dark count alone
     lone = np.stack([fired_dark * u0,
                      fired_dark * u1 + n1 * u0,
-                     fired_dark * u2 + n1 * (u1 + u2) + n2])  # (class, code, detector)
+                     fired_dark * u2 + n1 * (u1 + u2) + n2])  # (class, role)
     # times P(the other three detectors stay silent)
-    lone *= (1.0 - d) ** 3 * np.exp(-params.mu * eta * (1.0 - table))
-
-    # (error, code, detector) weights of bsm's sift rule, with the code's 1/16
-    sifted = np.einsum("kcd,ecd->ked", lone, sift_table() / 16.0).reshape(3, 8)
+    lone *= (1.0 - d) ** 3 * np.exp(-x * others)
+    # each detector holds each role for 4 of the 16 codes: weight 4/16 on D1..D4
+    sifted = np.repeat(lone / 4.0, 4, axis=1)
 
     share = _poisson_classes(params.mu) / 2.0  # matched pulses of each photon class
     # rounding leaves ~ -1e-17 where a class's matched pulses are all sifted
@@ -222,8 +220,8 @@ def _run_shard(n: int, rng: np.random.Generator, cells: np.ndarray) -> np.ndarra
 
 def run_session(params: SessionParams, seed: int) -> SessionReport:
     """Run a full session; deterministic given (params, seed)."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     # the stream [seed, 0] keeps the counts that sessions of up to 10^6 pulses always drew
     counts = _run_shard(params.n_pulses, np.random.default_rng([seed, 0]), _cell_probabilities(params))
-    return SessionReport(params, seed, counts)
+    return SessionReport(params, int(seed), counts)  # the report echoes a JSON integer

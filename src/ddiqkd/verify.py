@@ -15,8 +15,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .bsm import (click_table, ideal_bsm_distribution, mode_network_distribution,
-                  mode_network_matrix, sift_table)
+from .bsm import (click_table, detector_routes, ideal_bsm_distribution,
+                  mode_network_distribution, mode_network_matrix, sift_table)
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
 from .qstate import DensityMatrix, PureState, haar_amplitudes, max_trace_distance, random_unitary
 
@@ -84,20 +84,21 @@ def check_bsm_equivalence(n_samples: int, rng) -> CheckResult:
 
 
 def check_flip_table() -> CheckResult:
-    """Ideal single photons never give Bob a wrong sifted bit.
+    """The routes every report reads are the ideal click table's sifted cells.
 
-    Reads ``bsm.sift_table``, which weights the sessions' cells, and the
-    ideal click table on all 16 setting codes x 4 detectors: exactly the 8
-    basis-matched codes are kept, each has exactly two detectors that
-    restore Alice's bit, and the click mass on detectors that hand Bob the
-    wrong bit is the deviation.
+    On all 16 setting codes x 4 detectors of ``bsm.sift_table``: exactly the
+    8 basis-matched codes are kept, each with two detectors that restore
+    Alice's bit, and each detector holds each role of ``detector_routes``
+    for 4 codes (the sessions' weight 1/4).  The deviation is the largest
+    |T - T of the cell's role| over the sifted cells of ``click_table()``.
     """
-    right, wrong = sift_table()
+    right, wrong = sifted = sift_table()
     basis_matched = np.array([alice.basis is path.basis
                               for alice in ALICE_SETTINGS for path in PATH_SETTINGS])
-    worst = float((click_table() * wrong).sum(axis=1).max())
+    routes = np.array(detector_routes())[:, :1, None]  # T of each role, against its cells
+    worst = float(np.abs(click_table() - routes)[sifted].max())
     ok = (((right | wrong) == basis_matched[:, None]).all()
-          and (right.sum(axis=1) == 2 * basis_matched).all())
+          and (right.sum(axis=1) == 2 * basis_matched).all() and (sifted.sum(axis=1) == 4).all())
     return CheckResult("flip-table-correlations", bool(ok) and worst < 1e-12, worst, 1e-12,
                        "all 8 basis-matched pairs, both agreement detectors")
 
@@ -105,6 +106,8 @@ def check_flip_table() -> CheckResult:
 def appendix_checks(n_samples: int = 1000, seed: int = 7,
                     corrupt_path_c_sign: bool = False) -> list[CheckResult]:
     """Run the full consistency suite with a deterministic stream."""
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError("n_samples must be an integer >= 1")
     rng = np.random.default_rng(seed)
     sender = rho_alice(VirtualSource())
     return [

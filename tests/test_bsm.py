@@ -7,6 +7,7 @@ from ddiqkd import bsm
 from ddiqkd.bsm import (
     THEORY_ROWS,
     click_table,
+    detector_routes,
     ideal_bsm_distribution,
     mode_network_distribution,
     mode_network_matrix,
@@ -124,6 +125,22 @@ def _session(n_pulses, mu, eta_det, p_dark):
         length_km=0.0,
         model=RateParams(eta_det=eta_det, p_dark=p_dark, e_mis=0.0),
     )
+
+
+class TestDetectorRoutes:
+    # the sessions weight each role 1/4 on every detector, and the rate
+    # engine averages the two roles, so both rest on this reduction
+    def test_sifted_cells_are_the_routes_bit_for_bit(self):
+        sifted = sift_table()
+        assert (sifted.sum(axis=1) == 4).all()  # 4 codes per detector per role
+        grid = [0.0, 5e-324, 1 / 3, 0.49999999999999994, 0.5, *np.linspace(0.0, 0.5, 101).tolist()]
+        for e_mis in grid:
+            routes = detector_routes(e_mis)
+            assert all(type(value) is float for route in routes for value in route)
+            table = click_table(e_mis)
+            for cells, (click, rest) in zip(sifted, routes):
+                assert (table[cells] == click).all(), (e_mis, table[cells], click)
+                assert rest == pytest.approx(1.0 - click, abs=1e-15)
 
 
 class TestDetect:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ddiqkd import bsm, cli, session
+from ddiqkd import bsm, cli, rates, session, verify
 from ddiqkd.cli import Config, ConfigError, _build_parser, load_config, main
 from ddiqkd.verify import check_flip_table
 
@@ -227,6 +227,12 @@ class TestVerifyAppendixCommand:
         assert main(["verify-appendix", "--samples", samples]) == 2
         assert "--samples must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_samples", [0, -3, True, 2.0])
+    def test_library_rejects_no_samples(self, n_samples):
+        # 0 used to raise IndexError and -3 numpy's "negative dimensions"
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            verify.appendix_checks(n_samples=n_samples)
+
     def test_injected_sign_error_fails_named_checks(self, capsys):
         assert main(["verify-appendix", "--samples", "50", "--self-test-corrupt"]) == 1
         out = capsys.readouterr().out
@@ -245,23 +251,38 @@ class TestVerifyAppendixCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_reversed_flip_table_fails(self, monkeypatch, capsys):
-        # the check must read the sift table that produces the reports:
-        # swapping the rectilinear and diagonal flip rows hands Bob wrong bits
-        # in the check and in the sessions' cells alike
-        params = Config(distances=(0.0,)).session_params
-        before = session._cell_probabilities(params)
+        # the check must read the sift table: swapping the rectilinear and
+        # diagonal flip rows hands Bob wrong bits on the agreement detectors
         monkeypatch.setattr(bsm, "_FLIP", bsm._FLIP[::-1].copy())
-        after = session._cell_probabilities(params)
         result = check_flip_table()
         assert not result.passed
         assert result.max_deviation == 0.5
+        assert main(["verify-appendix", "--samples", "50"]) == 1
+        assert "FAIL flip-table-correlations" in capsys.readouterr().out
 
-        def sifted(cells):  # the sifted cells by (error, photon class, detector)
-            return cells[:27].reshape(3, 9)[:, :8].reshape(3, 2, 4).swapaxes(0, 1)
+    def test_swapped_routes_fail(self, monkeypatch, capsys):
+        # the check must read the routes that produce the reports: swapping
+        # the agreement and error roles of bsm.detector_routes wherever it is
+        # bound moves the sessions' error cells and the curve's rates, and
+        # the click table's sifted cells no longer hold the routes
+        params = Config(distances=(0.0,)).session_params
+        lengths = [0.0, 50.0, 100.0]
+        cells = session._cell_probabilities(params)
+        curve = rates.keyrate_curve(params.model, lengths).rate_proposal
+        routes = bsm.detector_routes
+        for module in (bsm, rates, session, verify):
+            monkeypatch.setattr(module, "detector_routes", lambda e_mis=0.0: routes(e_mis)[::-1])
+        swapped_cells = session._cell_probabilities(params)
+        swapped_curve = rates.keyrate_curve(params.model, lengths).rate_proposal
 
-        assert (sifted(before)[1] != sifted(after)[1]).any()
-        assert sifted(before)[1].sum() / sifted(before).sum() < 0.02
-        assert sifted(after)[1].sum() / sifted(after).sum() == pytest.approx(0.5, abs=1e-12)
+        def errors(cells):  # the error cells of one and more photons, by (class, detector)
+            return cells[:27].reshape(3, 9)[1:, 4:8]  # a vacuum dark count has no role
+
+        assert (errors(cells) != errors(swapped_cells)).all()
+        assert (curve != swapped_curve).all()
+        result = check_flip_table()
+        assert not result.passed
+        assert result.max_deviation == 0.5
         assert main(["verify-appendix", "--samples", "50"]) == 1
         assert "FAIL flip-table-correlations" in capsys.readouterr().out
 

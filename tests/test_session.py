@@ -395,6 +395,18 @@ class TestRunSession:
         d = run_session(fig_session(np.int64(1000)), seed=3).to_dict()
         assert json.dumps(d["config"]["n_pulses"]) == "1000"
 
+    @pytest.mark.parametrize("seed", [True, 1.0])
+    def test_non_integer_seed_rejected(self, seed):
+        # True used to be echoed as JSON true, and 1.0 raised numpy's TypeError
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            run_session(fig_session(10), seed)
+
+    def test_numpy_integer_seed_echoed_as_int(self):
+        # np.int64 used to make json.dumps of the report raise TypeError
+        d = run_session(fig_session(1000), seed=np.int64(3)).to_dict()
+        assert json.dumps(d["seed"]) == "3"
+        assert d == run_session(fig_session(1000), seed=3).to_dict()
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     def test_non_finite_mu_rejected(self, mu):
         with pytest.raises(ValueError, match="positive and finite"):
