@@ -142,6 +142,12 @@ class TestDetectorRoutes:
                 assert (table[cells] == click).all(), (e_mis, table[cells], click)
                 assert rest == pytest.approx(1.0 - click, abs=1e-15)
 
+    @pytest.mark.parametrize("e_mis", [-1.0, -5e-324, 0.5000000000000001, 0.7, np.nan])
+    def test_outside_the_model_rejected(self, e_mis):
+        # -1 gave a negative T
+        with pytest.raises(ValueError, match=r"e_mis must be in \[0, 0.5\]"):
+            detector_routes(e_mis)
+
 
 class TestDetect:
     """Threshold detection as the session simulates it: each photon registers

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ddiqkd import bsm, cli, rates, session, verify
@@ -232,6 +233,15 @@ class TestVerifyAppendixCommand:
         # 0 used to raise IndexError and -3 numpy's "negative dimensions"
         with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
             verify.appendix_checks(n_samples=n_samples)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1])
+    def test_library_rejects_a_bad_seed(self, seed):
+        # True ran as seed 1, 1.5 raised numpy's TypeError, -1 its "expected non-negative integer"
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            verify.appendix_checks(n_samples=10, seed=seed)
+
+    def test_library_takes_a_numpy_integer_seed(self):
+        assert verify.appendix_checks(10, seed=np.int64(7)) == verify.appendix_checks(10, seed=7)
 
     def test_injected_sign_error_fails_named_checks(self, capsys):
         assert main(["verify-appendix", "--samples", "50", "--self-test-corrupt"]) == 1

@@ -127,6 +127,12 @@ class TestBinaryEntropy:
 
 
 class TestYieldTable:
+    @pytest.mark.parametrize("e_mis", [-0.1, 0.5000000000000001, 0.7, math.nan])
+    def test_e_mis_outside_the_model_rejected(self, e_mis):
+        # 0.7 gave e1 = 0.7
+        with pytest.raises(ValueError, match=r"e_mis must be in \[0, 0.5\]"):
+            YieldTable(0.1, e_mis, 0.0)
+
     def test_vacuum_yield_closed_form(self):
         d = 6.02e-6
         yt = YieldTable(eta=0.1, e_mis=0.015, p_dark=d)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import click_table, sift_table
+from ddiqkd.bsm import click_table, detector_routes, sift_table
 from ddiqkd.cli import Config
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
@@ -566,7 +566,59 @@ class TestPhotonByPhoton:
         assert _g_statistic(rep, self._params("lossy", e_mis=0.03)) > CHI2_27_AT_1E_6
 
 
+def _poisson_classes(y):
+    """P(Y = 0), P(Y = 1) and P(Y >= 2) of Y ~ Poisson(y), stacked on a new first axis."""
+    e = np.exp(-y)
+    return np.stack([e, y * e, -np.expm1(-y) - y * e])
+
+
+def _array_cells(params):
+    """The 28 cells derived on arrays: the photon classes of both roles at
+    once, (3, 2), spread over D1..D4 with np.repeat and summed by numpy."""
+    d, x = params.model.p_dark, params.mu * params.eta
+    click, others = np.array(detector_routes(params.model.e_mis)).T
+    n0, n1, n2 = _poisson_classes(x * click)
+    u0, u1, u2 = _poisson_classes(params.mu * (1.0 - params.eta))
+    fired_dark = d * n0
+    lone = np.stack([fired_dark * u0,
+                     fired_dark * u1 + n1 * u0,
+                     fired_dark * u2 + n1 * (u1 + u2) + n2])
+    lone *= (1.0 - d) ** 3 * np.exp(-x * others)
+    sifted = np.repeat(lone / 4.0, 4, axis=1)
+    share = _poisson_classes(params.mu) / 2.0
+    rest = np.maximum(share - sifted.sum(axis=1), 0.0)
+    return np.append(np.column_stack([sifted, rest]), 0.5)
+
+
 class TestCellProbabilities:
+    def test_cells_are_the_array_derivation_bit_for_bit(self):
+        """On 2400 seeded points, each parameter at one of its edges a
+        quarter of the time each, the cells equal _array_cells byte for
+        byte; at mu = 1e300 they are finite, nonnegative and sum to 1."""
+        rng = np.random.default_rng(29)
+        edges_and_draws = {
+            "mu": ((1e-3, 1e300), lambda: 10.0 ** rng.uniform(-3.0, 1.5)),
+            "eta_det": ((0.0, 1.0), rng.uniform),
+            "p_dark": ((0.0, 1.0 - 1e-9), lambda: 10.0 ** rng.uniform(-9.0, 0.0) * (1.0 - 1e-9)),
+            "e_mis": ((0.0, 0.5), lambda: rng.uniform(0.0, 0.5)),
+            "length_km": ((0.0, math.inf), lambda: rng.uniform(0.0, 200.0)),
+        }
+        bright = 0
+        for _ in range(2400):
+            point = {}
+            for name, (edges, draw) in edges_and_draws.items():
+                k = int(rng.integers(4))
+                point[name] = float(edges[k] if k < 2 else draw())
+            model = RateParams(eta_det=point["eta_det"], p_dark=point["p_dark"], e_mis=point["e_mis"])
+            params = SessionParams(n_pulses=1, mu=point["mu"], length_km=point["length_km"], model=model)
+            cells = _cell_probabilities(params)
+            assert cells.tobytes() == _array_cells(params).tobytes(), point
+            if point["mu"] == 1e300:
+                bright += 1
+                assert np.isfinite(cells).all() and (cells >= 0.0).all(), point
+                assert abs(cells.sum() - 1.0) <= 1e-15, point
+        assert bright > 400
+
     def test_cells_reproduce_yield_table(self):
         """Summed per photon class and detector, the 28 cell probabilities
         give the yield table's Q, E Q, Y0, Y1 and e1 Y1, and per class the
