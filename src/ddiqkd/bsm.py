@@ -146,6 +146,8 @@ def detector_routes(e_mis: float = 0.0):
     Alice's bit) and error role, T its click probability per photon.  The one
     statement of the routing: each sifted cell of ``click_table(e_mis)`` is
     its role's T bit for bit, and a detector holds each role in 4 of 16 codes."""
+    if not 0.0 <= e_mis <= 0.5:  # NaN fails too
+        raise ValueError("e_mis must be in [0, 0.5]")
     return ((1.0 - e_mis) / 2.0, (1.0 + e_mis) / 2.0), (e_mis / 2.0, (2.0 - e_mis) / 2.0)
 
 

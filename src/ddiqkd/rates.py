@@ -25,7 +25,8 @@ detector serves as the reference curve; its double clicks are assigned a
 random bit instead of being discarded.
 
 Rates, intensity optimization and yield tables take arrays: a channel
-length (or eta) array and a mu array broadcast against each other.
+length (or eta) array and a mu array broadcast against each other.  A mu
+is validated at key_rate, bb84_reference_rate and SessionParams, not per evaluation.
 """
 
 from __future__ import annotations
@@ -138,14 +139,25 @@ def _bb84_gains(eta, e, d, mu):
     return gain, err / 2.0
 
 
-def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
-    """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero."""
+def _require_mu(mu):
     if not ((np.asarray(mu) > 0.0).all() and (np.asarray(mu) < np.inf).all()):  # NaN fails too
         raise ValueError("mu must be positive and finite")
+
+
+def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
+    """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero."""
     p0 = np.exp(-mu)
     privacy = p0 * y0 + mu * p0 * y1 * k1
     correction = gain * params.f_ec * _entropy(_ratio(err_gain, gain, 0.0))
     return privacy - correction
+
+
+def _yield_terms(eta, e_mis, p_dark):
+    """Y0, Y1, e1 and k1 = 1 - h(e1) of one detector, shaped like eta."""
+    cube = (1.0 - p_dark) ** 3
+    y1 = (eta / 4.0 + (1.0 - eta) * p_dark) * cube
+    e1 = _ratio((eta * e_mis / 4.0 + (1.0 - eta) * p_dark / 2.0) * cube, y1, 0.5)
+    return p_dark * cube, y1, e1, 1.0 - _entropy(e1)
 
 
 def _per_detector(x) -> np.ndarray:
@@ -173,14 +185,11 @@ class YieldTable:
     k1: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        d, eta = self.p_dark, self.eta
-        cube = (1.0 - d) ** 3
-        y1 = (eta / 4.0 + (1.0 - eta) * d) * cube
-        e1y1 = (eta * self.e_mis / 4.0 + (1.0 - eta) * d / 2.0) * cube
-        e1 = _ratio(e1y1, y1, 0.5)
-        terms = {"y0": d * cube, "y1": y1, "e1": e1, "k1": 1.0 - _entropy(e1)}
+        if not 0.0 <= self.e_mis <= 0.5:  # NaN fails too
+            raise ValueError("e_mis must be in [0, 0.5]")
+        terms = _yield_terms(self.eta, self.e_mis, self.p_dark)
         # frozen: set the fields in the instance dict, as object.__setattr__ would
-        vars(self).update((name, _per_detector(value)) for name, value in terms.items())
+        vars(self).update(zip(("y0", "y1", "e1", "k1"), map(_per_detector, terms)))
 
     def gains(self, mu) -> np.ndarray:
         """Q_i(mu), per detector."""
@@ -194,8 +203,7 @@ class YieldTable:
 
 def yield_table(params: RateParams, length_km) -> YieldTable:
     """Analytic yield table at a channel length (or an array of lengths)."""
-    return YieldTable(eta=_eta(params, length_km), e_mis=params.e_mis,
-                      p_dark=params.p_dark)
+    return YieldTable(_eta(params, length_km), params.e_mis, params.p_dark)
 
 
 def _rate_of_mu(terms, params: RateParams):
@@ -261,6 +269,7 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
     yield table; vacuum errors are already folded into the error yields.
     mu may be an array broadcasting against ``yields.eta``.
     """
+    _require_mu(mu)
     return _rate_of_mu(_proposal_terms(yields), params)(mu)
 
 
@@ -313,6 +322,7 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
     length_km and mu may be arrays that broadcast against each other.
     """
+    _require_mu(mu)
     return _rate_of_mu(_reference_terms(params, length_km), params)(mu)
 
 

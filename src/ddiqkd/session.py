@@ -29,7 +29,8 @@ and the detector to fire; splitting N and U at 0, 1 and >= 2 photons gives
 its class.  Each role's value, weighted 4/16, is a sifted cell of each of
 D1..D4; a class's not-sifted cell is P(class k) / 2 less its sifted cells.
 Every factor is a probability, so the table stays finite at any mu (the
-form exp(-x) expm1(x T) would overflow once x T exceeds ~710).
+form exp(-x) expm1(x T) would overflow once x T exceeds ~710).  One np.exp
+and one np.expm1 call take the Poisson means; the rest is Python floats.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .bsm import detector_routes
-from .rates import RateParams, YieldTable, _eta, _ratio, _require_real, _secret_rate
+from .rates import RateParams, _eta, _ratio, _require_mu, _require_real, _secret_rate, _yield_terms
 
 __all__ = ["SessionParams", "SessionReport", "run_session"]
 
@@ -65,8 +66,7 @@ class SessionParams:
             raise ValueError(f"n_pulses must be an integer in [1, {MAX_PULSES}]")
         object.__setattr__(self, "n_pulses", int(n))  # the report echoes a JSON integer
         _require_real(self, "mu", "length_km")
-        if not 0 < self.mu < np.inf:  # NaN fails too
-            raise ValueError("mu must be positive and finite")
+        _require_mu(self.mu)
         object.__setattr__(self, "mu", float(self.mu))  # the report echoes a JSON number
         object.__setattr__(self, "eta", _eta(self.model, self.length_km))  # rejects an undefined loss
 
@@ -133,10 +133,10 @@ class SessionReport:
         tallied gains and error gains with the model's exact Y0, Y1 and e1.
         A detector with no successes has nothing to distill and gives 0."""
         params = self.params
-        exact = YieldTable(params.eta, params.model.e_mis, params.model.p_dark)
+        y0, y1, _, k1 = _yield_terms(params.eta, params.model.e_mis, params.model.p_dark)
         gains = self.gains()
-        terms = _secret_rate(exact.y0, exact.y1, exact.k1, gains,
-                             self.errors / max(self.matched_pulses, 1), params.mu, params.model)
+        terms = _secret_rate(y0, y1, k1, gains, self.errors / max(self.matched_pulses, 1),
+                             params.mu, params.model)
         return float(self.matched_pulses * np.where(gains > 0.0, np.maximum(terms, 0.0), 0.0).sum())
 
     @property
@@ -186,31 +186,25 @@ class SessionReport:
         }
 
 
-def _poisson_classes(y):
-    """P(Y = 0), P(Y = 1) and P(Y >= 2) of Y ~ Poisson(y), stacked on a new first axis."""
-    e = np.exp(-y)
-    return np.stack([e, y * e, -np.expm1(-y) - y * e])
-
-
 def _cell_probabilities(params: SessionParams) -> np.ndarray:
     """The 28 cell probabilities of one pulse, in the order of the module docstring."""
-    d, x = params.model.p_dark, params.mu * params.eta
-    click, others = np.array(detector_routes(params.model.e_mis)).T  # T and 1 - T of each role
-    n0, n1, n2 = _poisson_classes(x * click)  # min(N, 2) on the detector, per role
-    u0, u1, u2 = _poisson_classes(params.mu * (1.0 - params.eta))  # min(U, 2)
-    fired_dark = d * n0  # the detector fires on its dark count alone
-    lone = np.stack([fired_dark * u0,
-                     fired_dark * u1 + n1 * u0,
-                     fired_dark * u2 + n1 * (u1 + u2) + n2])  # (class, role)
-    # times P(the other three detectors stay silent)
-    lone *= (1.0 - d) ** 3 * np.exp(-x * others)
-    # each detector holds each role for 4 of the 16 codes: weight 4/16 on D1..D4
-    sifted = np.repeat(lone / 4.0, 4, axis=1)
-
-    share = _poisson_classes(params.mu) / 2.0  # matched pulses of each photon class
-    # rounding leaves ~ -1e-17 where a class's matched pulses are all sifted
-    rest = np.maximum(share - sifted.sum(axis=1), 0.0)
-    return np.append(np.column_stack([sifted, rest]), 0.5)
+    d, mu, eta = params.model.p_dark, params.mu, float(params.eta)
+    (right, right_rest), (wrong, wrong_rest) = detector_routes(params.model.e_mis)
+    x = mu * eta
+    # Poisson means: N on the detector in each role, U, the pulse; the other three in each role
+    means = [x * right, x * wrong, mu * (1.0 - eta), mu, x * right_rest, x * wrong_rest]
+    exps, expm1s = np.exp([-m for m in means]).tolist(), np.expm1([-m for m in means[:4]]).tolist()
+    n_right, n_wrong, (u0, u1, u2), share = [(p, m * p, -q - m * p)  # P(0), P(1), P(>= 2) photons
+                                             for m, p, q in zip(means, exps, expm1s)]
+    # per role and class: the lone click (d n0: dark count alone) times P(other three silent) / 4
+    lone = [[p * ((1.0 - d) ** 3 * others) / 4.0
+             for p in (d * n0 * u0, d * n0 * u1 + n1 * u0, d * n0 * u2 + n1 * (u1 + u2) + n2)]
+            for (n0, n1, n2), others in zip((n_right, n_wrong), exps[4:])]
+    cells = []  # per class: each role holds 4 of the 16 codes on each of D1..D4
+    for a, b, matched in zip(*lone, share):
+        # the eight sum to 4a + 4b exactly, as numpy's pairwise sum gives; rounding leaves ~ -1e-17
+        cells += [a] * 4 + [b] * 4 + [max(matched / 2.0 - (4.0 * a + 4.0 * b), 0.0)]
+    return np.array(cells + [0.5])
 
 
 def _run_shard(n: int, rng: np.random.Generator, cells: np.ndarray) -> np.ndarray:

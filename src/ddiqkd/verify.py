@@ -108,6 +108,8 @@ def appendix_checks(n_samples: int = 1000, seed: int = 7,
     """Run the full consistency suite with a deterministic stream."""
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError("n_samples must be an integer >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     sender = rho_alice(VirtualSource())
     return [
