@@ -25,8 +25,8 @@ detector serves as the reference curve; its double clicks are assigned a
 random bit instead of being discarded.
 
 Rates, intensity optimization and yield tables take arrays: a channel
-length (or eta) array and a mu array broadcast against each other.  A mu
-is validated at key_rate, bb84_reference_rate and SessionParams, not per evaluation.
+length (or eta) array and a mu array broadcast against each other; mu is
+checked once, at key_rate, bb84_reference_rate and SessionParams.
 """
 
 from __future__ import annotations
