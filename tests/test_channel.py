@@ -41,6 +41,16 @@ class TestPoissonPn:
         with pytest.raises(ValueError):
             poisson_pn(0.7, -1)
 
+    @pytest.mark.parametrize("n", [1.5, 1.0, True, np.float64(1.0), "1"],
+                             ids=["1.5", "1.0", "True", "np.float64", "str"])
+    def test_non_integer_n_rejected(self, n):
+        # 1.5 used to give a probability (0.1613 at mu = 0.5), and True was read as n = 1
+        with pytest.raises(ValueError, match="photon number must be a nonnegative integer"):
+            poisson_pn(0.5, n)
+
+    def test_numpy_integer_n_taken(self):
+        assert poisson_pn(0.5, np.int64(1)) == poisson_pn(0.5, 1)
+
 
 class TestTransmittance:
     def test_zero_distance(self):

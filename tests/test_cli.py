@@ -13,6 +13,7 @@ import pytest
 
 from ddiqkd import bsm, cli, rates, session, verify
 from ddiqkd.cli import Config, ConfigError, _build_parser, load_config, main
+from ddiqkd.qstate import DensityMatrix
 from ddiqkd.verify import check_flip_table
 
 # sha256 of the default keyrate-curve CSV and of its stdout summary line
@@ -242,6 +243,21 @@ class TestVerifyAppendixCommand:
 
     def test_library_takes_a_numpy_integer_seed(self):
         assert verify.appendix_checks(10, seed=np.int64(7)) == verify.appendix_checks(10, seed=7)
+
+    def test_one_run_validates_three_density_stacks(self, monkeypatch):
+        # the sender and the two rho_bob outputs; the Haar inputs are pure
+        # states, and the reference pair restates two validated matrices
+        shapes = []
+        validate = DensityMatrix.__post_init__
+
+        def counting(self):
+            shapes.append(np.shape(self.mat))
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        verify.appendix_checks(1000, 7)
+        assert len(shapes) == 3, shapes
+        assert all(shape[-2:] != (2, 2) for shape in shapes), shapes
 
     def test_injected_sign_error_fails_named_checks(self, capsys):
         assert main(["verify-appendix", "--samples", "50", "--self-test-corrupt"]) == 1

@@ -232,6 +232,8 @@ class TestReceiverState:
     def test_qubit_input_required(self):
         with pytest.raises(ValueError, match="qubit"):
             rho_bob(DensityMatrix(np.eye(4) / 4))
+        with pytest.raises(ValueError, match="qubit"):
+            rho_bob(photon(ALICE_SETTINGS[0], PathSetting.A))
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -359,6 +361,23 @@ class TestReceiverStateKernel:
         assert rho.mat.shape == (*shape, 4, 4)
         np.testing.assert_allclose(rho.mat, _rho_bob_einsum(sigma, source, corrupt=corrupt),
                                    rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("source", TestReceiverStateOracle.SOURCES)
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("shape", [(), (1,), (1000,), (3, 7)])
+    def test_pure_stack_is_its_projector_bit_for_bit(self, source, corrupt, shape):
+        """A PureState stack gives the bytes of its projectors' DensityMatrix,
+        plain and in random register bases, over several seeds."""
+        for seed in range(5):
+            rng = np.random.default_rng([seed, 97])
+            amps = haar_amplitudes(2, rng, shape)
+            bases = random_unitary(4, rng, shape)
+            for basis in (None, bases):
+                pure = rho_bob(PureState(amps, ("pol",)), source, register_basis=basis,
+                               _corrupt_path_c_sign=corrupt)
+                mixed = rho_bob(qubits(amps), source, register_basis=basis,
+                                _corrupt_path_c_sign=corrupt)
+                assert pure.mat.tobytes() == mixed.mat.tobytes(), (seed, basis is None)
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_broadcast_register_bases(self, corrupt):

@@ -380,6 +380,11 @@ class TestRunSession:
         with pytest.raises(ValueError, match="n_pulses"):
             fig_session(2**63)  # more than one multinomial draw takes
 
+    def test_infinite_length_rejected(self):
+        # with alpha > 0 it used to run and echo "length_km": Infinity, which is not JSON
+        with pytest.raises(ValueError, match="length_km must be finite"):
+            SessionParams(1000, 0.5, math.inf, RateParams())
+
     def test_largest_session_completes(self):
         rep = run_session(fig_session(2**63 - 1), seed=4)
         _assert_tally_invariants(rep)
