@@ -18,8 +18,8 @@ __all__ = ["poisson_pn", "transmittance"]
 
 def poisson_pn(mu: float, n: int) -> float:
     """Probability that a pulse of mean photon number mu carries n photons."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError("photon number must be a nonnegative integer")
     if not 0 < mu < math.inf:  # NaN fails too
         raise ValueError("mu must be positive and finite")
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))

@@ -181,7 +181,7 @@ def rho_alice(source: VirtualSource) -> DensityMatrix:
 
 
 def rho_bob(
-    sigma: DensityMatrix,
+    sigma: PureState | DensityMatrix,
     source: VirtualSource = VirtualSource(),
     register_basis: np.ndarray | None = None,
     _corrupt_path_c_sign: bool = False,
@@ -193,8 +193,8 @@ def rho_bob(
     register.  Tracing out the optical modes leaves a register state that is
     independent of sigma and equal to rho_alice(source).
 
-    sigma is a (..., 2, 2) stack of qubit states; a pure state enters as the
-    outer product of its amplitudes.  register_basis optionally replaces the
+    sigma is a qubit stack: a PureState of amplitudes (..., 2), whose
+    projectors are formed here, or a DensityMatrix (..., 2, 2).  register_basis optionally replaces the
     computational |b_i> by the columns of a 4x4 unitary, or of each unitary
     in a (..., 4, 4) stack that broadcasts against sigma (the identity is
     basis-independent up to a spectrum-preserving rotation).  Returns the
@@ -209,12 +209,16 @@ def rho_bob(
     """
     if sigma.dim != 2:
         raise ValueError("sigma must be a qubit state")
+    if isinstance(sigma, PureState):
+        mat = sigma.amps[..., :, None] * sigma.amps[..., None, :].conj()
+    else:
+        mat = sigma.mat
     amp = np.sqrt(source.probs)
     if _corrupt_path_c_sign:
         amp[PATH_SETTINGS.index(PathSetting.C)] *= -1.0
     kernel = (np.outer(amp, amp)[:, :, None, None] * _LON_GRAM).reshape(16, 4)
-    lead = sigma.mat.shape[:-2]
-    register = (sigma.mat.reshape(*lead, 4) @ kernel.T).reshape(*lead, 4, 4)
+    lead = mat.shape[:-2]
+    register = (mat.reshape(*lead, 4) @ kernel.T).reshape(*lead, 4, 4)
     if register_basis is not None:
         basis = np.asarray(register_basis, dtype=complex)
         if basis.shape[-2:] != (4, 4) or not (np.abs(

@@ -125,6 +125,21 @@ def _positive_definite(mat: np.ndarray) -> bool:
     return True
 
 
+def _stack_first(*states: DensityMatrix) -> DensityMatrix:
+    """The first matrix of each state (its only one when it has no leading
+    axes), as a (k, 1, d, d) column that broadcasts against any stack.
+
+    Each matrix passed validation with its state, so the column is not
+    validated again; only DensityMatrix states are taken.
+    """
+    if not all(isinstance(state, DensityMatrix) for state in states):
+        raise TypeError("only DensityMatrix states are stacked without validation")
+    column = object.__new__(DensityMatrix)
+    object.__setattr__(column, "mat", np.stack([
+        state.mat.reshape(-1, state.dim, state.dim)[0] for state in states])[:, None])
+    return column
+
+
 def reduce_density(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
     """Trace a dense matrix over all factors not listed in ``keep``.
 
@@ -184,16 +199,29 @@ def max_trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(_half_trace_norm(diff[reach >= (1.0 - 1e-9) * top]).max())
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard complex Gaussians: one draw of all real parts, then all
+    imaginary parts, the numbers of two draws of ``shape`` each."""
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.normal(size=(2, *shape))
+    return z
+
+
 def haar_amplitudes(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """Haar-random unit vectors in C^dim, shape (*shape, dim)."""
-    v = rng.normal(size=(*shape, dim)) + 1j * rng.normal(size=(*shape, dim))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    """Haar-random unit vectors in C^dim, shape (*shape, dim).
+
+    Each Gaussian vector is scaled by the reciprocal of the norm that
+    ``np.linalg.norm`` computes; numpy divides a complex value by a real one
+    as that product, so the bits are those of ``v / norm``.
+    """
+    v = _complex_normal(rng, (*shape, dim))
+    v *= 1.0 / np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1, keepdims=True))
+    return v
 
 
 def random_unitary(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-random unitaries via QR of Ginibre matrices, shape (*shape, dim, dim)."""
-    z = rng.normal(size=(*shape, dim, dim)) + 1j * rng.normal(size=(*shape, dim, dim))
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_complex_normal(rng, (*shape, dim, dim)))
     # fix the phase ambiguity of QR so the distribution is Haar
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

@@ -69,6 +69,8 @@ class SessionParams:
         _require_mu(self.mu)
         object.__setattr__(self, "mu", float(self.mu))  # the report echoes a JSON number
         object.__setattr__(self, "eta", _eta(self.model, self.length_km))  # rejects an undefined loss
+        if self.length_km == np.inf:  # the report echoes length_km, and JSON has no infinity
+            raise ValueError("length_km must be finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,8 @@ import numpy as np
 from .bsm import (click_table, detector_routes, ideal_bsm_distribution,
                   mode_network_distribution, mode_network_matrix, sift_table)
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
-from .qstate import DensityMatrix, PureState, haar_amplitudes, max_trace_distance, random_unitary
+from .qstate import (DensityMatrix, PureState, _stack_first, haar_amplitudes, max_trace_distance,
+                     random_unitary)
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
 
@@ -26,39 +27,39 @@ __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
 CheckResult = namedtuple("CheckResult", "name passed max_deviation tolerance detail", defaults=("",))
 
 
-def _haar_qubits(n: int, rng) -> DensityMatrix:
-    """n Haar-random pure polarization states as one (n, 2, 2) density stack."""
-    amps = haar_amplitudes(2, rng, (n,))
-    return DensityMatrix(amps[:, :, None] * amps[:, None, :].conj())
+def _haar_qubits(n: int, rng) -> PureState:
+    """n Haar-random polarization states as one (n, 2) amplitude stack,
+    validated by its norms; ``rho_bob`` forms the projectors."""
+    return PureState(haar_amplitudes(2, rng, (n,)), ("pol",))
 
 
-def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool,
-                               sender: DensityMatrix) -> CheckResult:
+def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool, sender: DensityMatrix,
+                               source: VirtualSource = VirtualSource()) -> CheckResult:
     """rho_B equals rho_A for Haar-random inputs, and is input-independent.
 
     The deviation is the largest trace distance of any sample to rho_A or to
     sample 0, from ``max_trace_distance``: it diagonalizes only the
     differences whose Frobenius norm lets them reach the maximum.  sender
-    is rho_alice of the uniform source.
+    is rho_alice(source).
     """
-    rho = rho_bob(_haar_qubits(n_samples, rng), VirtualSource(), _corrupt_path_c_sign=corrupt)
-    # every sample against the sender state and against the first sample
-    refs = DensityMatrix(np.stack([sender.mat, rho.mat[0]])[:, None])
-    worst = max_trace_distance(rho, refs)
+    rho = rho_bob(_haar_qubits(n_samples, rng), source, _corrupt_path_c_sign=corrupt)
+    # every sample against the sender state and against the first sample,
+    # both validated already
+    worst = max_trace_distance(rho, _stack_first(sender, rho))
     return CheckResult("receiver-state-fixed", worst < 1e-12, worst, 1e-12,
                        f"{n_samples} Haar-random inputs vs sender state and each other")
 
 
-def check_basis_independence(n_samples: int, rng, corrupt: bool,
-                             sender: DensityMatrix) -> CheckResult:
+def check_basis_independence(n_samples: int, rng, corrupt: bool, sender: DensityMatrix,
+                             source: VirtualSource = VirtualSource()) -> CheckResult:
     """In any register basis U, rho_B is the sender state U rho_A U^dagger.
 
     The deviation is the largest entrywise difference over the computational
     basis and n_samples Haar-random ones, each with its own Haar-random input.
-    sender is rho_alice of the uniform source.
+    sender is rho_alice(source).
     """
     bases = np.concatenate([np.eye(4)[None], random_unitary(4, rng, (n_samples,))])
-    rho = rho_bob(_haar_qubits(n_samples + 1, rng), VirtualSource(), register_basis=bases,
+    rho = rho_bob(_haar_qubits(n_samples + 1, rng), source, register_basis=bases,
                   _corrupt_path_c_sign=corrupt)
     expected = bases @ sender.mat @ bases.conj().swapaxes(-1, -2)
     worst = float(np.max(np.abs(rho.mat - expected)))
@@ -111,10 +112,12 @@ def appendix_checks(n_samples: int = 1000, seed: int = 7,
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
-    sender = rho_alice(VirtualSource())
+    source = VirtualSource()
+    sender = rho_alice(source)
     return [
-        check_receiver_state_fixed(n_samples, rng, corrupt_path_c_sign, sender),
-        check_basis_independence(max(n_samples // 10, 10), rng, corrupt_path_c_sign, sender),
+        check_receiver_state_fixed(n_samples, rng, corrupt_path_c_sign, sender, source),
+        check_basis_independence(max(n_samples // 10, 10), rng, corrupt_path_c_sign, sender,
+                                 source),
         check_bsm_equivalence(n_samples, rng),
         check_flip_table(),
     ]

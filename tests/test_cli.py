@@ -224,6 +224,11 @@ class TestVerifyAppendixCommand:
         assert out.count("PASS") == 4
         assert "all checks passed" in out
 
+    def test_one_sample_passes(self, capsys):
+        # the smallest stack through the pure-state inputs
+        assert main(["verify-appendix", "--samples", "1"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_rejected(self, samples, capsys):
         assert main(["verify-appendix", "--samples", samples]) == 2

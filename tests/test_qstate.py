@@ -319,6 +319,26 @@ class TestRandomHelpers:
             assert stack.shape == (7, 3, dim)
             np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (1000,), (7, 3), (0,)])
+    def test_samplers_are_the_two_draw_form_bit_for_bit(self, shape):
+        """One draw of real then imaginary parts, filled in place and scaled by
+        the reciprocal norm, gives the bytes of two draws and a division."""
+        for seed in range(20):
+            for dim in (2, 4):
+                rng = np.random.default_rng([seed, 59])
+                v = rng.normal(size=(*shape, dim)) + 1j * rng.normal(size=(*shape, dim))
+                ref = v / np.linalg.norm(v, axis=-1, keepdims=True)
+                got = haar_amplitudes(dim, np.random.default_rng([seed, 59]), shape)
+                assert got.tobytes() == ref.tobytes() and got.shape == ref.shape, (seed, dim)
+
+                rng = np.random.default_rng([seed, 61])
+                z = rng.normal(size=(*shape, dim, dim)) + 1j * rng.normal(size=(*shape, dim, dim))
+                q, r = np.linalg.qr(z)
+                d = np.diagonal(r, axis1=-2, axis2=-1)
+                ref = q * (d / np.abs(d))[..., None, :]
+                got = random_unitary(dim, np.random.default_rng([seed, 61]), shape)
+                assert got.tobytes() == ref.tobytes() and got.shape == ref.shape, (seed, dim)
+
     def test_random_unitary_is_unitary(self):
         rng = np.random.default_rng(43)
         u = random_unitary(4, rng)

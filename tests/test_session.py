@@ -30,6 +30,9 @@ from ddiqkd.session import (
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
 FIG_MODEL = RateParams(eta_det=0.145, p_dark=3.01e-6)  # 0.2 dB/km, e_mis = 0.015, f_ec = 1.16
+# A finite length whose transmittance at 0.2 dB/km, 10^-2000, underflows to
+# 0: nothing survives the fiber, as at the infinite length SessionParams rejects
+OPAQUE_KM = 1e5
 
 
 def fig_session(n_pulses, length_km=0.0, mu=0.7):
@@ -325,7 +328,7 @@ class TestRunSession:
 
     @pytest.mark.parametrize("eta_det, length_km, p_dark", [
         (0.0, 0.0, 0.01),           # nothing registers
-        (0.145, math.inf, 0.01),    # nothing survives the channel
+        (0.145, OPAQUE_KM, 0.01),   # nothing survives the channel
         (1.0, 0.0, 0.01),           # every photon registers
         (0.145, 10.0, 1 - 1e-9),    # every detector dark-fires
     ])
@@ -606,7 +609,7 @@ class TestCellProbabilities:
             "eta_det": ((0.0, 1.0), rng.uniform),
             "p_dark": ((0.0, 1.0 - 1e-9), lambda: 10.0 ** rng.uniform(-9.0, 0.0) * (1.0 - 1e-9)),
             "e_mis": ((0.0, 0.5), lambda: rng.uniform(0.0, 0.5)),
-            "length_km": ((0.0, math.inf), lambda: rng.uniform(0.0, 200.0)),
+            "length_km": ((0.0, OPAQUE_KM), lambda: rng.uniform(0.0, 200.0)),
         }
         bright = 0
         for _ in range(2400):
@@ -629,7 +632,7 @@ class TestCellProbabilities:
         give the yield table's Q, E Q, Y0, Y1 and e1 Y1, and per class the
         matched shares 1/2, e^-mu / 2 and mu e^-mu / 2, to 1e-12 relative."""
         points = list(itertools.product((1e-6, 0.05, 0.7, 5.0, 30.0), (0.0, 3e-6, 0.01, 0.5, 0.9),
-                                        (0.0, 0.015, 0.25, 0.5), (0.0, 50.0, 200.0, math.inf),
+                                        (0.0, 0.015, 0.25, 0.5), (0.0, 50.0, 200.0, OPAQUE_KM),
                                         (0.0, 0.145, 1.0)))
         cells, gain, err_gain, y0, y1, e1y1, shares = [], [], [], [], [], [], []
         for mu, p_dark, e_mis, length_km, eta_det in points:
@@ -723,9 +726,10 @@ PINNED_REPORTS = {
     "blind_detectors": (
         _pinned(100_000, eta_det=0.0), 4,
         "c695ad630e1bb9df216136ec9039e057ff127afb1b91ffd5eb7e9e8f0f85a86a"),
-    "infinite_length": (
-        _pinned(100_000, length_km=math.inf), 5,
-        "579d913afe769042d2f094522e7091263bf6b2176330e96bd1579e8633fa2aa9"),
+    # the former infinite_length report, with length_km 100000.0 for Infinity
+    "opaque_fiber": (
+        _pinned(100_000, length_km=OPAQUE_KM), 5,
+        "87e50fc9bd814e979b91002c023ead581e5afa7bf84ba77c334acc333c5da0b2"),
     "one_pulse": (
         _pinned(1, mu=3.0, eta_det=1.0, p_dark=0.3), 18,
         "345c45b3a00e3b2099af95f1f651264836d4f4a9d6441c8a30a13d7dc5df6186"),
