@@ -194,7 +194,8 @@ def rho_bob(
     independent of sigma and equal to rho_alice(source).
 
     sigma is a qubit stack: a PureState of amplitudes (..., 2), whose
-    projectors are formed here, or a DensityMatrix (..., 2, 2).  register_basis optionally replaces the
+    projectors are formed here (the bytes of passing their DensityMatrix),
+    or a DensityMatrix (..., 2, 2).  register_basis optionally replaces the
     computational |b_i> by the columns of a 4x4 unitary, or of each unitary
     in a (..., 4, 4) stack that broadcasts against sigma (the identity is
     basis-independent up to a spectrum-preserving rotation).  Returns the

@@ -10,6 +10,7 @@ from ddiqkd.qstate import (
     NORM_TOL,
     DensityMatrix,
     PureState,
+    _stack_first,
     haar_amplitudes,
     max_trace_distance,
     random_unitary,
@@ -190,6 +191,19 @@ def _partial_trace_oracle(rho4: np.ndarray, keep: int) -> np.ndarray:
             else:
                 out[i, j] = sum(rho4[2 * k + i, 2 * k + j] for k in range(2))
     return out
+
+
+class TestStackFirst:
+    def test_column_of_first_matrices(self):
+        sender = density(H)
+        stack = DensityMatrix(projector(haar_amplitudes(2, np.random.default_rng(67), (5,))))
+        column = _stack_first(sender, stack)
+        assert column.mat.tobytes() == np.stack([sender.mat, stack.mat[0]])[:, None].tobytes()
+
+    def test_only_density_matrices_taken(self):
+        # a raw array has passed no validation
+        with pytest.raises(TypeError, match="DensityMatrix"):
+            _stack_first(density(H), np.eye(2) / 2)
 
 
 class TestPartialTrace:
