@@ -33,16 +33,16 @@ def _haar_qubits(n: int, rng) -> PureState:
     return PureState(haar_amplitudes(2, rng, (n,)), ("pol",))
 
 
-def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool, sender: DensityMatrix,
-                               source: VirtualSource = VirtualSource()) -> CheckResult:
+def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool,
+                               sender: DensityMatrix) -> CheckResult:
     """rho_B equals rho_A for Haar-random inputs, and is input-independent.
 
     The deviation is the largest trace distance of any sample to rho_A or to
     sample 0, from ``max_trace_distance``: it diagonalizes only the
     differences whose Frobenius norm lets them reach the maximum.  sender
-    is rho_alice(source).
+    is rho_alice of the uniform source, the one ``rho_bob`` uses by default.
     """
-    rho = rho_bob(_haar_qubits(n_samples, rng), source, _corrupt_path_c_sign=corrupt)
+    rho = rho_bob(_haar_qubits(n_samples, rng), _corrupt_path_c_sign=corrupt)
     # every sample against the sender state and against the first sample,
     # both validated already
     worst = max_trace_distance(rho, _stack_first(sender, rho))
@@ -50,16 +50,16 @@ def check_receiver_state_fixed(n_samples: int, rng, corrupt: bool, sender: Densi
                        f"{n_samples} Haar-random inputs vs sender state and each other")
 
 
-def check_basis_independence(n_samples: int, rng, corrupt: bool, sender: DensityMatrix,
-                             source: VirtualSource = VirtualSource()) -> CheckResult:
+def check_basis_independence(n_samples: int, rng, corrupt: bool,
+                             sender: DensityMatrix) -> CheckResult:
     """In any register basis U, rho_B is the sender state U rho_A U^dagger.
 
     The deviation is the largest entrywise difference over the computational
     basis and n_samples Haar-random ones, each with its own Haar-random input.
-    sender is rho_alice(source).
+    sender is rho_alice of the uniform source, the one ``rho_bob`` uses by default.
     """
     bases = np.concatenate([np.eye(4)[None], random_unitary(4, rng, (n_samples,))])
-    rho = rho_bob(_haar_qubits(n_samples + 1, rng), source, register_basis=bases,
+    rho = rho_bob(_haar_qubits(n_samples + 1, rng), register_basis=bases,
                   _corrupt_path_c_sign=corrupt)
     expected = bases @ sender.mat @ bases.conj().swapaxes(-1, -2)
     worst = float(np.max(np.abs(rho.mat - expected)))
@@ -112,12 +112,10 @@ def appendix_checks(n_samples: int = 1000, seed: int = 7,
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
-    source = VirtualSource()
-    sender = rho_alice(source)
+    sender = rho_alice(VirtualSource())  # rho_bob's default source is built once, at import
     return [
-        check_receiver_state_fixed(n_samples, rng, corrupt_path_c_sign, sender, source),
-        check_basis_independence(max(n_samples // 10, 10), rng, corrupt_path_c_sign, sender,
-                                 source),
+        check_receiver_state_fixed(n_samples, rng, corrupt_path_c_sign, sender),
+        check_basis_independence(max(n_samples // 10, 10), rng, corrupt_path_c_sign, sender),
         check_bsm_equivalence(n_samples, rng),
         check_flip_table(),
     ]
