@@ -726,7 +726,6 @@ PINNED_REPORTS = {
     "blind_detectors": (
         _pinned(100_000, eta_det=0.0), 4,
         "c695ad630e1bb9df216136ec9039e057ff127afb1b91ffd5eb7e9e8f0f85a86a"),
-    # the former infinite_length report, with length_km 100000.0 for Infinity
     "opaque_fiber": (
         _pinned(100_000, length_km=OPAQUE_KM), 5,
         "87e50fc9bd814e979b91002c023ead581e5afa7bf84ba77c334acc333c5da0b2"),
