@@ -1,6 +1,7 @@
 """Tests for the source and fiber channel model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ class TestPoissonPn:
     def test_numpy_integer_n_taken(self):
         assert poisson_pn(0.5, np.int64(1)) == poisson_pn(0.5, 1)
 
+    @pytest.mark.parametrize("mu", [True, np.True_], ids=["True", "np.True_"])
+    def test_bool_mu_rejected(self, mu):
+        # True used to pass 0 < mu < inf and give the probability at mu = 1.0
+        with pytest.raises(ValueError, match="mu must be a real number"):
+            poisson_pn(mu, 1)
+
 
 class TestTransmittance:
     def test_zero_distance(self):
@@ -84,6 +91,13 @@ class TestTransmittance:
     def test_infinite_length_blocks_everything(self):
         assert transmittance(0.2, math.inf) == 0.0
         assert transmittance(math.inf, 1.0) == 0.0
+
+    def test_overflowing_loss_blocks_everything_without_a_warning(self):
+        # alpha * length past the largest double used to warn "overflow encountered in multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transmittance(1e308, 10.0) == 0.0
+            np.testing.assert_array_equal(transmittance(1e308, np.array([0.0, 10.0])), [1.0, 0.0])
 
     def test_lengths_broadcast(self):
         got = transmittance(0.2, np.array([0.0, 50.0, 150.0, math.inf]))

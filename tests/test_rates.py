@@ -333,6 +333,16 @@ class TestKeyRate:
         with pytest.raises(ValueError, match="mu"):
             key_rate(yt, FIG_PARAMS, np.array([0.7, mu]))
 
+    @pytest.mark.parametrize("mu", [0.5 + 0j, np.array([0.7, 0.5 + 0j]), True, np.True_],
+                             ids=["complex", "complex array", "True", "np.True_"])
+    def test_non_real_mu_rejected(self, mu):
+        # a complex mu used to give a complex rate, and True the rate at mu = 1
+        yt = yield_table(FIG_PARAMS, 50.0)
+        with pytest.raises(ValueError, match="mu must be a real number"):
+            key_rate(yt, FIG_PARAMS, mu)
+        with pytest.raises(ValueError, match="mu must be a real number"):
+            bb84_reference_rate(FIG_PARAMS, 50.0, mu)
+
     @pytest.mark.parametrize("length", [math.nan, -1.0])
     def test_invalid_length_rejected(self, length):
         with pytest.raises(ValueError, match="length"):

@@ -388,6 +388,11 @@ class TestRunSession:
         with pytest.raises(ValueError, match="length_km must be finite"):
             SessionParams(1000, 0.5, math.inf, RateParams())
 
+    def test_infinite_loss_coefficient_rejected(self):
+        # it used to run and echo "alpha_db_per_km": Infinity, which is not JSON
+        with pytest.raises(ValueError, match="alpha_db_per_km must be finite"):
+            SessionParams(1000, 0.5, 10.0, RateParams(alpha_db_per_km=math.inf))
+
     def test_largest_session_completes(self):
         rep = run_session(fig_session(2**63 - 1), seed=4)
         _assert_tally_invariants(rep)
