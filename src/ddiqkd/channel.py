@@ -16,10 +16,18 @@ import numpy as np
 __all__ = ["poisson_pn", "transmittance"]
 
 
+def _require_real(**values):
+    """Reject values that are not real numbers, bool included, by their names."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a real number")
+
+
 def poisson_pn(mu: float, n: int) -> float:
     """Probability that a pulse of mean photon number mu carries n photons."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("photon number must be a nonnegative integer")
+    _require_real(mu=mu)
     if not 0 < mu < math.inf:  # NaN fails too
         raise ValueError("mu must be positive and finite")
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
@@ -41,4 +49,5 @@ def transmittance(alpha_db_per_km: float, length_km):
     if (alpha_db_per_km == 0.0 and length.max(initial=0.0) == math.inf
             or alpha_db_per_km == math.inf and shortest == 0.0):
         raise ValueError("total loss alpha * length is undefined (0 * inf)")
-    return 10.0 ** (-alpha_db_per_km * length / 10.0)
+    with np.errstate(over="ignore"):  # a loss past the largest double is -inf dB: 0.0
+        return 10.0 ** (-alpha_db_per_km * length / 10.0)

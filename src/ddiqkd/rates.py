@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .bsm import detector_routes
-from .channel import transmittance
+from .channel import _require_real, transmittance
 
 MU_SEARCH_RANGE = (0.01, 2.0)
 _MU_GRID = np.linspace(*MU_SEARCH_RANGE, 41)  # every search's coarse bracket
@@ -62,14 +62,6 @@ __all__ = [
 ]
 
 
-def _require_real(owner, *names: str):
-    """Reject fields of ``owner`` that are not real numbers, bool included."""
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must be a real number")
-
-
 @dataclass(frozen=True)
 class RateParams:
     """The device-and-fiber model: everything the key rate and a session
@@ -82,7 +74,8 @@ class RateParams:
     f_ec: float = 1.16
 
     def __post_init__(self):
-        _require_real(self, "eta_det", "p_dark", "alpha_db_per_km", "e_mis", "f_ec")
+        _require_real(eta_det=self.eta_det, p_dark=self.p_dark,
+                      alpha_db_per_km=self.alpha_db_per_km, e_mis=self.e_mis, f_ec=self.f_ec)
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError("eta_det must be in [0, 1]")
         if not 0.0 <= self.p_dark < 1.0:
@@ -140,7 +133,10 @@ def _bb84_gains(eta, e, d, mu):
 
 
 def _require_mu(mu):
-    if not ((np.asarray(mu) > 0.0).all() and (np.asarray(mu) < np.inf).all()):  # NaN fails too
+    mu = np.asarray(mu)
+    if mu.dtype.kind not in "iuf":  # bool and complex compare as numbers, and rates go complex
+        raise ValueError("mu must be a real number")
+    if not ((mu > 0.0).all() and (mu < np.inf).all()):  # NaN fails too
         raise ValueError("mu must be positive and finite")
 
 

@@ -41,7 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .bsm import detector_routes
-from .rates import RateParams, _eta, _ratio, _require_mu, _require_real, _secret_rate, _yield_terms
+from .channel import _require_real
+from .rates import RateParams, _eta, _ratio, _require_mu, _secret_rate, _yield_terms
 
 __all__ = ["SessionParams", "SessionReport", "run_session"]
 
@@ -65,12 +66,15 @@ class SessionParams:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_PULSES:
             raise ValueError(f"n_pulses must be an integer in [1, {MAX_PULSES}]")
         object.__setattr__(self, "n_pulses", int(n))  # the report echoes a JSON integer
-        _require_real(self, "mu", "length_km")
+        _require_real(mu=self.mu, length_km=self.length_km)
         _require_mu(self.mu)
         object.__setattr__(self, "mu", float(self.mu))  # the report echoes a JSON number
         object.__setattr__(self, "eta", _eta(self.model, self.length_km))  # rejects an undefined loss
-        if self.length_km == np.inf:  # the report echoes length_km, and JSON has no infinity
+        # the report echoes length_km and alpha_db_per_km, and JSON has no infinity
+        if self.length_km == np.inf:
             raise ValueError("length_km must be finite")
+        if self.model.alpha_db_per_km == np.inf:
+            raise ValueError("alpha_db_per_km must be finite")
 
 
 @dataclass(frozen=True, eq=False)
