@@ -8,7 +8,8 @@ parser: the subcommand, then only its own flags spelled out in full, a
 store_true flag without a value and every other flag followed by a value
 that does not start with '-' and converts with the flag's type.  Everything
 else, help and every usage error included, goes to the full four-command
-argparse parser, the one source of those texts.
+argparse parser, the one source of those texts; only that path imports
+argparse.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 
@@ -20,16 +21,20 @@ fires with probability p_dark / 2 per gate.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
 from functools import cached_property
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
+from ._record import ValueRecord
 from .bsm import THEORY_ROWS, theory_row_label, theory_table
 from .rates import RateParams, keyrate_curve
 from .session import SessionParams, run_session
 from .verify import appendix_checks
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["Config", "ConfigError", "main", "entry"]
 
@@ -39,22 +44,29 @@ class ConfigError(ValueError):
 
 
 _INF = float("inf")  # a value is finite if it lies strictly within +-inf; NaN never does
+_MODEL = RateParams()  # the reference device-and-fiber model
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(ValueRecord):
     """Flat run configuration; defaults are the reference simulation values."""
 
-    alpha_db_per_km: float = RateParams.alpha_db_per_km
-    eta_det: float = RateParams.eta_det
-    p_dark: float = 2 * RateParams.p_dark  # two-detector-receiver background rate
-    e_mis: float = RateParams.e_mis
-    f_ec: float = RateParams.f_ec
-    mu: float = 0.7             # session signal intensity
-    n_pulses: int = 1_000_000
-    seed: int = 1
-    distances: tuple[float, ...] = tuple(float(x) for x in range(0, 181, 10))
-    visibility: float = 0.884
+    _fields = ("alpha_db_per_km", "eta_det", "p_dark", "e_mis", "f_ec", "mu", "n_pulses", "seed",
+               "distances", "visibility")
+
+    def __init__(self,
+                 alpha_db_per_km: float = _MODEL.alpha_db_per_km,
+                 eta_det: float = _MODEL.eta_det,
+                 p_dark: float = 2 * _MODEL.p_dark,  # two-detector-receiver background rate
+                 e_mis: float = _MODEL.e_mis,
+                 f_ec: float = _MODEL.f_ec,
+                 mu: float = 0.7,  # session signal intensity
+                 n_pulses: int = 1_000_000,
+                 seed: int = 1,
+                 distances: tuple[float, ...] = tuple(float(x) for x in range(0, 181, 10)),
+                 visibility: float = 0.884):
+        vars(self).update(alpha_db_per_km=alpha_db_per_km, eta_det=eta_det, p_dark=p_dark,
+                          e_mis=e_mis, f_ec=f_ec, mu=mu, n_pulses=n_pulses, seed=seed,
+                          distances=distances, visibility=visibility)
 
     def validate(self):
         """The CLI's own rules; the model's range checks run in session_params."""
@@ -98,7 +110,7 @@ class Config:
         )
 
 
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(Config) if f.name != "distances"}
+_FIELD_TYPES = {name: type(value) for name, value in vars(Config()).items() if name != "distances"}
 
 
 def _parse_distances(text: str, error: str) -> tuple[float, ...]:
@@ -254,7 +266,9 @@ def _add_flags(parser: argparse.ArgumentParser, name: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of all four subcommands."""
+    """The parser of all four subcommands, built for help and usage errors only."""
+    import argparse  # a well-formed call never loads it
+
     parser = argparse.ArgumentParser(
         prog="ddiqkd",
         description="Simulation toolkit for a QKD protocol with an untrusted "
@@ -266,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan(command: str, tokens: list[str]) -> argparse.Namespace | None:
+def _scan(command: str, tokens: list[str]) -> SimpleNamespace | None:
     """``_build_parser().parse_args([command, *tokens])`` less ``command``, or None.
 
     Reads only the well-formed call of the module docstring, a repeated flag
@@ -291,7 +305,7 @@ def _scan(command: str, tokens: list[str]) -> argparse.Namespace | None:
             values[dest] = spec.get("type", str)(value)
         except ValueError:
             return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -303,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         command = vars(args).pop("command")
     # a flag overrides the config field of its dest; fields without a flag read None
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(Config)}
+    overrides = {name: getattr(args, name, None) for name in Config._fields}
     _, _, handler = _COMMANDS[command]
     try:
         return handler(load_config(args.config, overrides), args)

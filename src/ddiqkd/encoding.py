@@ -11,11 +11,11 @@ the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import ValueRecord
 from .qstate import DensityMatrix, PureState
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -42,16 +42,15 @@ class Basis(Enum):
     DIAGONAL = "diagonal"
 
 
-@dataclass(frozen=True)
-class Bb84Setting:
+class Bb84Setting(ValueRecord):
     """Alice's choice: (rect,0)->H, (rect,1)->V, (diag,0)->+45, (diag,1)->-45."""
 
-    basis: Basis
-    bit: int
+    _fields = ("basis", "bit")
 
-    def __post_init__(self):
-        if self.bit not in (0, 1):
+    def __init__(self, basis: Basis, bit: int):
+        if bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
+        vars(self).update(basis=basis, bit=bit)
 
     @property
     def index(self) -> int:
@@ -146,8 +145,7 @@ def hybrid_bell_expand(state: PureState) -> np.ndarray:
     return state.amps @ _BELL.conj().T
 
 
-@dataclass(frozen=True)
-class VirtualSource:
+class VirtualSource(ValueRecord):
     """Entanglement-based picture of Alice's four-state source.
 
     probs are the emission probabilities of the four BB84 settings (order
@@ -156,13 +154,13 @@ class VirtualSource:
     basis and |psi_i> the BB84 polarization states.
     """
 
-    probs: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
+    _fields = ("probs",)
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, probs: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)):
+        p = np.asarray(probs, dtype=float)
         if p.shape != (4,) or not (p >= 0).all() or not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails
             raise ValueError("probabilities must be 4 nonnegative values summing to 1")
-        object.__setattr__(self, "probs", tuple(float(x) for x in p))
+        vars(self).update(probs=tuple(float(x) for x in p))
 
     def joint_amplitudes(self) -> np.ndarray:
         """|Psi> on register (x) polarization, shape (4, 2)."""

@@ -13,9 +13,9 @@ leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from ._record import Record
 
 NORM_TOL = 1e-12
 
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Record):
     """Unit-norm state vectors over named two-level factors.
 
     amps   -- complex amplitudes, shape (..., 2**len(labels)); each vector
@@ -39,29 +38,26 @@ class PureState:
     labels -- ordered factor names, e.g. ("pol",) or ("pol", "path")
     """
 
-    amps: np.ndarray
-    labels: tuple[str, ...]
+    _fields = ("amps", "labels")
 
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(self, amps: np.ndarray, labels: tuple[str, ...]):
+        amps, labels = np.asarray(amps, dtype=complex), tuple(labels)
         if amps.ndim == 0:
             raise ValueError("amplitudes must be a vector or a stack of vectors")
-        if amps.shape[-1] != 2 ** len(self.labels):
+        if amps.shape[-1] != 2 ** len(labels):
             raise ValueError(
-                f"dimension {amps.shape[-1]} does not match factors {self.labels}"
+                f"dimension {amps.shape[-1]} does not match factors {labels}"
             )
         if not (np.abs(np.linalg.norm(amps, axis=-1) - 1.0) <= NORM_TOL).all():  # NaN fails
             raise ValueError("state is not normalized")
+        vars(self).update(amps=amps, labels=labels)
 
     @property
     def dim(self) -> int:
         return self.amps.shape[-1]
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Hermitian, unit-trace, positive-semidefinite matrices, shape (..., d, d).
 
     Every matrix of a stack is validated.  Positivity means a smallest
@@ -73,11 +69,10 @@ class DensityMatrix:
     the elimination and an exact spectrum disagree.
     """
 
-    mat: np.ndarray
+    _fields = ("mat",)
 
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
+    def __init__(self, mat: np.ndarray):
+        mat = np.asarray(mat, dtype=complex)
         if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
             raise ValueError("density matrix must be square")
         if not (np.abs(mat - mat.conj().swapaxes(-1, -2)) <= NORM_TOL).all():  # NaN fails
@@ -87,6 +82,7 @@ class DensityMatrix:
             raise ValueError("density matrix trace is not 1")
         if not _positive_definite(mat):
             raise ValueError("density matrix has a negative eigenvalue")
+        vars(self).update(mat=mat)
 
     @property
     def dim(self) -> int:

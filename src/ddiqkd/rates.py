@@ -31,12 +31,12 @@ checked once, at key_rate, bb84_reference_rate and SessionParams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
+from ._record import Record, ValueRecord
 from .bsm import detector_routes
 from .channel import _require_real, transmittance
 
@@ -62,20 +62,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RateParams:
+class RateParams(ValueRecord):
     """The device-and-fiber model: everything the key rate and a session
     need except distance, intensity and pulse count."""
 
-    eta_det: float = 0.145   # detection efficiency per photon
-    p_dark: float = 3.01e-6  # dark count probability per detector per gate
-    alpha_db_per_km: float = 0.2
-    e_mis: float = 0.015
-    f_ec: float = 1.16
+    _fields = ("eta_det", "p_dark", "alpha_db_per_km", "e_mis", "f_ec")
 
-    def __post_init__(self):
-        _require_real(eta_det=self.eta_det, p_dark=self.p_dark,
-                      alpha_db_per_km=self.alpha_db_per_km, e_mis=self.e_mis, f_ec=self.f_ec)
+    def __init__(self,
+                 eta_det: float = 0.145,   # detection efficiency per photon
+                 p_dark: float = 3.01e-6,  # dark count probability per detector per gate
+                 alpha_db_per_km: float = 0.2, e_mis: float = 0.015, f_ec: float = 1.16):
+        vars(self).update(eta_det=eta_det, p_dark=p_dark, alpha_db_per_km=alpha_db_per_km,
+                          e_mis=e_mis, f_ec=f_ec)
+        _require_real(**vars(self))
         if not 0.0 <= self.eta_det <= 1.0:
             raise ValueError("eta_det must be in [0, 1]")
         if not 0.0 <= self.p_dark < 1.0:
@@ -161,8 +160,7 @@ def _per_detector(x) -> np.ndarray:
     return np.full((4, *np.shape(x)), x)
 
 
-@dataclass(frozen=True)
-class YieldTable:
+class YieldTable(Record):
     """Per-detector yields/errors plus the gain and QBER as functions of mu.
 
     All four detectors are statistically identical in the pinned model, so
@@ -172,20 +170,14 @@ class YieldTable:
     single-photon key fraction 1 - h(e1), which does not depend on mu.
     """
 
-    eta: float | np.ndarray  # eta_det * channel transmittance
-    e_mis: float
-    p_dark: float
-    y0: np.ndarray = field(init=False)
-    y1: np.ndarray = field(init=False)
-    e1: np.ndarray = field(init=False)
-    k1: np.ndarray = field(init=False)
+    _fields = ("eta", "e_mis", "p_dark")
 
-    def __post_init__(self):
-        if not 0.0 <= self.e_mis <= 0.5:  # NaN fails too
+    def __init__(self, eta: float | np.ndarray, e_mis: float, p_dark: float):
+        # eta: eta_det * channel transmittance
+        if not 0.0 <= e_mis <= 0.5:  # NaN fails too
             raise ValueError("e_mis must be in [0, 0.5]")
-        terms = _yield_terms(self.eta, self.e_mis, self.p_dark)
-        # frozen: set the fields in the instance dict, as object.__setattr__ would
-        vars(self).update(zip(("y0", "y1", "e1", "k1"), map(_per_detector, terms)))
+        terms = map(_per_detector, _yield_terms(eta, e_mis, p_dark))
+        vars(self).update(zip(("y0", "y1", "e1", "k1"), terms), eta=eta, e_mis=e_mis, p_dark=p_dark)
 
     def gains(self, mu) -> np.ndarray:
         """Q_i(mu), per detector."""
@@ -328,21 +320,20 @@ def optimize_mu_bb84(params: RateParams, length_km):
     return _optimize(_rate_of_mu(terms, params), np.ndim(length_km) == 0)
 
 
-@dataclass(frozen=True, eq=False)
-class KeyRateCurve:
+class KeyRateCurve(Record):
     """Optimized rates, one read-only array entry per channel length (the
     columns of the ``keyrate-curve`` CSV), and each protocol's cutoff."""
 
-    length_km: np.ndarray
-    mu_opt: np.ndarray
-    rate_proposal: np.ndarray
-    rate_bb84: np.ndarray
-    cutoff_proposal_km: float
-    cutoff_bb84_km: float
+    _fields = ("length_km", "mu_opt", "rate_proposal", "rate_bb84", "cutoff_proposal_km",
+               "cutoff_bb84_km")
 
-    def __post_init__(self):
-        for array in (self.length_km, self.mu_opt, self.rate_proposal, self.rate_bb84):
+    def __init__(self, length_km: np.ndarray, mu_opt: np.ndarray, rate_proposal: np.ndarray,
+                 rate_bb84: np.ndarray, cutoff_proposal_km: float, cutoff_bb84_km: float):
+        for array in (length_km, mu_opt, rate_proposal, rate_bb84):
             array.flags.writeable = False
+        vars(self).update(length_km=length_km, mu_opt=mu_opt, rate_proposal=rate_proposal,
+                          rate_bb84=rate_bb84, cutoff_proposal_km=cutoff_proposal_km,
+                          cutoff_bb84_km=cutoff_bb84_km)
 
     def summary(self) -> dict:
         return {

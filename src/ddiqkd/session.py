@@ -35,11 +35,11 @@ and one np.expm1 call take the Poisson means; the rest is Python floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record, ValueRecord
 from .bsm import detector_routes
 from .channel import _require_real
 from .rates import RateParams, _eta, _ratio, _require_mu, _secret_rate, _yield_terms
@@ -49,36 +49,32 @@ __all__ = ["SessionParams", "SessionReport", "run_session"]
 MAX_PULSES = 2**63 - 1  # the largest count ``Generator.multinomial`` takes
 
 
-@dataclass(frozen=True)
-class SessionParams:
+class SessionParams(ValueRecord):
     """One Monte Carlo session (signal intensity only) over a fiber of
     length_km, with the device-and-fiber model ``model`` of the key rate.
-    ``eta``, eta_det times the channel transmittance, is computed once."""
+    ``eta``, eta_det times the channel transmittance, is computed once; it
+    is not a field."""
 
-    n_pulses: int
-    mu: float
-    length_km: float
-    model: RateParams
-    eta: float = field(init=False, repr=False, compare=False)
+    _fields = ("n_pulses", "mu", "length_km", "model")
 
-    def __post_init__(self):
-        n = self.n_pulses
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_PULSES:
+    def __init__(self, n_pulses: int, mu: float, length_km: float, model: RateParams):
+        if (isinstance(n_pulses, bool) or not isinstance(n_pulses, (int, np.integer))
+                or not 1 <= n_pulses <= MAX_PULSES):
             raise ValueError(f"n_pulses must be an integer in [1, {MAX_PULSES}]")
-        object.__setattr__(self, "n_pulses", int(n))  # the report echoes a JSON integer
-        _require_real(mu=self.mu, length_km=self.length_km)
-        _require_mu(self.mu)
-        object.__setattr__(self, "mu", float(self.mu))  # the report echoes a JSON number
-        object.__setattr__(self, "eta", _eta(self.model, self.length_km))  # rejects an undefined loss
+        _require_real(mu=mu, length_km=length_km)
+        _require_mu(mu)
+        eta = _eta(model, length_km)  # rejects an undefined loss
         # the report echoes length_km and alpha_db_per_km, and JSON has no infinity
-        if self.length_km == np.inf:
+        if length_km == np.inf:
             raise ValueError("length_km must be finite")
-        if self.model.alpha_db_per_km == np.inf:
+        if model.alpha_db_per_km == np.inf:
             raise ValueError("alpha_db_per_km must be finite")
+        # the report echoes n_pulses as a JSON integer and mu as a JSON number
+        vars(self).update(n_pulses=int(n_pulses), mu=float(mu), length_km=length_km, model=model,
+                          eta=eta)
 
 
-@dataclass(frozen=True, eq=False)
-class SessionReport:
+class SessionReport(Record):
     """One session's drawn counts plus asymptotic key accounting.
 
     ``counts`` is the (3, 9) array of basis-matched cells, in the order of
@@ -88,12 +84,10 @@ class SessionReport:
     ``vacuum_successes``, ``single_successes`` and ``single_errors``.
     All arrays are read-only."""
 
-    params: SessionParams
-    seed: int
-    counts: np.ndarray
+    _fields = ("params", "seed", "counts")
 
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+    def __init__(self, params: SessionParams, seed: int, counts: np.ndarray):
+        counts = np.array(counts, dtype=np.int64)
         if counts.shape != (3, 9):
             raise ValueError("counts must be a (3, 9) array")
         counts.flags.writeable = False
@@ -103,9 +97,8 @@ class SessionReport:
                 "vacuum_successes": tally[0].sum(axis=0), "single_successes": tally[1].sum(axis=0)}
         for array in sums.values():
             array.flags.writeable = False
-        # frozen: set the attributes in the instance dict, as object.__setattr__ would
-        vars(self).update(sums, counts=counts, single_errors=tally[1, 1], matched_pulses=sum(pulses),
-                          vacuum_pulses=pulses[0], single_pulses=pulses[1])
+        vars(self).update(sums, params=params, seed=seed, counts=counts, single_errors=tally[1, 1],
+                          matched_pulses=sum(pulses), vacuum_pulses=pulses[0], single_pulses=pulses[1])
 
     @property
     def sifted_length(self) -> int:

@@ -145,9 +145,13 @@ class TestConfig:
     def test_config_file_and_flag_build_one_model(self, tmp_path, monkeypatch):
         # the file's keys and the flags make one Config, validated once
         built = []
-        post_init = session.SessionParams.__post_init__
-        monkeypatch.setattr(session.SessionParams, "__post_init__",
-                            lambda self: built.append(self) or post_init(self))
+        init = session.SessionParams.__init__
+
+        def counted(self, **fields):
+            built.append(self)
+            init(self, **fields)
+
+        monkeypatch.setattr(session.SessionParams, "__init__", counted)
         path = tmp_path / "c.cfg"
         path.write_text("mu = 0.4\nseed = 3\n")
         cfg = load_config(str(path), {"mu": 0.5, "n_pulses": 1000, "seed": None})
@@ -253,13 +257,13 @@ class TestVerifyAppendixCommand:
         # the sender and the two rho_bob outputs; the Haar inputs are pure
         # states, and the reference pair restates two validated matrices
         shapes = []
-        validate = DensityMatrix.__post_init__
+        init = DensityMatrix.__init__
 
-        def counting(self):
-            shapes.append(np.shape(self.mat))
-            validate(self)
+        def counting(self, mat):
+            shapes.append(np.shape(mat))
+            init(self, mat)
 
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        monkeypatch.setattr(DensityMatrix, "__init__", counting)
         verify.appendix_checks(1000, 7)
         assert len(shapes) == 3, shapes
         assert all(shape[-2:] != (2, 2) for shape in shapes), shapes
@@ -602,6 +606,27 @@ class TestUsage:
         except SystemExit:
             pass
         assert progs == [f"ddiqkd {name}".strip() for name in built]
+
+    def test_well_formed_calls_load_neither_argparse_nor_dataclasses(self, tmp_path, monkeypatch,
+                                                                      capsys):
+        # in a fresh process, because pytest itself imports both modules; a
+        # usage error there still ends as the full parser does
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+        out = str(tmp_path / "out")
+        child = f"""
+import json, sys
+from ddiqkd.cli import main
+codes = [main(argv) for argv in (["keyrate-curve", "--distances", "0,50", "--out", {out!r}],
+                                 ["session", "--pulses", "1000", "--out", {out!r}],
+                                 ["verify-appendix", "--samples", "10"],
+                                 ["theory-table", "--out", {out!r}])]
+print(json.dumps([codes, sorted({{"argparse", "dataclasses"}} & set(sys.modules))]))
+main(["session", "--frobnicate"])
+"""
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+        assert ((proc.returncode, proc.stderr)
+                == _outcome(_build_parser().parse_args, ["session", "--frobnicate"], capsys)[::2])
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,6 +1,6 @@
 """Tests for the analytic yields and the key-rate machinery."""
 
-import dataclasses
+import inspect
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -43,6 +43,12 @@ EDGE_PARAMS = RateParams(
     alpha_db_per_km=0.2,
     e_mis=0.097,
 )
+
+
+def _rebuilt(record, **changes):
+    """A new record of ``record``'s class from its constructor fields, ``changes`` applied."""
+    fields = inspect.signature(type(record)).parameters
+    return type(record)(**{name: getattr(record, name) for name in fields} | changes)
 
 
 N_SUM = 20  # photon-number terms of the reference sums
@@ -367,13 +373,13 @@ class TestKeyRate:
         yt = yield_table(FIG_PARAMS, math.inf)
         assert yt.eta == 0.0
         assert key_rate(yt, FIG_PARAMS, 0.7) == 0.0
-        lossless = dataclasses.replace(FIG_PARAMS, alpha_db_per_km=0.0)
+        lossless = _rebuilt(FIG_PARAMS, alpha_db_per_km=0.0)
         with pytest.raises(ValueError, match="undefined"):
             yield_table(lossless, math.inf)
 
     def test_infinite_loss_coefficient(self):
         # inf * 0 km is undefined, as in SessionParams; any length > 0 blocks
-        opaque = dataclasses.replace(FIG_PARAMS, alpha_db_per_km=math.inf)
+        opaque = _rebuilt(FIG_PARAMS, alpha_db_per_km=math.inf)
         with pytest.raises(ValueError, match="undefined"):
             yield_table(opaque, 0.0)
         with pytest.raises(ValueError, match="undefined"):

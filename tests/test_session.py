@@ -1,8 +1,8 @@
 """Tests for sifting, the Monte Carlo session, and its agreement with the
 analytic model."""
 
-import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -42,6 +42,12 @@ def fig_session(n_pulses, length_km=0.0, mu=0.7):
         length_km=length_km,
         model=FIG_MODEL,
     )
+
+
+def _rebuilt(record, **changes):
+    """A new record of ``record``'s class from its constructor fields, ``changes`` applied."""
+    fields = inspect.signature(type(record)).parameters
+    return type(record)(**{name: getattr(record, name) for name in fields} | changes)
 
 
 def _assert_tallies_match_model(rep):
@@ -227,9 +233,9 @@ class TestRunSession:
 
     def test_report_is_immutable(self):
         rep = run_session(fig_session(10_000), seed=2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="'counts'"):
             rep.counts = np.zeros((3, 9), dtype=np.int64)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="'successes'"):
             rep.successes = np.zeros(4, dtype=np.int64)
         for tally in (rep.counts, rep.successes, rep.errors, rep.vacuum_successes,
                       rep.single_successes, rep.single_errors):
@@ -438,11 +444,11 @@ class TestRunSession:
     def test_bool_model_input_rejected(self, field, value):
         # length_km=True used to be echoed as JSON true
         build = {
-            "eta_det": lambda v: dataclasses.replace(FIG_MODEL, eta_det=v),
-            "p_dark": lambda v: dataclasses.replace(FIG_MODEL, p_dark=v),
-            "alpha_db_per_km": lambda v: dataclasses.replace(FIG_MODEL, alpha_db_per_km=v),
-            "e_mis": lambda v: dataclasses.replace(FIG_MODEL, e_mis=v),
-            "f_ec": lambda v: dataclasses.replace(FIG_MODEL, f_ec=v),
+            "eta_det": lambda v: _rebuilt(FIG_MODEL, eta_det=v),
+            "p_dark": lambda v: _rebuilt(FIG_MODEL, p_dark=v),
+            "alpha_db_per_km": lambda v: _rebuilt(FIG_MODEL, alpha_db_per_km=v),
+            "e_mis": lambda v: _rebuilt(FIG_MODEL, e_mis=v),
+            "f_ec": lambda v: _rebuilt(FIG_MODEL, f_ec=v),
             "length_km": lambda v: fig_session(10, length_km=v),
         }[field]
         with pytest.raises(ValueError, match=f"{field} must be a real number"):
@@ -457,7 +463,7 @@ class TestRunSession:
     @pytest.mark.parametrize("f_ec", [0.9, math.inf, math.nan])
     def test_invalid_f_ec_rejected(self, f_ec):
         with pytest.raises(ValueError, match="f_ec"):
-            dataclasses.replace(fig_session(10), model=dataclasses.replace(FIG_MODEL, f_ec=f_ec))
+            _rebuilt(fig_session(10), model=_rebuilt(FIG_MODEL, f_ec=f_ec))
 
     def test_rate_per_pulse_is_key_length_per_pulse(self):
         rep = run_session(fig_session(200_000), seed=8)
@@ -514,7 +520,7 @@ class TestWholeVector:
 
     def test_a_wrong_model_fails(self):
         params = fig_session(10**9)
-        drawn = dataclasses.replace(params, model=dataclasses.replace(FIG_MODEL, e_mis=0.02))
+        drawn = _rebuilt(params, model=_rebuilt(FIG_MODEL, e_mis=0.02))
         assert _g_statistic(run_session(drawn, 1), params) > CHI2_27_AT_1E_6
 
 
@@ -562,7 +568,7 @@ class TestPhotonByPhoton:
     def _params(name, e_mis=None):
         mu, length_km, model = TestPhotonByPhoton.POINTS[name]
         if e_mis is not None:
-            model = dataclasses.replace(model, e_mis=e_mis)
+            model = _rebuilt(model, e_mis=e_mis)
         return SessionParams(n_pulses=500_000, mu=mu, length_km=length_km, model=model)
 
     @pytest.mark.parametrize("seed, name", enumerate(POINTS, start=101))
