@@ -1,10 +1,10 @@
 """Immutable records, the package's small typed values, built without generated code.
 
-A record's ``__init__`` validates its arguments and stores each field once
-in the instance dict (``vars(self).update``); assigning or deleting an
-attribute afterwards raises AttributeError naming it.  ``_fields`` names
-the constructor's arguments in order: the repr shows them, and a
-ValueRecord is equal to, and hashes as, any record of its own class whose
+A record's fields are the arguments of its class's ``__init__``, in order
+(``_fields``).  ``__init__`` validates them and stores each once in the
+instance dict (``vars(self).update``); assigning or deleting an attribute
+afterwards raises AttributeError naming it.  The repr shows the fields, and
+a ValueRecord is equal to, and hashes as, any record of its own class whose
 fields are equal.  Values a record derives from its fields are not fields.
 """
 
@@ -17,6 +17,11 @@ class Record:
     """Immutable after ``__init__``; compared by identity."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        init = vars(cls).get("__init__")
+        if init is not None:
+            cls._fields = init.__code__.co_varnames[1:init.__code__.co_argcount]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -50,9 +50,6 @@ _MODEL = RateParams()  # the reference device-and-fiber model
 class Config(ValueRecord):
     """Flat run configuration; defaults are the reference simulation values."""
 
-    _fields = ("alpha_db_per_km", "eta_det", "p_dark", "e_mis", "f_ec", "mu", "n_pulses", "seed",
-               "distances", "visibility")
-
     def __init__(self,
                  alpha_db_per_km: float = _MODEL.alpha_db_per_km,
                  eta_det: float = _MODEL.eta_det,

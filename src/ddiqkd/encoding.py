@@ -45,8 +45,6 @@ class Basis(Enum):
 class Bb84Setting(ValueRecord):
     """Alice's choice: (rect,0)->H, (rect,1)->V, (diag,0)->+45, (diag,1)->-45."""
 
-    _fields = ("basis", "bit")
-
     def __init__(self, basis: Basis, bit: int):
         if bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
@@ -153,8 +151,6 @@ class VirtualSource(ValueRecord):
     |Psi> = sum_i sqrt(p_i) |a_i>|psi_i> with |a_i> an orthonormal register
     basis and |psi_i> the BB84 polarization states.
     """
-
-    _fields = ("probs",)
 
     def __init__(self, probs: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)):
         p = np.asarray(probs, dtype=float)

@@ -38,8 +38,6 @@ class PureState(Record):
     labels -- ordered factor names, e.g. ("pol",) or ("pol", "path")
     """
 
-    _fields = ("amps", "labels")
-
     def __init__(self, amps: np.ndarray, labels: tuple[str, ...]):
         amps, labels = np.asarray(amps, dtype=complex), tuple(labels)
         if amps.ndim == 0:
@@ -68,8 +66,6 @@ class DensityMatrix(Record):
     -1.5 * NORM_TOL rejected; only within rounding of -NORM_TOL itself can
     the elimination and an exact spectrum disagree.
     """
-
-    _fields = ("mat",)
 
     def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)

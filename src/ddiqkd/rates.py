@@ -66,8 +66,6 @@ class RateParams(ValueRecord):
     """The device-and-fiber model: everything the key rate and a session
     need except distance, intensity and pulse count."""
 
-    _fields = ("eta_det", "p_dark", "alpha_db_per_km", "e_mis", "f_ec")
-
     def __init__(self,
                  eta_det: float = 0.145,   # detection efficiency per photon
                  p_dark: float = 3.01e-6,  # dark count probability per detector per gate
@@ -169,8 +167,6 @@ class YieldTable(Record):
     ``eta`` may be an array, one entry per channel length.  ``k1`` is the
     single-photon key fraction 1 - h(e1), which does not depend on mu.
     """
-
-    _fields = ("eta", "e_mis", "p_dark")
 
     def __init__(self, eta: float | np.ndarray, e_mis: float, p_dark: float):
         # eta: eta_det * channel transmittance
@@ -323,9 +319,6 @@ def optimize_mu_bb84(params: RateParams, length_km):
 class KeyRateCurve(Record):
     """Optimized rates, one read-only array entry per channel length (the
     columns of the ``keyrate-curve`` CSV), and each protocol's cutoff."""
-
-    _fields = ("length_km", "mu_opt", "rate_proposal", "rate_bb84", "cutoff_proposal_km",
-               "cutoff_bb84_km")
 
     def __init__(self, length_km: np.ndarray, mu_opt: np.ndarray, rate_proposal: np.ndarray,
                  rate_bb84: np.ndarray, cutoff_proposal_km: float, cutoff_bb84_km: float):

@@ -55,8 +55,6 @@ class SessionParams(ValueRecord):
     ``eta``, eta_det times the channel transmittance, is computed once; it
     is not a field."""
 
-    _fields = ("n_pulses", "mu", "length_km", "model")
-
     def __init__(self, n_pulses: int, mu: float, length_km: float, model: RateParams):
         if (isinstance(n_pulses, bool) or not isinstance(n_pulses, (int, np.integer))
                 or not 1 <= n_pulses <= MAX_PULSES):
@@ -83,8 +81,6 @@ class SessionReport(Record):
     ``single_pulses``, and per detector ``successes``, ``errors``,
     ``vacuum_successes``, ``single_successes`` and ``single_errors``.
     All arrays are read-only."""
-
-    _fields = ("params", "seed", "counts")
 
     def __init__(self, params: SessionParams, seed: int, counts: np.ndarray):
         counts = np.array(counts, dtype=np.int64)
