@@ -49,5 +49,9 @@ def transmittance(alpha_db_per_km: float, length_km):
     if (alpha_db_per_km == 0.0 and length.max(initial=0.0) == math.inf
             or alpha_db_per_km == math.inf and shortest == 0.0):
         raise ValueError("total loss alpha * length is undefined (0 * inf)")
-    with np.errstate(over="ignore"):  # a loss past the largest double is -inf dB: 0.0
+    if alpha_db_per_km <= 1.0:  # alpha * length stays within the largest double
+        return 10.0 ** (-alpha_db_per_km * length / 10.0)
+    # a larger alpha can pass it, a loss of -inf dB whose exact transmittance is 0.0;
+    # only this case pays for np.errstate, which costs as much as the power
+    with np.errstate(over="ignore"):
         return 10.0 ** (-alpha_db_per_km * length / 10.0)

@@ -98,6 +98,8 @@ class TestTransmittance:
             warnings.simplefilter("error")
             assert transmittance(1e308, 10.0) == 0.0
             np.testing.assert_array_equal(transmittance(1e308, np.array([0.0, 10.0])), [1.0, 0.0])
+            assert transmittance(1.0, 1.7e308) == 0.0  # the largest alpha whose product cannot
+            assert transmittance(1.5, 1.7e308) == 0.0  # overflow, and one just past it
 
     def test_lengths_broadcast(self):
         got = transmittance(0.2, np.array([0.0, 50.0, 150.0, math.inf]))
