@@ -131,7 +131,7 @@ def _bb84_gains(eta, e, d, mu):
 
 def _require_mu(mu):
     mu = np.asarray(mu)
-    if mu.dtype.kind not in "iuf":  # bool and complex compare as numbers, and rates go complex
+    if mu.dtype.kind not in "iuf":  # a bool passes the range test; a complex mu, a complex rate
         raise ValueError("mu must be a real number")
     if not ((mu > 0.0).all() and (mu < np.inf).all()):  # NaN fails too
         raise ValueError("mu must be positive and finite")
