@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddiqkd.channel import poisson_pn, transmittance
-from ddiqkd.rates import RateParams, yield_table
+from ddiqkd.rates import RateParams, optimize_mu, yield_table
 from ddiqkd.session import SessionParams, run_session
 
 # chi-square critical value at alpha = 0.001 for 3 degrees of freedom
@@ -100,6 +100,27 @@ class TestTransmittance:
             np.testing.assert_array_equal(transmittance(1e308, np.array([0.0, 10.0])), [1.0, 0.0])
             assert transmittance(1.0, 1.7e308) == 0.0  # the largest alpha whose product cannot
             assert transmittance(1.5, 1.7e308) == 0.0  # overflow, and one just past it
+
+    @pytest.mark.parametrize("length", ["0.5", True, np.array([10.0, 20.0]) > 0, np.array(["10"]), 0.5 + 0j,
+                                        None, [10.0, "20"]],
+                             ids=["str", "bool", "bool-array", "str-array", "complex", "None", "mixed-list"])
+    def test_non_number_length_rejected(self, length):
+        # '0.5' gave 0.977 and True 0.955: the float conversion read them as lengths
+        with pytest.raises(ValueError, match="length must be a real number"):
+            transmittance(0.2, length)
+
+    def test_length_callers_reject_non_numbers(self):
+        params = RateParams()
+        for call in (yield_table, optimize_mu):
+            for length in ("50", True):
+                with pytest.raises(ValueError, match="length must be a real number"):
+                    call(params, length)
+
+    def test_integer_lengths_give_the_float_bits(self):
+        for length in (50, np.int64(50), np.uint8(50)):
+            assert transmittance(0.2, length) == transmittance(0.2, 50.0)
+        np.testing.assert_array_equal(transmittance(0.2, np.arange(0, 200, 25)),
+                                      transmittance(0.2, np.arange(0.0, 200.0, 25.0)))
 
     def test_lengths_broadcast(self):
         got = transmittance(0.2, np.array([0.0, 50.0, 150.0, math.inf]))

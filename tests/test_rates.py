@@ -139,6 +139,48 @@ class TestYieldTable:
         with pytest.raises(ValueError, match=r"e_mis must be in \[0, 0.5\]"):
             YieldTable(0.1, e_mis, 0.0)
 
+    @pytest.mark.parametrize("p_dark", [-0.1, 1.0, 1.5, math.nan])
+    def test_p_dark_outside_the_model_rejected(self, p_dark):
+        # 1.5 gave y1 = -0.171875 at eta = 0.1
+        with pytest.raises(ValueError, match=r"p_dark must be in \[0, 1\)"):
+            YieldTable(0.1, 0.015, p_dark)
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.0000000000000002, 1.5, math.nan,
+                                     np.array([0.1, math.nan]), np.array([0.0, -1e-300])],
+                             ids=["negative", "above-1", "1.5", "nan", "nan-entry", "negative-entry"])
+    def test_eta_outside_the_model_rejected(self, eta):
+        with pytest.raises(ValueError, match=r"eta must be in \[0, 1\]"):
+            YieldTable(eta, 0.015, 1e-6)
+
+    @pytest.mark.parametrize("name, args", [
+        ("eta", ("0.1", 0.015, 1e-6)),
+        ("eta", (True, 0.015, 1e-6)),
+        ("eta", (0.1 + 0j, 0.015, 1e-6)),
+        ("eta", (np.array([True, False]), 0.015, 1e-6)),
+        ("e_mis", (0.1, 0.015 + 0j, 1e-6)),
+        ("p_dark", (0.1, 0.015, "1e-6")),
+        ("p_dark", (0.1, 0.015, False)),
+        ("p_dark", (0.1, 0.015, 1e-6 + 0j)),
+    ], ids=["eta-str", "eta-bool", "eta-complex", "eta-bool-array", "e_mis-complex",
+            "p_dark-str", "p_dark-bool", "p_dark-complex"])
+    def test_non_real_inputs_rejected(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            YieldTable(*args)
+
+    def test_edges_of_the_model_taken(self):
+        yt = YieldTable(np.array([0, 1]), np.float64(0.5), 0.999)
+        assert yt.gains(0.7).shape == (4, 2)
+        YieldTable(np.int64(1), 0, 0.0)
+
+    @pytest.mark.parametrize("mu", [0.5 + 0j, math.nan, 0.0, -0.1, math.inf, True, np.array([0.5, math.nan])],
+                             ids=["complex", "nan", "zero", "negative", "inf", "bool", "nan-entry"])
+    def test_gains_and_qbers_reject_mu_outside_the_model(self, mu):
+        # 0.5+0j gave a complex gain, and NaN a QBER of 0.0
+        yt = YieldTable(0.1, 0.015, 1e-6)
+        for method in (yt.gains, yt.qbers):
+            with pytest.raises(ValueError, match="mu must be"):
+                method(mu)
+
     def test_vacuum_yield_closed_form(self):
         d = 6.02e-6
         yt = YieldTable(eta=0.1, e_mis=0.015, p_dark=d)
