@@ -42,7 +42,10 @@ def transmittance(alpha_db_per_km: float, length_km):
     the Python float power exactly; numpy's power over a longer array may
     differ from it in the last bit.
     """
-    length = np.asarray(length_km, dtype=float)
+    length = np.asarray(length_km)
+    if length.dtype.kind not in "iuf":  # a bool or a string would convert to a length
+        raise ValueError("length must be a real number")
+    length = length.astype(float, copy=False)
     shortest = length.min(initial=math.inf)
     if not (alpha_db_per_km >= 0.0 and shortest >= 0.0):  # NaN fails too
         raise ValueError("loss coefficient and length must be nonnegative numbers")

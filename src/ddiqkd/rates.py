@@ -26,7 +26,8 @@ random bit instead of being discarded.
 
 Rates, intensity optimization and yield tables take arrays: a channel
 length (or eta) array and a mu array broadcast against each other; mu is
-checked once, at key_rate, bb84_reference_rate and SessionParams.
+checked once per public call (key_rate, bb84_reference_rate, SessionParams,
+YieldTable.gains and .qbers), never inside a search.
 """
 
 from __future__ import annotations
@@ -170,17 +171,27 @@ class YieldTable(Record):
 
     def __init__(self, eta: float | np.ndarray, e_mis: float, p_dark: float):
         # eta: eta_det * channel transmittance
+        _require_real(e_mis=e_mis, p_dark=p_dark)
+        eta_array = np.asarray(eta)
+        if eta_array.dtype.kind not in "iuf":
+            raise ValueError("eta must be a real number")
         if not 0.0 <= e_mis <= 0.5:  # NaN fails too
             raise ValueError("e_mis must be in [0, 0.5]")
+        if not 0.0 <= p_dark < 1.0:
+            raise ValueError("p_dark must be in [0, 1)")
+        if not ((eta_array >= 0.0).all() and (eta_array <= 1.0).all()):
+            raise ValueError("eta must be in [0, 1]")
         terms = map(_per_detector, _yield_terms(eta, e_mis, p_dark))
         vars(self).update(zip(("y0", "y1", "e1", "k1"), terms), eta=eta, e_mis=e_mis, p_dark=p_dark)
 
     def gains(self, mu) -> np.ndarray:
         """Q_i(mu), per detector."""
+        _require_mu(mu)
         return _per_detector(_proposal_gains(self.eta, self.e_mis, self.p_dark, mu)[0])
 
     def qbers(self, mu) -> np.ndarray:
         """E_i(mu) = sum_n p_n Y_n e_n / Q_i, per detector."""
+        _require_mu(mu)
         gain, err_gain = _proposal_gains(self.eta, self.e_mis, self.p_dark, mu)
         return _per_detector(_ratio(err_gain, gain, 0.0))
 
