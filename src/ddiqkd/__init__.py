@@ -2,53 +2,21 @@
 in the photon's path and measures with an untrusted single-photon Bell-state
 analyzer.
 
-The library is organized bottom-up:
+The package re-exports nothing; import each name from its module.  Bottom-up:
 
-- qstate:   tiny complex linear algebra (pure states, density matrices)
-- encoding: BB84 polarization states, the path-encoding network, and the
-            virtual-protocol identities behind the security argument
-- bsm:      ideal and mode-network Bell measurement, the click table, the
-            sift rule and the per-detector routes
-- channel:  Poisson photon statistics and lossy fiber
-- rates:    analytic yields, secret key rate, intensity optimization,
-            distance sweeps, and the two-detector reference system
-- session:  vectorized Monte Carlo of full protocol runs
-- verify:   the model consistency checks
-- cli:      batch front end (``ddiqkd`` command)
+- qstate:   PureState, DensityMatrix, trace distances: tiny complex linear algebra
+- encoding: BB84 settings and states, the path-encoding network, VirtualSource,
+            rho_alice and rho_bob (the virtual-protocol identities)
+- bsm:      ideal and mode-network Bell measurement, click_table, sift_table
+            and the visibility theory_table
+- channel:  poisson_pn and the lossy fiber's transmittance
+- rates:    RateParams, yield tables, key_rate, optimize_mu, keyrate_curve,
+            the two-detector reference and detector_routes, the one routing
+- session:  SessionParams, run_session and SessionReport: vectorized Monte Carlo
+- verify:   appendix_checks, the model consistency checks
+- cli:      batch front end (``ddiqkd`` command).  A curve or session call
+            loads only rates, channel and session; theory-table adds bsm,
+            encoding and qstate, and verify-appendix loads everything.
 """
-
-from .bsm import (
-    click_table,
-    ideal_bsm_distribution,
-    mode_network_distribution,
-    theory_table,
-)
-from .channel import poisson_pn, transmittance
-from .encoding import (
-    ALICE_SETTINGS,
-    PATH_SETTINGS,
-    Basis,
-    Bb84Setting,
-    PathSetting,
-    VirtualSource,
-    bb84_state,
-    hybrid_bell_expand,
-    rho_alice,
-    rho_bob,
-)
-from .qstate import DensityMatrix, PureState, max_trace_distance, trace_distance
-from .rates import (
-    KeyRateCurve,
-    RateParams,
-    SecurityRegime,
-    YieldTable,
-    bb84_reference_rate,
-    key_rate,
-    keyrate_curve,
-    optimize_mu,
-    security_regime,
-    yield_table,
-)
-from .session import SessionParams, SessionReport, run_session
 
 __version__ = "0.1.0"

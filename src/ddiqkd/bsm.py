@@ -10,9 +10,9 @@ exactly; the network exists so the optical layout can be audited.
 distribution over D1..D4 for every (Alice state, Bob setting) pair, with
 misalignment and interference visibility folded in.  ``sift_table`` is the
 classical processing of a lone click on the same (code, detector) grid:
-whether it is kept and whether Bob's bit is right.  ``detector_routes``,
+whether it is kept and whether Bob's bit is right.  ``rates.detector_routes``,
 the two reduced to one detector's two roles, is what the rate engine and the
-Monte Carlo read; the flip-table check compares it with the other two.
+Monte Carlo read; verify's flip-table check compares it with the other two.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "mode_network_distribution",
     "click_table",
     "sift_table",
-    "detector_routes",
     "THEORY_ROWS",
     "theory_table",
 ]
@@ -139,16 +138,6 @@ def sift_table() -> np.ndarray:
     matched = ((code >> 3) == bob_basis)[:, None]
     error = ((code & 1)[:, None] ^ _FLIP[bob_basis]) != ((code >> 2) & 1)[:, None]
     return np.stack([matched & ~error, matched & error])
-
-
-def detector_routes(e_mis: float = 0.0):
-    """(T, 1 - T) of a detector's agreement role (a lone click gives Bob
-    Alice's bit) and error role, T its click probability per photon.  The one
-    statement of the routing: each sifted cell of ``click_table(e_mis)`` is
-    its role's T bit for bit, and a detector holds each role in 4 of 16 codes."""
-    if not 0.0 <= e_mis <= 0.5:  # NaN fails too
-        raise ValueError("e_mis must be in [0, 0.5]")
-    return ((1.0 - e_mis) / 2.0, (1.0 + e_mis) / 2.0), (e_mis / 2.0, (2.0 - e_mis) / 2.0)
 
 
 # The eight basis-matched (Alice state, Bob setting) combinations, in the

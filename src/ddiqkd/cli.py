@@ -9,7 +9,8 @@ store_true flag without a value and every other flag followed by a value
 that does not start with '-' and converts with the flag's type.  Everything
 else, help and every usage error included, goes to the full four-command
 argparse parser, the one source of those texts; only that path imports
-argparse.
+argparse.  Likewise only theory-table imports bsm (and with it encoding and
+qstate), and only verify-appendix imports verify.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 
@@ -28,10 +29,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from ._record import ValueRecord
-from .bsm import THEORY_ROWS, theory_row_label, theory_table
 from .rates import RateParams, keyrate_curve
 from .session import SessionParams, run_session
-from .verify import appendix_checks
 
 if TYPE_CHECKING:
     import argparse
@@ -202,6 +201,8 @@ def cmd_session(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_verify_appendix(cfg: Config, args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
+    from .verify import appendix_checks  # only this subcommand loads the checks and the optics
+
     results = appendix_checks(n_samples=args.samples, seed=cfg.seed,
                               corrupt_path_c_sign=args.self_test_corrupt)
     all_ok = True
@@ -215,6 +216,8 @@ def cmd_verify_appendix(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_theory_table(cfg: Config, args: argparse.Namespace) -> int:
+    from .bsm import THEORY_ROWS, theory_row_label, theory_table  # loads the optics
+
     lines = ["visibility,state,D1,D2,D3,D4"]
     for vis in dict.fromkeys((cfg.visibility, 1.0)):  # once if the configured V is 1
         for (alice, bob), row in zip(THEORY_ROWS, theory_table(vis)):

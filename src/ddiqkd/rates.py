@@ -3,7 +3,7 @@
 The device model is pinned as follows.  With eta = eta_det * transmittance,
 x = mu eta and e = e_mis, a photon of a basis-matched pulse clicks a
 detector with probability eta T, T = (1-e)/2 or e/2 for its agreement or
-error role in ``bsm.detector_routes(e)``; every detector holds each role
+error role in ``detector_routes(e)``; every detector holds each role
 half the time.  Photons act independently, each detector dark-fires with
 probability d per gate, and only lone clicks are kept.  Over a pulse's
 Poisson(mu) photons, a detector of role T gives a lone click with probability
@@ -38,7 +38,6 @@ from functools import partial
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .bsm import detector_routes
 from .channel import _require_real, transmittance
 
 MU_SEARCH_RANGE = (0.01, 2.0)
@@ -53,6 +52,7 @@ __all__ = [
     "YieldTable",
     "KeyRateCurve",
     "SecurityRegime",
+    "detector_routes",
     "yield_table",
     "key_rate",
     "optimize_mu",
@@ -100,6 +100,16 @@ def _ratio(num, den, empty: float):
 def _eta(params: RateParams, length_km):
     """eta_det times the channel transmittance."""
     return params.eta_det * transmittance(params.alpha_db_per_km, length_km)
+
+
+def detector_routes(e_mis: float = 0.0):
+    """(T, 1 - T) of a detector's agreement role (a lone click gives Bob
+    Alice's bit) and error role, T its click probability per photon.  The one
+    statement of the routing: each sifted cell of ``bsm.click_table(e_mis)`` is
+    its role's T bit for bit, and a detector holds each role in 4 of 16 codes."""
+    if not 0.0 <= e_mis <= 0.5:  # NaN fails too
+        raise ValueError("e_mis must be in [0, 0.5]")
+    return ((1.0 - e_mis) / 2.0, (1.0 + e_mis) / 2.0), (e_mis / 2.0, (2.0 - e_mis) / 2.0)
 
 
 def _proposal_gains(eta, e, d, mu):

@@ -15,11 +15,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from .bsm import (click_table, detector_routes, ideal_bsm_distribution,
-                  mode_network_distribution, mode_network_matrix, sift_table)
+from .bsm import (click_table, ideal_bsm_distribution, mode_network_distribution,
+                  mode_network_matrix, sift_table)
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
 from .qstate import (DensityMatrix, PureState, _stack_first, haar_amplitudes, max_trace_distance,
                      random_unitary)
+from .rates import detector_routes
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
 
@@ -89,7 +90,7 @@ def check_flip_table() -> CheckResult:
 
     On all 16 setting codes x 4 detectors of ``bsm.sift_table``: exactly the
     8 basis-matched codes are kept, each with two detectors that restore
-    Alice's bit, and each detector holds each role of ``detector_routes``
+    Alice's bit, and each detector holds each role of ``rates.detector_routes``
     for 4 codes (the sessions' weight 1/4).  The deviation is the largest
     |T - T of the cell's role| over the sifted cells of ``click_table()``.
     """

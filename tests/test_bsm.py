@@ -7,7 +7,6 @@ from ddiqkd import bsm
 from ddiqkd.bsm import (
     THEORY_ROWS,
     click_table,
-    detector_routes,
     ideal_bsm_distribution,
     mode_network_distribution,
     mode_network_matrix,
@@ -25,7 +24,7 @@ from ddiqkd.encoding import (
     lon_states,
 )
 from ddiqkd.qstate import PureState, haar_amplitudes
-from ddiqkd.rates import RateParams, yield_table
+from ddiqkd.rates import RateParams, detector_routes, yield_table
 from ddiqkd.session import SessionParams, run_session
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)

@@ -297,15 +297,15 @@ class TestVerifyAppendixCommand:
 
     def test_swapped_routes_fail(self, monkeypatch, capsys):
         # the check must read the routes that produce the reports: swapping
-        # the agreement and error roles of bsm.detector_routes wherever it is
+        # the agreement and error roles of rates.detector_routes wherever it is
         # bound moves the sessions' error cells and the curve's rates, and
         # the click table's sifted cells no longer hold the routes
         params = Config(distances=(0.0,)).session_params
         lengths = [0.0, 50.0, 100.0]
         cells = session._cell_probabilities(params)
         curve = rates.keyrate_curve(params.model, lengths).rate_proposal
-        routes = bsm.detector_routes
-        for module in (bsm, rates, session, verify):
+        routes = rates.detector_routes
+        for module in (rates, session, verify):
             monkeypatch.setattr(module, "detector_routes", lambda e_mis=0.0: routes(e_mis)[::-1])
         swapped_cells = session._cell_probabilities(params)
         swapped_curve = rates.keyrate_curve(params.model, lengths).rate_proposal
@@ -610,21 +610,29 @@ class TestUsage:
     def test_well_formed_calls_load_neither_argparse_nor_dataclasses(self, tmp_path, monkeypatch,
                                                                       capsys):
         # in a fresh process, because pytest itself imports both modules; a
-        # usage error there still ends as the full parser does
+        # usage error there still ends as the full parser does.  Each call
+        # also loads only the modules it runs: the package itself none, a
+        # curve or session neither the optics (bsm, encoding, qstate) nor
+        # verify, and theory-table not verify
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
         out = str(tmp_path / "out")
         child = f"""
 import json, sys
+import ddiqkd
+loaded = [sorted(name for name in sys.modules if name.startswith("ddiqkd."))]
 from ddiqkd.cli import main
 codes = [main(argv) for argv in (["keyrate-curve", "--distances", "0,50", "--out", {out!r}],
-                                 ["session", "--pulses", "1000", "--out", {out!r}],
-                                 ["verify-appendix", "--samples", "10"],
-                                 ["theory-table", "--out", {out!r}])]
-print(json.dumps([codes, sorted({{"argparse", "dataclasses"}} & set(sys.modules))]))
+                                 ["session", "--pulses", "1000", "--out", {out!r}])]
+loaded.append(sorted({{"ddiqkd.bsm", "ddiqkd.encoding", "ddiqkd.qstate", "ddiqkd.verify"}}
+                     & set(sys.modules)))
+codes.append(main(["theory-table", "--out", {out!r}]))
+loaded.append(sorted({{"ddiqkd.verify"}} & set(sys.modules)))
+codes.append(main(["verify-appendix", "--samples", "10"]))
+print(json.dumps([codes, loaded, sorted({{"argparse", "dataclasses"}} & set(sys.modules))]))
 main(["session", "--frobnicate"])
 """
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], [[], [], []], []]
         assert ((proc.returncode, proc.stderr)
                 == _outcome(_build_parser().parse_args, ["session", "--frobnicate"], capsys)[::2])
 

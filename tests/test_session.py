@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.bsm import click_table, detector_routes, sift_table
+from ddiqkd.bsm import click_table, sift_table
 from ddiqkd.cli import Config
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
@@ -19,7 +19,7 @@ from ddiqkd.encoding import (
     PathSetting,
     agreement_detectors,
 )
-from ddiqkd.rates import RateParams, yield_table
+from ddiqkd.rates import RateParams, detector_routes, yield_table
 from ddiqkd.session import (
     SessionParams,
     SessionReport,
