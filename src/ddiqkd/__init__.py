@@ -14,9 +14,8 @@ The package re-exports nothing; import each name from its module.  Bottom-up:
             the two-detector reference and detector_routes, the one routing
 - session:  SessionParams, run_session and SessionReport: vectorized Monte Carlo
 - verify:   appendix_checks, the model consistency checks
-- cli:      batch front end (``ddiqkd`` command).  A curve or session call
-            loads only rates, channel and session; theory-table adds bsm,
-            encoding and qstate, and verify-appendix loads everything.
+- cli:      batch front end (``ddiqkd`` command), which loads per subcommand
+            only the modules it runs
 """
 
 __version__ = "0.1.0"
