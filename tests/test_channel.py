@@ -109,6 +109,13 @@ class TestTransmittance:
         with pytest.raises(ValueError, match="length must be a real number"):
             transmittance(0.2, length)
 
+    @pytest.mark.parametrize("alpha", [True, np.True_, "0.2", 0.2 + 0j, None],
+                             ids=["bool", "np.bool", "str", "complex", "None"])
+    def test_non_number_loss_coefficient_rejected(self, alpha):
+        # True gave 0.1 at 10 km, read as 1 dB/km; the others raised TypeError
+        with pytest.raises(ValueError, match="alpha_db_per_km must be a real number"):
+            transmittance(alpha, 10.0)
+
     def test_length_callers_reject_non_numbers(self):
         params = RateParams()
         for call in (yield_table, optimize_mu):

@@ -749,6 +749,14 @@ class TestKeyrateCurve:
         with pytest.raises(ValueError, match="finite"):
             keyrate_curve(FIG_PARAMS, lengths)
 
+    @pytest.mark.parametrize("lengths", [[True, 5.0], [np.True_], ["1", "5"], [1.0, "5"],
+                                         [0.5 + 0j], [None]],
+                             ids=["bool", "np.bool", "str", "mixed-str", "complex", "None"])
+    def test_non_number_lengths_rejected(self, lengths):
+        # [True, 5.0] ran at [1.0, 5.0]; a string raised TypeError from sorted() or float()
+        with pytest.raises(ValueError, match="length must be a real number"):
+            keyrate_curve(FIG_PARAMS, lengths)
+
 
 class TestSecurityRegime:
     def test_above_threshold(self):
