@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _require
 from .encoding import (
     ALICE_SETTINGS,
     PATH_SETTINGS,
@@ -100,10 +101,7 @@ def click_table(e_mis: float = 0.0, visibility: float = 1.0) -> np.ndarray:
     orthogonal state in Alice's basis with probability e_mis, which mixes
     row c with row c ^ 4 (Alice's bit toggled).
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
-    if not 0.0 <= e_mis <= 0.5:
-        raise ValueError("e_mis must be in [0, 0.5]")
+    visibility, e_mis = _require("visibility", visibility), _require("e_mis", e_mis)
     psi = lon_states().amps
     # (pol, path) index with path the fast factor: coherences between
     # different paths keep weight V, the rest keep weight 1

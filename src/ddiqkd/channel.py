@@ -1,60 +1,98 @@
-"""Weak-coherent-pulse photon statistics and the lossy fiber.
+"""Weak-coherent-pulse photon statistics, the lossy fiber, and the model's domain.
 
 Phase randomization is not simulated; it is what justifies treating each
 pulse as a Poisson mixture of photon-number states, which is all the decoy
 analysis needs.  Misalignment is not a fiber property here: ``bsm.click_table``
 and the rate model apply it as an independent per-photon flip to the
-orthogonal polarization in the preparation basis.
+orthogonal polarization in the preparation basis.  ``DOMAIN`` is the one
+table of the model's intervals, which every public entry point reads.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import ge, gt, le, lt
 
 import numpy as np
 
-__all__ = ["poisson_pn", "transmittance"]
+__all__ = ["DOMAIN", "poisson_pn", "transmittance"]
+
+# The model's domain: names -> (interval, integers only, the message for a value
+# outside it where not "<name> must be in <interval>", "an integer in" for integers).
+# A bool is not a number, so it lies in no interval.
+DOMAIN = {
+    ("e_mis",): ("[0, 0.5]", False, None),
+    ("p_dark",): ("[0, 1)", False, None),
+    ("eta_det", "eta", "transmittance"): ("[0, 1]", False, None),
+    ("visibility",): ("[0, 1]", False, None),
+    ("mu",): ("(0, inf)", False, "{name} must be positive and finite"),
+    ("f_ec",): ("[1, inf)", False, "{name} must be finite and >= 1"),
+    ("alpha_db_per_km", "length", "length_km", "distances"):
+        ("[0, inf]", False, "{name}: loss coefficients and lengths must be nonnegative numbers"),
+    ("seed", "photon number"): ("[0, inf)", True, "{name} must be a nonnegative integer"),
+    ("n_samples",): ("[1, inf)", True, "{name} must be an integer >= 1"),
+    ("n_pulses",): (f"[1, {2**63 - 1}]", True, None),  # the largest count Generator.multinomial takes
+}
 
 
-def _require_real(**values):
-    """Reject values that are not real numbers, bool included, by their names."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValueError(f"{name} must be a real number")
+def _rule(interval: str, integer: bool, message: str | None):
+    """(low end test, high end test, integer, message) of one DOMAIN row."""
+    low, high = ((int if integer and end != "inf" else float)(end)
+                 for end in interval[1:-1].split(", "))
+    above = partial(le if interval[0] == "[" else lt, low)  # low <= value, or low < value
+    below = partial(ge if interval[-1] == "]" else gt, high)  # high >= value, or high > value
+    default = "{name} must be an integer in " if integer else "{name} must be in "
+    return above, below, integer, message or default + interval
+
+
+_RULES = {name: _rule(*row) for names, row in DOMAIN.items() for name in names}
+
+
+def _require(name: str, value, arrays: bool = False):
+    """``value`` if it lies in ``name``'s DOMAIN interval; ValueError if not.
+
+    A value is a Python or numpy int or float, never a bool, and if ``arrays``
+    also an array or list of them.  A numpy scalar comes back as a Python
+    number and an array as float64.  A plain int or float skips numpy.
+    """
+    above, below, integer, message = _RULES[name]
+    if type(value) is int or type(value) is float and not integer:  # bool's type is not int
+        if above(value) and below(value):  # NaN fails both
+            return value
+        raise ValueError(message.format(name=name))
+    if arrays and isinstance(value, (list, tuple)):  # numpy would read a True in it as 1.0
+        return np.array([_require(name, item, True) for item in value], dtype=float)
+    array = np.asarray(value)
+    if (array.dtype.kind not in ("iu" if integer else "iuf")
+            or not (arrays or isinstance(value, np.generic))):
+        raise ValueError(message.format(name=name) if integer else f"{name} must be a real number")
+    if not (above(array).all() and below(array).all()):
+        raise ValueError(message.format(name=name))
+    return array.item() if isinstance(value, np.generic) else array.astype(float, copy=False)
 
 
 def poisson_pn(mu: float, n: int) -> float:
     """Probability that a pulse of mean photon number mu carries n photons."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("photon number must be a nonnegative integer")
-    _require_real(mu=mu)
-    if not 0 < mu < math.inf:  # NaN fails too
-        raise ValueError("mu must be positive and finite")
+    n, mu = _require("photon number", n), _require("mu", mu)
     return math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
 
 
 def transmittance(alpha_db_per_km: float, length_km):
     """Transmittance 10^(-alpha L / 10) of a fiber at a length or an array of lengths.
 
-    Rejects a negative or NaN alpha or L, and the undefined total losses
-    0 * inf (a lossless fiber of infinite length, an opaque one of zero
-    length).  A scalar length is computed as a 0-d array, which matches
-    the Python float power exactly; numpy's power over a longer array may
-    differ from it in the last bit.
+    Besides the domain, rejects the undefined total losses 0 * inf (a
+    lossless fiber of infinite length, an opaque one of zero length).  A
+    scalar length gives the Python float power; numpy's power over a longer
+    array may differ from it in the last bit.
     """
-    length = np.asarray(length_km)
-    if length.dtype.kind not in "iuf":  # a bool or a string would convert to a length
-        raise ValueError("length must be a real number")
-    length = length.astype(float, copy=False)
-    shortest = length.min(initial=math.inf)
-    if not (alpha_db_per_km >= 0.0 and shortest >= 0.0):  # NaN fails too
-        raise ValueError("loss coefficient and length must be nonnegative numbers")
-    if (alpha_db_per_km == 0.0 and length.max(initial=0.0) == math.inf
-            or alpha_db_per_km == math.inf and shortest == 0.0):
+    alpha, length = _require("alpha_db_per_km", alpha_db_per_km), _require("length", length_km, True)
+    if (alpha == 0.0 and np.max(length, initial=0.0) == math.inf
+            or alpha == math.inf and np.min(length, initial=math.inf) == 0.0):
         raise ValueError("total loss alpha * length is undefined (0 * inf)")
-    if alpha_db_per_km <= 1.0:  # alpha * length stays within the largest double
-        return 10.0 ** (-alpha_db_per_km * length / 10.0)
+    if alpha <= 1.0:  # alpha * length stays within the largest double
+        return 10.0 ** (-alpha * length / 10.0)
     # a larger alpha can pass it, a loss of -inf dB whose exact transmittance is 0.0;
     # only this case pays for np.errstate, which costs as much as the power
     with np.errstate(over="ignore"):
-        return 10.0 ** (-alpha_db_per_km * length / 10.0)
+        return 10.0 ** (-alpha * length / 10.0)

@@ -29,6 +29,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from ._record import ValueRecord
+from .channel import _require
 from .rates import RateParams, keyrate_curve
 from .session import SessionParams, run_session
 
@@ -65,23 +66,18 @@ class Config(ValueRecord):
                           distances=distances, visibility=visibility)
 
     def validate(self):
-        """The CLI's own rules; the model's range checks run in session_params."""
+        """The CLI's own rules, then the model's domain, its ValueError a ConfigError."""
         for name, kind in _FIELD_TYPES.items():
             if kind is float and not -_INF < getattr(self, name) < _INF:
                 raise ConfigError(f"{name} must be finite")
-        if not all(-_INF < d < _INF for d in self.distances):
-            raise ConfigError("distances must be finite")
-        if self.p_dark >= 1.0:  # receiver level; each detector takes p_dark / 2
-            raise ConfigError("p_dark must be in [0, 1)")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if not self.distances or any(d < 0 for d in self.distances):
-            raise ConfigError("distances must be nonempty and nonnegative")
+        if not self.distances or not all(-_INF < d < _INF for d in self.distances):
+            raise ConfigError("distances must be nonempty and finite")
         if sorted(self.distances) != list(self.distances):
             raise ConfigError("distances must be sorted ascending")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ConfigError("visibility must be in [0, 1]")
         try:
+            for name in ("p_dark", "seed", "visibility"):  # p_dark is the receiver's, twice a detector's
+                _require(name, getattr(self, name))
+            _require("distances", self.distances, arrays=True)
             self.session_params
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -199,8 +195,10 @@ def cmd_session(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_verify_appendix(cfg: Config, args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ConfigError("--samples must be >= 1")
+    try:
+        _require("n_samples", args.samples)
+    except ValueError:
+        raise ConfigError("--samples must be >= 1") from None
     from .verify import appendix_checks  # only this subcommand loads the checks and the optics
 
     results = appendix_checks(n_samples=args.samples, seed=cfg.seed,

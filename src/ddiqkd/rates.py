@@ -25,9 +25,10 @@ detector serves as the reference curve; its double clicks are assigned a
 random bit instead of being discarded.
 
 Rates, intensity optimization and yield tables take arrays: a channel
-length (or eta) array and a mu array broadcast against each other; mu is
-checked once per public call (key_rate, bb84_reference_rate, SessionParams,
-YieldTable.gains and .qbers), never inside a search.
+length (or eta) array and a mu array broadcast against each other.  Each
+public call checks its inputs once against ``channel.DOMAIN``, the one table
+of the model's intervals; inside a search only detector_routes and
+transmittance check theirs, a plain float in two comparisons.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .channel import _require_real, transmittance
+from .channel import _require, transmittance
 
 MU_SEARCH_RANGE = (0.01, 2.0)
 _MU_GRID = np.linspace(*MU_SEARCH_RANGE, 41)  # every search's coarse bracket
@@ -71,19 +72,8 @@ class RateParams(ValueRecord):
                  eta_det: float = 0.145,   # detection efficiency per photon
                  p_dark: float = 3.01e-6,  # dark count probability per detector per gate
                  alpha_db_per_km: float = 0.2, e_mis: float = 0.015, f_ec: float = 1.16):
-        vars(self).update(eta_det=eta_det, p_dark=p_dark, alpha_db_per_km=alpha_db_per_km,
-                          e_mis=e_mis, f_ec=f_ec)
-        _require_real(**vars(self))
-        if not 0.0 <= self.eta_det <= 1.0:
-            raise ValueError("eta_det must be in [0, 1]")
-        if not 0.0 <= self.p_dark < 1.0:
-            raise ValueError("p_dark must be in [0, 1)")
-        if not self.alpha_db_per_km >= 0.0:  # NaN fails too
-            raise ValueError("loss coefficient alpha_db_per_km must be a nonnegative number")
-        if not 1.0 <= self.f_ec < np.inf:
-            raise ValueError("f_ec must be finite and >= 1")
-        if not 0.0 <= self.e_mis <= 0.5:
-            raise ValueError("e_mis must be in [0, 0.5]")
+        values = eta_det, p_dark, alpha_db_per_km, e_mis, f_ec
+        vars(self).update(zip(self._fields, map(_require, self._fields, values)))
 
 
 def _entropy(x):
@@ -107,8 +97,7 @@ def detector_routes(e_mis: float = 0.0):
     Alice's bit) and error role, T its click probability per photon.  The one
     statement of the routing: each sifted cell of ``bsm.click_table(e_mis)`` is
     its role's T bit for bit, and a detector holds each role in 4 of 16 codes."""
-    if not 0.0 <= e_mis <= 0.5:  # NaN fails too
-        raise ValueError("e_mis must be in [0, 0.5]")
+    e_mis = _require("e_mis", e_mis)
     return ((1.0 - e_mis) / 2.0, (1.0 + e_mis) / 2.0), (e_mis / 2.0, (2.0 - e_mis) / 2.0)
 
 
@@ -138,14 +127,6 @@ def _bb84_gains(eta, e, d, mu):
     flip = -np.expm1(nxe)
     err = flip * (1.0 + (1.0 - d) * np.exp(nx * keep)) + d * np.exp(nxe) + d * (1.0 - d) * v
     return gain, err / 2.0
-
-
-def _require_mu(mu):
-    mu = np.asarray(mu)
-    if mu.dtype.kind not in "iuf":  # a bool passes the range test; a complex mu, a complex rate
-        raise ValueError("mu must be a real number")
-    if not ((mu > 0.0).all() and (mu < np.inf).all()):  # NaN fails too
-        raise ValueError("mu must be positive and finite")
 
 
 def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
@@ -181,27 +162,19 @@ class YieldTable(Record):
 
     def __init__(self, eta: float | np.ndarray, e_mis: float, p_dark: float):
         # eta: eta_det * channel transmittance
-        _require_real(e_mis=e_mis, p_dark=p_dark)
-        eta_array = np.asarray(eta)
-        if eta_array.dtype.kind not in "iuf":
-            raise ValueError("eta must be a real number")
-        if not 0.0 <= e_mis <= 0.5:  # NaN fails too
-            raise ValueError("e_mis must be in [0, 0.5]")
-        if not 0.0 <= p_dark < 1.0:
-            raise ValueError("p_dark must be in [0, 1)")
-        if not ((eta_array >= 0.0).all() and (eta_array <= 1.0).all()):
-            raise ValueError("eta must be in [0, 1]")
+        eta = _require("eta", eta, arrays=True)
+        e_mis, p_dark = _require("e_mis", e_mis), _require("p_dark", p_dark)
         terms = map(_per_detector, _yield_terms(eta, e_mis, p_dark))
         vars(self).update(zip(("y0", "y1", "e1", "k1"), terms), eta=eta, e_mis=e_mis, p_dark=p_dark)
 
     def gains(self, mu) -> np.ndarray:
         """Q_i(mu), per detector."""
-        _require_mu(mu)
+        mu = _require("mu", mu, arrays=True)
         return _per_detector(_proposal_gains(self.eta, self.e_mis, self.p_dark, mu)[0])
 
     def qbers(self, mu) -> np.ndarray:
         """E_i(mu) = sum_n p_n Y_n e_n / Q_i, per detector."""
-        _require_mu(mu)
+        mu = _require("mu", mu, arrays=True)
         gain, err_gain = _proposal_gains(self.eta, self.e_mis, self.p_dark, mu)
         return _per_detector(_ratio(err_gain, gain, 0.0))
 
@@ -274,8 +247,7 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
     yield table; vacuum errors are already folded into the error yields.
     mu may be an array broadcasting against ``yields.eta``.
     """
-    _require_mu(mu)
-    return _rate_of_mu(_proposal_terms(yields), params)(mu)
+    return _rate_of_mu(_proposal_terms(yields), params)(_require("mu", mu, arrays=True))
 
 
 def _optimize(rate_of_mu, scalar: bool):
@@ -327,8 +299,7 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
     length_km and mu may be arrays that broadcast against each other.
     """
-    _require_mu(mu)
-    return _rate_of_mu(_reference_terms(params, length_km), params)(mu)
+    return _rate_of_mu(_reference_terms(params, length_km), params)(_require("mu", mu, arrays=True))
 
 
 def optimize_mu_bb84(params: RateParams, length_km):
@@ -423,6 +394,7 @@ def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
     optimize_mu_bb84 gives at its length.  Each protocol's _cutoff then
     evaluates its own grid maxima, one batch of lengths at a time.
     """
+    _require("length", lengths, arrays=True)  # before sorted() compares them
     if sorted(lengths) != list(lengths):
         raise ValueError("lengths must be sorted ascending")
     km, n = np.array(lengths, dtype=float), len(lengths)
@@ -451,8 +423,6 @@ def security_regime(single_photon_transmittance: float) -> SecurityRegime:
     pulses to be at least 65.9%; below that, security is conjectured from
     the analysis of a restricted attack class.
     """
-    if not 0.0 <= single_photon_transmittance <= 1.0:
-        raise ValueError("transmittance must be in [0, 1]")
-    if single_photon_transmittance >= LOW_LOSS_THRESHOLD:
+    if _require("transmittance", single_photon_transmittance) >= LOW_LOSS_THRESHOLD:
         return SecurityRegime.PROVEN_LOW_LOSS
     return SecurityRegime.CONJECTURED_HIGH_LOSS

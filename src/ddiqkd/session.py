@@ -40,13 +40,10 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .channel import _require_real
-from .rates import (RateParams, _eta, _ratio, _require_mu, _secret_rate, _yield_terms,
-                    detector_routes)
+from .channel import _require
+from .rates import RateParams, _eta, _ratio, _secret_rate, _yield_terms, detector_routes
 
 __all__ = ["SessionParams", "SessionReport", "run_session"]
-
-MAX_PULSES = 2**63 - 1  # the largest count ``Generator.multinomial`` takes
 
 
 class SessionParams(ValueRecord):
@@ -56,20 +53,15 @@ class SessionParams(ValueRecord):
     is not a field."""
 
     def __init__(self, n_pulses: int, mu: float, length_km: float, model: RateParams):
-        if (isinstance(n_pulses, bool) or not isinstance(n_pulses, (int, np.integer))
-                or not 1 <= n_pulses <= MAX_PULSES):
-            raise ValueError(f"n_pulses must be an integer in [1, {MAX_PULSES}]")
-        _require_real(mu=mu, length_km=length_km)
-        _require_mu(mu)
+        # a numpy scalar comes back a Python number, which the report echoes in JSON
+        n_pulses, mu, length_km = map(_require, ("n_pulses", "mu", "length_km"), (n_pulses, mu, length_km))
         eta = _eta(model, length_km)  # rejects an undefined loss
         # the report echoes length_km and alpha_db_per_km, and JSON has no infinity
         if length_km == np.inf:
             raise ValueError("length_km must be finite")
         if model.alpha_db_per_km == np.inf:
             raise ValueError("alpha_db_per_km must be finite")
-        # the report echoes n_pulses as a JSON integer and mu as a JSON number
-        vars(self).update(n_pulses=int(n_pulses), mu=float(mu), length_km=length_km, model=model,
-                          eta=eta)
+        vars(self).update(n_pulses=n_pulses, mu=float(mu), length_km=length_km, model=model, eta=eta)
 
 
 class SessionReport(Record):
@@ -209,8 +201,7 @@ def _run_shard(n: int, rng: np.random.Generator, cells: np.ndarray) -> np.ndarra
 
 def run_session(params: SessionParams, seed: int) -> SessionReport:
     """Run a full session; deterministic given (params, seed)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    seed = _require("seed", seed)  # a Python int, which the report echoes in JSON
     # the stream [seed, 0] keeps the counts that sessions of up to 10^6 pulses always drew
     counts = _run_shard(params.n_pulses, np.random.default_rng([seed, 0]), _cell_probabilities(params))
-    return SessionReport(params, int(seed), counts)  # the report echoes a JSON integer
+    return SessionReport(params, seed, counts)

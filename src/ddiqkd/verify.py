@@ -17,6 +17,7 @@ import numpy as np
 
 from .bsm import (click_table, ideal_bsm_distribution, mode_network_distribution,
                   mode_network_matrix, sift_table)
+from .channel import _require
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
 from .qstate import (DensityMatrix, PureState, _stack_first, haar_amplitudes, max_trace_distance,
                      random_unitary)
@@ -108,11 +109,8 @@ def check_flip_table() -> CheckResult:
 def appendix_checks(n_samples: int = 1000, seed: int = 7,
                     corrupt_path_c_sign: bool = False) -> list[CheckResult]:
     """Run the full consistency suite with a deterministic stream."""
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ValueError("n_samples must be an integer >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    rng = np.random.default_rng(seed)
+    n_samples = _require("n_samples", n_samples)
+    rng = np.random.default_rng(_require("seed", seed))
     sender = rho_alice(VirtualSource())  # rho_bob's default source is built once, at import
     return [
         check_receiver_state_fixed(n_samples, rng, corrupt_path_c_sign, sender),
