@@ -57,19 +57,23 @@ def _require(name: str, value, arrays: bool = False):
     number and an array as float64.  A plain int or float skips numpy.
     """
     above, below, integer, message = _RULES[name]
-    if type(value) is int or type(value) is float and not integer:  # bool's type is not int
-        if above(value) and below(value):  # NaN fails both
-            return value
-        raise ValueError(message.format(name=name))
     if arrays and isinstance(value, (list, tuple)):  # numpy would read a True in it as 1.0
-        return np.array([_require(name, item, True) for item in value], dtype=float)
-    array = np.asarray(value)
-    if (array.dtype.kind not in ("iu" if integer else "iuf")
-            or not (arrays or isinstance(value, np.generic))):
-        raise ValueError(message.format(name=name) if integer else f"{name} must be a real number")
-    if not (above(array).all() and below(array).all()):
-        raise ValueError(message.format(name=name))
-    return array.item() if isinstance(value, np.generic) else array.astype(float, copy=False)
+        value = [item if type(item) in (float, int) else _require(name, item, True) for item in value]
+    if type(value) is not int and (integer or type(value) is not float):  # bool's type is not int
+        array = np.asarray(value)
+        if (array.dtype.kind not in ("iu" if integer else "iuf")
+                or not (arrays or isinstance(value, np.generic))):
+            raise ValueError(message.format(name=name) if integer else f"{name} must be a real number")
+        if isinstance(value, np.generic):
+            value = value.item()  # a Python number, checked as one below
+        else:
+            array = array.astype(float, copy=False)
+            if above(array.min(initial=math.inf)) and below(array.max(initial=-math.inf)):  # NaN fails
+                return array
+            raise ValueError(message.format(name=name))
+    if above(value) and below(value):  # NaN fails both
+        return value
+    raise ValueError(message.format(name=name))
 
 
 def poisson_pn(mu: float, n: int) -> float:

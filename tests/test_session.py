@@ -460,6 +460,16 @@ class TestRunSession:
         d = run_session(fig_session(1000, mu=mu), seed=3).to_dict()
         assert json.dumps(d["config"]["mu"]) == repr(float(mu))
 
+    @pytest.mark.parametrize("field, value", [("eta_det", 1), ("p_dark", 0), ("alpha_db_per_km", 0),
+                                              ("e_mis", 0), ("f_ec", 2), ("length_km", 10)])
+    @pytest.mark.parametrize("kind", [np.int64, np.float32], ids=["np.int64", "np.float32"])
+    def test_numpy_model_input_echoed_as_json_number(self, field, value, kind):
+        # a numpy scalar used to be stored as given, and json.dumps of the report raised TypeError
+        params = fig_session(1000, length_km=kind(value)) if field == "length_km" else _rebuilt(
+            fig_session(1000, length_km=10.0), model=_rebuilt(FIG_MODEL, **{field: kind(value)}))
+        config = json.loads(json.dumps(run_session(params, seed=3).to_dict()))["config"]
+        assert config["p_dark_per_detector" if field == "p_dark" else field] == value
+
     @pytest.mark.parametrize("f_ec", [0.9, math.inf, math.nan])
     def test_invalid_f_ec_rejected(self, f_ec):
         with pytest.raises(ValueError, match="f_ec"):
