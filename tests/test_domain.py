@@ -1,8 +1,8 @@
 """Edge sweep of the model's domain: every public callable that takes a model
 scalar, fed values on and past the edges of that scalar's documented interval.
 
-A value in the interval (a Python or numpy int or float, never a bool) must be
-taken, and the call must return finite real values in their documented range;
+A value in the interval (a Python or numpy int or float, never a bool, and an
+int no larger than the largest double) must be taken, and the call must return finite real values in their documented range;
 any other value must raise ValueError.  Each call runs with RuntimeWarning as
 an error.  The intervals below are written out from the README's "model
 domain" paragraph, not read from the package, so the sweep checks the code
@@ -11,6 +11,7 @@ against the documentation.
 
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -43,7 +44,7 @@ DOCUMENTED = {
 _rng = random.Random(33)
 EDGES = [True, False, math.nan, math.inf, -math.inf, -1, 0, 5e-324, math.nextafter(1.0, 0.0), 1,
          math.nextafter(1.0, 2.0), 1e308, np.int64(1), np.float32(0.5), "0.5", None, 0.5 + 0j,
-         np.True_, _rng.random() / 2.0, _rng.uniform(1.0, 2.0),
+         np.True_, 10**400, _rng.random() / 2.0, _rng.uniform(1.0, 2.0),
          10.0 ** _rng.uniform(-300.0, 300.0)]
 
 MODEL = RateParams()
@@ -55,6 +56,8 @@ def _documented(name, value) -> bool:
     low, high, low_closed, high_closed, integer = DOCUMENTED[name]
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
+        return False
+    if isinstance(value, int) and value > sys.float_info.max:  # past every double: in no interval
         return False
     return ((low <= value if low_closed else low < value)
             and (value <= high if high_closed else value < high))
