@@ -11,6 +11,7 @@ table of the model's intervals, which every public entry point reads.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from operator import ge, gt, le, lt
 
@@ -47,14 +48,16 @@ def _rule(interval: str, integer: bool, message: str | None):
 
 
 _RULES = {name: _rule(*row) for names, row in DOMAIN.items() for name in names}
+_LARGEST = sys.float_info.max  # an int past it converts to no double, so lies in no interval
 
 
 def _require(name: str, value, arrays: bool = False):
     """``value`` if it lies in ``name``'s DOMAIN interval; ValueError if not.
 
-    A value is a Python or numpy int or float, never a bool, and if ``arrays``
-    also an array or list of them.  A numpy scalar comes back as a Python
-    number and an array as float64.  A plain int or float skips numpy.
+    A value is a Python or numpy int or float, never a bool nor an int past
+    the largest double, and if ``arrays`` also an array or list of them.  A
+    numpy scalar comes back as a Python number and an array as float64.  A
+    plain int or float skips numpy.
     """
     above, below, integer, message = _RULES[name]
     if arrays and isinstance(value, (list, tuple)):  # numpy would read a True in it as 1.0
@@ -71,7 +74,7 @@ def _require(name: str, value, arrays: bool = False):
             if above(array.min(initial=math.inf)) and below(array.max(initial=-math.inf)):  # NaN fails
                 return array
             raise ValueError(message.format(name=name))
-    if above(value) and below(value):  # NaN fails both
+    if above(value) and below(value) and (type(value) is float or value <= _LARGEST):  # NaN fails
         return value
     raise ValueError(message.format(name=name))
 
