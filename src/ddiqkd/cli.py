@@ -10,7 +10,11 @@ that does not start with '-' and converts with the flag's type.  Everything
 else, help and every usage error included, goes to the full four-command
 argparse parser, the one source of those texts; only that path imports
 argparse.  Likewise only theory-table imports bsm (and with it encoding and
-qstate), and only verify-appendix imports verify.
+qstate), only verify-appendix imports verify, and only keyrate-curve
+imports json, for its summary line.  A session report is written as
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for
+byte, by ``_report_json``: with ``indent`` json runs its pure-Python
+encoder, which cost more than the rest of the CLI's share of a session.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 
@@ -22,7 +26,6 @@ fires with probability p_dark / 2 per gate.
 
 from __future__ import annotations
 
-import json
 import sys
 from functools import cached_property
 from types import SimpleNamespace
@@ -172,7 +175,38 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+_NUMBERS = {int, float}  # exact types: a bool or a numpy scalar is neither
+
+
+def _report_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` of a report's dicts
+    (keyed by plain names), lists, ints and floats, each number written as
+    json writes it, by its type's ``__repr__``; a list of numbers is one join.
+    A non-finite float is a ValueError (json would write NaN or Infinity,
+    which are not JSON), any other type, bool, None, str and numpy scalars
+    included, a TypeError.
+    """
+    kind, inner = type(value), indent + "  "
+    comma = "," + inner
+    if kind is dict:
+        text = comma.join([f'"{key}": {_report_json(value[key], inner)}' for key in sorted(value)])
+    elif kind is list and not set(map(type, value)) <= _NUMBERS:
+        text = comma.join([_report_json(item, inner) for item in value])
+    elif kind is list or kind in _NUMBERS:
+        text = comma.join(map(repr, value)) if kind is list else repr(value)
+        if "n" in text:  # inf, -inf or nan
+            raise ValueError("a report's numbers must be finite")
+        if kind is not list:
+            return text
+    else:
+        raise TypeError(f"a report holds no {kind.__name__}")
+    brackets = "{}" if kind is dict else "[]"
+    return brackets[0] + inner + text + indent + brackets[1] if value else brackets
+
+
 def cmd_keyrate_curve(cfg: Config, args: argparse.Namespace) -> int:
+    import json  # only this summary line needs it
+
     curve = keyrate_curve(cfg.rate_params(), list(cfg.distances))
     lines = ["length_km,mu_opt,rate_proposal,rate_bb84"]
     columns = curve.length_km, curve.mu_opt, curve.rate_proposal, curve.rate_bb84
@@ -188,7 +222,7 @@ def cmd_session(cfg: Config, args: argparse.Namespace) -> int:
     if args.distances is not None and len(cfg.distances) > 1:
         raise ConfigError("--distances takes one length for session")
     report = run_session(cfg.session_params, cfg.seed)
-    _emit(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_report_json(report.to_dict()) + "\n", args.out)
     if args.out:
         print(f"report written to {args.out}")
     return 0

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._record import Record, ValueRecord
 from .channel import _require
-from .rates import RateParams, _eta, _ratio, _secret_rate, _yield_terms, detector_routes
+from .rates import RateParams, _eta, _secret_rate, _yield_terms, detector_routes
 
 __all__ = ["SessionParams", "SessionReport", "run_session"]
 
@@ -92,22 +92,35 @@ class SessionReport(Record):
     def sifted_length(self) -> int:
         return int(self.successes.sum())
 
+    @cached_property
+    def _ratios(self) -> dict:
+        """The per-detector ratios, each a tuple of Python floats divided
+        from the tallies as Python ints, and 0.0 where the denominator is 0:
+        the one statement of each, read by the methods below and ``to_dict``.
+        Below 2**53 a count converts exactly, so each quotient is numpy's."""
+        successes, single = self.successes.tolist(), self.single_successes.tolist()
+        return {"gains": _fractions(successes, self.matched_pulses),
+                "qbers": _fractions(self.errors.tolist(), successes),
+                "vacuum_yields": _fractions(self.vacuum_successes.tolist(), self.vacuum_pulses),
+                "single_yields": _fractions(single, self.single_pulses),
+                "single_qbers": _fractions(self.single_errors.tolist(), single)}
+
     def gains(self) -> np.ndarray:
         """Q_i estimates: lone-click fraction among basis-matched pulses."""
-        return self.successes / max(self.matched_pulses, 1)
+        return np.array(self._ratios["gains"])
 
     def qbers(self) -> np.ndarray:
         """E_i estimates among sifted bits, per detector."""
-        return _ratio(self.errors, self.successes, 0.0)
+        return np.array(self._ratios["qbers"])
 
     def vacuum_yields(self) -> np.ndarray:
-        return self.vacuum_successes / max(self.vacuum_pulses, 1)
+        return np.array(self._ratios["vacuum_yields"])
 
     def single_yields(self) -> np.ndarray:
-        return self.single_successes / max(self.single_pulses, 1)
+        return np.array(self._ratios["single_yields"])
 
     def single_qbers(self) -> np.ndarray:
-        return _ratio(self.single_errors, self.single_successes, 0.0)
+        return np.array(self._ratios["single_qbers"])
 
     @property
     def q_sift_effective(self) -> float:
@@ -132,7 +145,7 @@ class SessionReport(Record):
         return self.secret_key_length / self.params.n_pulses
 
     def to_dict(self) -> dict:
-        params, model = self.params, self.params.model
+        params, model, ratios = self.params, self.params.model, self._ratios
         return {
             "config": {
                 "n_pulses": params.n_pulses,
@@ -150,19 +163,19 @@ class SessionReport(Record):
             "per_detector": {
                 "successes": self.successes.tolist(),
                 "errors": self.errors.tolist(),
-                "gains": self.gains().tolist(),
-                "qbers": self.qbers().tolist(),
+                "gains": list(ratios["gains"]),
+                "qbers": list(ratios["qbers"]),
                 "vacuum": {
                     "pulses": self.vacuum_pulses,
                     "successes": self.vacuum_successes.tolist(),
-                    "yields": self.vacuum_yields().tolist(),
+                    "yields": list(ratios["vacuum_yields"]),
                 },
                 "single_photon": {
                     "pulses": self.single_pulses,
                     "successes": self.single_successes.tolist(),
                     "errors": self.single_errors.tolist(),
-                    "yields": self.single_yields().tolist(),
-                    "qbers": self.single_qbers().tolist(),
+                    "yields": list(ratios["single_yields"]),
+                    "qbers": list(ratios["single_qbers"]),
                 },
             },
             "key": {
@@ -171,6 +184,13 @@ class SessionReport(Record):
                 "rate_per_pulse": self.rate_per_pulse,
             },
         }
+
+
+def _fractions(counts: list, totals) -> tuple:
+    """counts[i] / totals[i] (one total: the same for all), 0.0 where a total is 0."""
+    if not isinstance(totals, list):
+        totals = [totals] * len(counts)
+    return tuple([count / total if total > 0 else 0.0 for count, total in zip(counts, totals)])
 
 
 def _cell_probabilities(params: SessionParams) -> np.ndarray:

@@ -178,6 +178,14 @@ class TestSessionCommand:
         assert report["config"]["n_pulses"] == 20000
         assert len(report["per_detector"]["gains"]) == 4
 
+    def test_report_file_is_sorted_json_with_indent_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["session", "--pulses", "20000", "--seed", "7", "--mu", "0.3",
+                     "--distances", "25", "--out", str(out)]) == 0
+        report = session.run_session(Config(n_pulses=20000, seed=7, mu=0.3,
+                                            distances=(25.0,)).session_params, 7).to_dict()
+        assert out.read_text() == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
     def test_zero_mu_is_usage_error(self, capsys):
         assert main(["session", "--mu", "0", "--pulses", "10"]) == 2
         assert "mu" in capsys.readouterr().err

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ddiqkd.bsm import click_table, sift_table
-from ddiqkd.cli import Config
+from ddiqkd.cli import Config, _report_json
 from ddiqkd.encoding import (
     ALICE_SETTINGS,
     Basis,
@@ -763,6 +763,73 @@ def test_report_bytes_are_pinned(name):
     params, seed, digest = PINNED_REPORTS[name]
     text = json.dumps(run_session(params, seed).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Session configurations drawn over the edges of the model's domain, for the
+# report writer's oracle test: (n_pulses, mu, length_km, eta_det, p_dark, e_mis, f_ec)
+_EDGE_CHOICES = ([1, 7, 1000, 100_000], [5e-324, 1e-3, 0.7, 9.5, 1e6], [0.0, 5e-324, 37.25, 250.0, OPAQUE_KM],
+                 [0.0, 0.145, 1.0], [0.0, 1e-7, 0.5, 1 - 1e-16], [0.0, 0.015, 0.5], [1.0, 1.16, 1e300])
+_edge_rng = np.random.default_rng(34)
+EDGE_SESSIONS = [tuple(choices[_edge_rng.integers(len(choices))] for choices in _EDGE_CHOICES)
+                 for _ in range(40)]
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_report_writer_matches_json(name):
+    """The CLI writes a report as json.dumps(..., sort_keys=True, indent=2), byte for byte."""
+    params, seed, _ = PINNED_REPORTS[name]
+    report = run_session(params, seed).to_dict()
+    assert _report_json(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+def test_report_writer_matches_json_over_the_domain_edges():
+    for i, (n, mu, length, eta_det, p_dark, e_mis, f_ec) in enumerate(EDGE_SESSIONS):
+        model = RateParams(eta_det=eta_det, p_dark=p_dark, e_mis=e_mis, f_ec=f_ec)
+        report = run_session(SessionParams(n, mu, length, model), i).to_dict()
+        assert _report_json(report) == json.dumps(report, sort_keys=True, indent=2), EDGE_SESSIONS[i]
+
+
+@pytest.mark.parametrize("leaf", [math.nan, math.inf, -math.inf])
+def test_report_writer_rejects_non_finite_floats(leaf):
+    report = run_session(*PINNED_REPORTS["one_pulse"][:2]).to_dict()
+    for value in (leaf, [0.5, leaf], {"key": {"q_sift_effective": leaf}}):
+        with pytest.raises(ValueError, match="finite"):
+            _report_json(report | {"seed": value})
+
+
+@pytest.mark.parametrize("leaf", [True, None, "0.5", np.float64(0.5), np.int64(1), (1, 2)],
+                         ids=["bool", "None", "str", "float64", "int64", "tuple"])
+def test_report_writer_rejects_other_types(leaf):
+    """json would write a numpy float or a tuple too, but a report holds neither."""
+    report = run_session(*PINNED_REPORTS["one_pulse"][:2]).to_dict()
+    for value in (leaf, [0.5, leaf], [[leaf]]):
+        with pytest.raises(TypeError):
+            _report_json(report | {"seed": value})
+
+
+def test_ratios_are_numpys_quotients():
+    """Each ratio method gives the float64 quotient of the tallies that numpy
+    divides, 0.0 where the denominator is 0, for counts up to 2**53."""
+    rng = np.random.default_rng(53)
+    for high in (1, 3, 10**6, 2**50):
+        counts = rng.integers(0, high, size=(3, 9), endpoint=True)
+        counts[rng.random((3, 9)) < 0.3] = 0
+        rep = SessionReport(fig_session(10**6), 0, counts)
+        expected = {
+            "gains": rep.successes / max(rep.matched_pulses, 1),
+            "qbers": np.where(rep.successes > 0, rep.errors / np.maximum(rep.successes, 1), 0.0),
+            "vacuum_yields": rep.vacuum_successes / max(rep.vacuum_pulses, 1),
+            "single_yields": rep.single_successes / max(rep.single_pulses, 1),
+            "single_qbers": np.where(rep.single_successes > 0,
+                                     rep.single_errors / np.maximum(rep.single_successes, 1), 0.0),
+        }
+        for method, want in expected.items():
+            got = getattr(rep, method)()
+            assert got.dtype == np.float64 and got.shape == (4,)
+            assert got.tobytes() == want.tobytes(), (high, method)
+        per_detector = rep.to_dict()["per_detector"]
+        assert per_detector["gains"] == rep.gains().tolist()
+        assert per_detector["single_photon"]["qbers"] == rep.single_qbers().tolist()
 
 
 def _rate_terms_from(gains, err_gains, yt, params, mu):
