@@ -14,7 +14,7 @@ qstate), only verify-appendix imports verify, and only keyrate-curve
 imports json, for its summary line.  A session report is written as
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for
 byte, by ``_report_json``: with ``indent`` json runs its pure-Python
-encoder, which cost more than the rest of the CLI's share of a session.
+encoder, about 70 us of a 370 us session call on a 2-vCPU host.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 
@@ -194,7 +194,7 @@ def _report_json(value, indent: str = "\n") -> str:
         text = comma.join([_report_json(item, inner) for item in value])
     elif kind is list or kind in _NUMBERS:
         text = comma.join(map(repr, value)) if kind is list else repr(value)
-        if "n" in text:  # inf, -inf or nan
+        if "n" in text:  # of float reprs, only inf, -inf and nan have an 'n'
             raise ValueError("a report's numbers must be finite")
         if kind is not list:
             return text
