@@ -619,30 +619,48 @@ class TestUsage:
                                                                       capsys):
         # in a fresh process, because pytest itself imports both modules; a
         # usage error there still ends as the full parser does.  Each call
-        # also loads only the modules it runs: the package itself none, a
-        # curve or session neither the optics (bsm, encoding, qstate) nor
-        # verify, and theory-table not verify
+        # also loads only the modules it runs: the package itself none, set-up
+        # (the cli and a loaded config) only the model and the session, a
+        # session neither the optics (bsm, encoding, qstate) nor verify nor the
+        # rate engine, theory-table not verify, and only keyrate-curve rates
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
         out = str(tmp_path / "out")
         child = f"""
 import json, sys
 import ddiqkd
 loaded = [sorted(name for name in sys.modules if name.startswith("ddiqkd."))]
-from ddiqkd.cli import main
-codes = [main(argv) for argv in (["keyrate-curve", "--distances", "0,50", "--out", {out!r}],
-                                 ["session", "--pulses", "1000", "--out", {out!r}])]
-loaded.append(sorted({{"ddiqkd.bsm", "ddiqkd.encoding", "ddiqkd.qstate", "ddiqkd.verify"}}
-                     & set(sys.modules)))
+from ddiqkd.cli import load_config, main
+load_config(None, {{}})
+loaded.append(sorted(name for name in sys.modules if name.startswith("ddiqkd.")))
+codes = [main(["session", "--pulses", "1000", "--out", {out!r}])]
+loaded.append(sorted({{"ddiqkd.bsm", "ddiqkd.encoding", "ddiqkd.qstate", "ddiqkd.rates",
+                      "ddiqkd.verify"}} & set(sys.modules)))
 codes.append(main(["theory-table", "--out", {out!r}]))
-loaded.append(sorted({{"ddiqkd.verify"}} & set(sys.modules)))
+loaded.append(sorted({{"ddiqkd.rates", "ddiqkd.verify"}} & set(sys.modules)))
 codes.append(main(["verify-appendix", "--samples", "10"]))
+loaded.append(sorted({{"ddiqkd.rates"}} & set(sys.modules)))
+codes.append(main(["keyrate-curve", "--distances", "0,50", "--out", {out!r}]))
 print(json.dumps([codes, loaded, sorted({{"argparse", "dataclasses"}} & set(sys.modules))]))
 main(["session", "--frobnicate"])
 """
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], [[], [], []], []]
+        setup = ["ddiqkd._record", "ddiqkd.channel", "ddiqkd.cli", "ddiqkd.session"]
+        assert (json.loads(proc.stdout.splitlines()[-1])
+                == [[0, 0, 0, 0], [[], setup, [], [], []], []])
         assert ((proc.returncode, proc.stderr)
                 == _outcome(_build_parser().parse_args, ["session", "--frobnicate"], capsys)[::2])
+
+    def test_keyrate_curve_loads_neither_the_optics_nor_verify(self, tmp_path):
+        # in a fresh process: the curve runs rates, which needs no optics
+        child = f"""
+import sys
+from ddiqkd.cli import main
+code = main(["keyrate-curve", "--distances", "0,50", "--out", {str(tmp_path / "out")!r}])
+print(code, sorted({{"ddiqkd.bsm", "ddiqkd.encoding", "ddiqkd.qstate", "ddiqkd.verify"}}
+                   & set(sys.modules)))
+"""
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_module_entry_point(self):
         proc = subprocess.run(
