@@ -1,4 +1,5 @@
-"""Weak-coherent-pulse photon statistics, the lossy fiber, and the model's domain.
+"""The device model: photon statistics, the lossy fiber, the detector routes,
+the per-detector yields and the key formula, and the model's domain.
 
 Phase randomization is not simulated; it is what justifies treating each
 pulse as a Poisson mixture of photon-number states, which is all the decoy
@@ -6,6 +7,14 @@ analysis needs.  Misalignment is not a fiber property here: ``bsm.click_table``
 and the rate model apply it as an independent per-photon flip to the
 orthogonal polarization in the preparation basis.  ``DOMAIN`` is the one
 table of the model's intervals, which every public entry point reads.
+
+The per-pulse key contribution of detector i is
+
+    R_i = p0 Y_i0 + p1 Y_i1 [1 - h(e_i1)] - Q_i f h(E_i)
+
+clamped at zero and summed over the four detectors.  The session and the
+rate engine (``rates``) both read this module's formulas; only the rate
+engine adds the gains of a whole pulse, the intensity search and the cutoffs.
 """
 
 from __future__ import annotations
@@ -17,7 +26,9 @@ from operator import ge, gt, le, lt
 
 import numpy as np
 
-__all__ = ["DOMAIN", "poisson_pn", "transmittance"]
+from ._record import ValueRecord
+
+__all__ = ["DOMAIN", "RateParams", "detector_routes", "poisson_pn", "transmittance"]
 
 # The model's domain: names -> (interval, integers only, the message for a value
 # outside it where not "<name> must be in <interval>", "an integer in" for integers).
@@ -49,6 +60,7 @@ def _rule(interval: str, integer: bool, message: str | None):
 
 _RULES = {name: _rule(*row) for names, row in DOMAIN.items() for name in names}
 _LARGEST = sys.float_info.max  # an int past it converts to no double, so lies in no interval
+_TINY = 2.2250738585072014e-308  # smallest normal double: floors log2 so 0 log 0 = 0
 
 
 def _require(name: str, value, arrays: bool = False):
@@ -103,3 +115,56 @@ def transmittance(alpha_db_per_km: float, length_km):
     # only this case pays for np.errstate, which costs as much as the power
     with np.errstate(over="ignore"):
         return 10.0 ** (-alpha * length / 10.0)
+
+
+class RateParams(ValueRecord):
+    """The device-and-fiber model: everything the key rate and a session
+    need except distance, intensity and pulse count."""
+
+    def __init__(self,
+                 eta_det: float = 0.145,   # detection efficiency per photon
+                 p_dark: float = 3.01e-6,  # dark count probability per detector per gate
+                 alpha_db_per_km: float = 0.2, e_mis: float = 0.015, f_ec: float = 1.16):
+        values = eta_det, p_dark, alpha_db_per_km, e_mis, f_ec
+        vars(self).update(zip(self._fields, map(_require, self._fields, values)))
+
+
+def _entropy(x):
+    """Binary Shannon entropy h(x), elementwise, for x in [0, 1]; h(0) = h(1) = 0."""
+    return -x * np.log2(np.maximum(x, _TINY)) - (1.0 - x) * np.log2(np.maximum(1.0 - x, _TINY))
+
+
+def _ratio(num, den, empty: float):
+    """num / den, and ``empty`` where den is 0."""
+    positive = den > 0.0
+    return np.where(positive, num / np.where(positive, den, 1.0), empty)
+
+
+def _eta(params: RateParams, length_km):
+    """eta_det times the channel transmittance."""
+    return params.eta_det * transmittance(params.alpha_db_per_km, length_km)
+
+
+def detector_routes(e_mis: float = 0.0):
+    """(T, 1 - T) of a detector's agreement role (a lone click gives Bob
+    Alice's bit) and error role, T its click probability per photon.  The one
+    statement of the routing: each sifted cell of ``bsm.click_table(e_mis)`` is
+    its role's T bit for bit, and a detector holds each role in 4 of 16 codes."""
+    e_mis = _require("e_mis", e_mis)
+    return ((1.0 - e_mis) / 2.0, (1.0 + e_mis) / 2.0), (e_mis / 2.0, (2.0 - e_mis) / 2.0)
+
+
+def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
+    """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero."""
+    p0 = np.exp(-mu)
+    privacy = p0 * y0 + mu * p0 * y1 * k1
+    correction = gain * params.f_ec * _entropy(_ratio(err_gain, gain, 0.0))
+    return privacy - correction
+
+
+def _yield_terms(eta, e_mis, p_dark):
+    """Y0, Y1, e1 and k1 = 1 - h(e1) of one detector, shaped like eta."""
+    cube = (1.0 - p_dark) ** 3
+    y1 = (eta / 4.0 + (1.0 - eta) * p_dark) * cube
+    e1 = _ratio((eta * e_mis / 4.0 + (1.0 - eta) * p_dark / 2.0) * cube, y1, 0.5)
+    return p_dark * cube, y1, e1, 1.0 - _entropy(e1)

@@ -32,8 +32,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from ._record import ValueRecord
-from .channel import _require
-from .rates import RateParams, keyrate_curve
+from .channel import RateParams, _require
 from .session import SessionParams, run_session
 
 if TYPE_CHECKING:
@@ -206,6 +205,8 @@ def _report_json(value, indent: str = "\n") -> str:
 
 def cmd_keyrate_curve(cfg: Config, args: argparse.Namespace) -> int:
     import json  # only this summary line needs it
+
+    from .rates import keyrate_curve  # only this subcommand loads the rate engine
 
     curve = keyrate_curve(cfg.rate_params(), list(cfg.distances))
     lines = ["length_km,mu_opt,rate_proposal,rate_bb84"]

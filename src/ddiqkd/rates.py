@@ -1,10 +1,10 @@
-"""Analytic yields, secret key rate, and the distance/intensity sweeps.
+"""Analytic gains, secret key rate, and the distance/intensity sweeps.
 
-The device model is pinned as follows.  With eta = eta_det * transmittance,
-x = mu eta and e = e_mis, a photon of a basis-matched pulse clicks a
-detector with probability eta T, T = (1-e)/2 or e/2 for its agreement or
-error role in ``detector_routes(e)``; every detector holds each role
-half the time.  Photons act independently, each detector dark-fires with
+The device model of ``channel`` is pinned as follows.  With eta = eta_det *
+transmittance, x = mu eta and e = e_mis, a photon of a basis-matched pulse
+clicks a detector with probability eta T, T = (1-e)/2 or e/2 for its
+agreement or error role in ``detector_routes(e)``; every detector holds
+each role half the time.  Photons act independently, each detector dark-fires with
 probability d per gate, and only lone clicks are kept.  Over a pulse's
 Poisson(mu) photons, a detector of role T gives a lone click with probability
 
@@ -15,20 +15,17 @@ Every term is nonnegative, so the gains keep full relative accuracy at any
 loss and hold for every mu > 0 (the tests check them to 1e-12 against the
 lone clicks that ``bsm.click_table(e)`` implies).
 
-The per-pulse key contribution of detector i is
-
-    R_i = p0 Y_i0 + p1 Y_i1 [1 - h(e_i1)] - Q_i f h(E_i)
-
-clamped at zero and summed over the four detectors.  A standard
-two-detector active-receiver decoy system with the same eta, e and d per
-detector serves as the reference curve; its double clicks are assigned a
-random bit instead of being discarded.
+The key rate is ``channel``'s per-detector key formula over these gains.
+A standard two-detector active-receiver decoy system with the same eta, e
+and d per detector serves as the reference curve; its double clicks are
+assigned a random bit instead of being discarded.
 
 Rates, intensity optimization and yield tables take arrays: a channel
 length (or eta) array and a mu array broadcast against each other.  Each
 public call checks its inputs once against ``channel.DOMAIN``, the one table
 of the model's intervals; inside a search only detector_routes and
-transmittance check theirs, a plain float in two comparisons.
+transmittance check theirs, a plain float in two comparisons, and each
+batch of lengths computes its eta once.
 """
 
 from __future__ import annotations
@@ -38,15 +35,15 @@ from functools import partial
 
 import numpy as np
 
-from ._record import Record, ValueRecord
-from .channel import _require, transmittance
+from ._record import Record
+from .channel import (RateParams, _entropy, _eta, _ratio, _require, _secret_rate, _yield_terms,
+                      detector_routes)
 
 MU_SEARCH_RANGE = (0.01, 2.0)
 _MU_GRID = np.linspace(*MU_SEARCH_RANGE, 41)  # every search's coarse bracket
 _ZOOM = np.linspace(-1.0, 1.0, len(_MU_GRID))[:, None]  # a zoom grid's offsets; the middle one is 0.0
 _MU_TOL = 1e-4  # a search zooms until its grid spacing is below this: 3 zooms
 _CUTOFF_STEP_KM, _CUTOFF_CAP_KM, _CUTOFF_TOL_KM = 25.0, 1000.0, 1.0  # _cutoff's extension and bisection
-_TINY = 2.2250738585072014e-308  # smallest normal double: floors log2 so 0 log 0 = 0
 
 __all__ = [
     "RateParams",
@@ -62,43 +59,6 @@ __all__ = [
     "keyrate_curve",
     "security_regime",
 ]
-
-
-class RateParams(ValueRecord):
-    """The device-and-fiber model: everything the key rate and a session
-    need except distance, intensity and pulse count."""
-
-    def __init__(self,
-                 eta_det: float = 0.145,   # detection efficiency per photon
-                 p_dark: float = 3.01e-6,  # dark count probability per detector per gate
-                 alpha_db_per_km: float = 0.2, e_mis: float = 0.015, f_ec: float = 1.16):
-        values = eta_det, p_dark, alpha_db_per_km, e_mis, f_ec
-        vars(self).update(zip(self._fields, map(_require, self._fields, values)))
-
-
-def _entropy(x):
-    """Binary Shannon entropy h(x), elementwise, for x in [0, 1]; h(0) = h(1) = 0."""
-    return -x * np.log2(np.maximum(x, _TINY)) - (1.0 - x) * np.log2(np.maximum(1.0 - x, _TINY))
-
-
-def _ratio(num, den, empty: float):
-    """num / den, and ``empty`` where den is 0."""
-    positive = den > 0.0
-    return np.where(positive, num / np.where(positive, den, 1.0), empty)
-
-
-def _eta(params: RateParams, length_km):
-    """eta_det times the channel transmittance."""
-    return params.eta_det * transmittance(params.alpha_db_per_km, length_km)
-
-
-def detector_routes(e_mis: float = 0.0):
-    """(T, 1 - T) of a detector's agreement role (a lone click gives Bob
-    Alice's bit) and error role, T its click probability per photon.  The one
-    statement of the routing: each sifted cell of ``bsm.click_table(e_mis)`` is
-    its role's T bit for bit, and a detector holds each role in 4 of 16 codes."""
-    e_mis = _require("e_mis", e_mis)
-    return ((1.0 - e_mis) / 2.0, (1.0 + e_mis) / 2.0), (e_mis / 2.0, (2.0 - e_mis) / 2.0)
 
 
 def _proposal_gains(eta, e, d, mu):
@@ -127,22 +87,6 @@ def _bb84_gains(eta, e, d, mu):
     flip = -np.expm1(nxe)
     err = flip * (1.0 + (1.0 - d) * np.exp(nx * keep)) + d * np.exp(nxe) + d * (1.0 - d) * v
     return gain, err / 2.0
-
-
-def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
-    """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero."""
-    p0 = np.exp(-mu)
-    privacy = p0 * y0 + mu * p0 * y1 * k1
-    correction = gain * params.f_ec * _entropy(_ratio(err_gain, gain, 0.0))
-    return privacy - correction
-
-
-def _yield_terms(eta, e_mis, p_dark):
-    """Y0, Y1, e1 and k1 = 1 - h(e1) of one detector, shaped like eta."""
-    cube = (1.0 - p_dark) ** 3
-    y1 = (eta / 4.0 + (1.0 - eta) * p_dark) * cube
-    e1 = _ratio((eta * e_mis / 4.0 + (1.0 - eta) * p_dark / 2.0) * cube, y1, 0.5)
-    return p_dark * cube, y1, e1, 1.0 - _entropy(e1)
 
 
 def _per_detector(x) -> np.ndarray:
@@ -201,16 +145,16 @@ def _rate_of_mu(terms, params: RateParams):
     return rate
 
 
-def _proposal_terms(yields: YieldTable):
+def _proposal_terms(eta, e_mis, p_dark):
     """The proposal's terms for _rate_of_mu: four identical detectors."""
-    gains = partial(_proposal_gains, yields.eta, yields.e_mis, yields.p_dark)
-    return gains, yields.y0[0], yields.y1[0], yields.k1[0], 4.0
+    y0, y1, _, k1 = _yield_terms(eta, e_mis, p_dark)
+    return partial(_proposal_gains, eta, e_mis, p_dark), y0, y1, k1, 4.0
 
 
-def _reference_terms(params: RateParams, length_km):
-    """The two-detector reference's terms for _rate_of_mu.  Its gains
-    already count both detectors, so its detector count is 1."""
-    e, d, eta = params.e_mis, params.p_dark, _eta(params, length_km)
+def _reference_terms(params: RateParams, eta):
+    """The two-detector reference's terms for _rate_of_mu at each eta.  Its
+    gains already count both detectors, so its detector count is 1."""
+    e, d = params.e_mis, params.p_dark
     dark = d * (2.0 - d)  # Y_0: either detector dark-fires
     y1 = eta + (1.0 - eta) * dark
     e1y1 = (eta * (2.0 * e + d * (1.0 - 2.0 * e)) + (1.0 - eta) * dark) / 2.0
@@ -247,7 +191,8 @@ def key_rate(yields: YieldTable, params: RateParams, mu):
     yield table; vacuum errors are already folded into the error yields.
     mu may be an array broadcasting against ``yields.eta``.
     """
-    return _rate_of_mu(_proposal_terms(yields), params)(_require("mu", mu, arrays=True))
+    terms = _proposal_terms(yields.eta, yields.e_mis, yields.p_dark)
+    return _rate_of_mu(terms, params)(_require("mu", mu, arrays=True))
 
 
 def _optimize(rate_of_mu, scalar: bool):
@@ -290,7 +235,7 @@ def _grid_max(terms, params: RateParams):
 
 def optimize_mu(params: RateParams, length_km):
     """(mu_opt, rate) maximizing the key rate at a distance or array of them."""
-    terms = _proposal_terms(yield_table(params, np.atleast_1d(length_km)))
+    terms = _proposal_terms(_eta(params, np.atleast_1d(length_km)), params.e_mis, params.p_dark)
     return _optimize(_rate_of_mu(terms, params), np.ndim(length_km) == 0)
 
 
@@ -299,12 +244,13 @@ def bb84_reference_rate(params: RateParams, length_km, mu):
 
     length_km and mu may be arrays that broadcast against each other.
     """
-    return _rate_of_mu(_reference_terms(params, length_km), params)(_require("mu", mu, arrays=True))
+    terms = _reference_terms(params, _eta(params, length_km))
+    return _rate_of_mu(terms, params)(_require("mu", mu, arrays=True))
 
 
 def optimize_mu_bb84(params: RateParams, length_km):
     """(mu_opt, rate) for the two-detector reference at a distance or array of them."""
-    terms = _reference_terms(params, np.atleast_1d(length_km))
+    terms = _reference_terms(params, _eta(params, np.atleast_1d(length_km)))
     return _optimize(_rate_of_mu(terms, params), np.ndim(length_km) == 0)
 
 
@@ -400,11 +346,13 @@ def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
     km, n = np.array(lengths, dtype=float), len(lengths)
     if not (km < np.inf).all():  # an infinite length would bisect [lo, inf] forever
         raise ValueError("lengths must be finite")
-    joint = _side_by_side(_proposal_terms(yield_table(params, km)), _reference_terms(params, km))
+    eta, e, d = _eta(params, km), params.e_mis, params.p_dark  # one eta, both protocols
+    joint = _side_by_side(_proposal_terms(eta, e, d), _reference_terms(params, eta))
     mu, rate = _optimize(_rate_of_mu(joint, params), False)
-    cut_prop = _cutoff(lambda L: _grid_max(_proposal_terms(yield_table(params, L)), params),
+    cut_prop = _cutoff(lambda L: _grid_max(_proposal_terms(_eta(params, L), e, d), params),
                        lengths, rate[:n])
-    cut_ref = _cutoff(lambda L: _grid_max(_reference_terms(params, L), params), lengths, rate[n:])
+    cut_ref = _cutoff(lambda L: _grid_max(_reference_terms(params, _eta(params, L)), params),
+                      lengths, rate[n:])
     return KeyRateCurve(km, mu[:n], rate[:n], rate[n:], cut_prop, cut_ref)
 
 

@@ -40,8 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .channel import _require
-from .rates import RateParams, _eta, _secret_rate, _yield_terms, detector_routes
+from .channel import RateParams, _eta, _require, _secret_rate, _yield_terms, detector_routes
 
 __all__ = ["SessionParams", "SessionReport", "run_session"]
 

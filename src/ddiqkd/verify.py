@@ -17,11 +17,10 @@ import numpy as np
 
 from .bsm import (click_table, ideal_bsm_distribution, mode_network_distribution,
                   mode_network_matrix, sift_table)
-from .channel import _require
+from .channel import _require, detector_routes
 from .encoding import ALICE_SETTINGS, PATH_SETTINGS, VirtualSource, lon_states, rho_alice, rho_bob
 from .qstate import (DensityMatrix, PureState, _stack_first, haar_amplitudes, max_trace_distance,
                      random_unitary)
-from .rates import detector_routes
 
 __all__ = ["CheckResult", "appendix_checks", "ALL_CHECKS"]
 
