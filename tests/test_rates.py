@@ -752,6 +752,18 @@ class TestKeyrateCurve:
         keyrate_curve(FIG_PARAMS, DEFAULT_LENGTHS)
         assert len(mus) == 6
 
+    @pytest.mark.parametrize("lengths", [DEFAULT_LENGTHS, [0.0, 50.0, 100.0], [2000.0]])
+    def test_one_eta_per_batch(self, lengths, monkeypatch):
+        # the joint search's four evaluations share one eta for both
+        # protocols, and each cutoff batch, one evaluation, computes its own
+        mus = _count_rate_evaluations(monkeypatch)
+        etas = []
+        eta = rates._eta
+        monkeypatch.setattr(rates, "_eta", lambda *args: etas.append(args[1]) or eta(*args))
+        keyrate_curve(FIG_PARAMS, lengths)
+        assert len(etas) == len(mus) - 3
+        np.testing.assert_array_equal(etas[0], lengths)
+
     @pytest.mark.parametrize("params", JOINT_SEARCH_POINTS,
                              ids=[f"point{k}" for k in range(len(JOINT_SEARCH_POINTS))])
     def test_joint_search_matches_single_protocol_searches(self, params):
