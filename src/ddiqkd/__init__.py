@@ -9,9 +9,12 @@ The package re-exports nothing; import each name from its module.  Bottom-up:
             rho_alice and rho_bob (the virtual-protocol identities)
 - bsm:      ideal and mode-network Bell measurement, click_table, sift_table
             and the visibility theory_table
-- channel:  poisson_pn and the lossy fiber's transmittance
-- rates:    RateParams, yield tables, key_rate, optimize_mu, keyrate_curve,
-            the two-detector reference and detector_routes, the one routing
+- channel:  the device model: DOMAIN, poisson_pn, the lossy fiber's
+            transmittance, RateParams, detector_routes (the one routing),
+            the per-detector yields and the key formula
+- rates:    yield tables, key_rate, optimize_mu, keyrate_curve and the
+            two-detector reference: the rate engine, loaded only by
+            keyrate-curve
 - session:  SessionParams, run_session and SessionReport: vectorized Monte Carlo
 - verify:   appendix_checks, the model consistency checks
 - cli:      batch front end (``ddiqkd`` command), which loads per subcommand

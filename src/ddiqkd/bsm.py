@@ -10,7 +10,7 @@ exactly; the network exists so the optical layout can be audited.
 distribution over D1..D4 for every (Alice state, Bob setting) pair, with
 misalignment and interference visibility folded in.  ``sift_table`` is the
 classical processing of a lone click on the same (code, detector) grid:
-whether it is kept and whether Bob's bit is right.  ``rates.detector_routes``,
+whether it is kept and whether Bob's bit is right.  ``channel.detector_routes``,
 the two reduced to one detector's two roles, is what the rate engine and the
 Monte Carlo read; verify's flip-table check compares it with the other two.
 """

@@ -12,9 +12,10 @@ The per-pulse key contribution of detector i is
 
     R_i = p0 Y_i0 + p1 Y_i1 [1 - h(e_i1)] - Q_i f h(E_i)
 
-clamped at zero and summed over the four detectors.  The session and the
-rate engine (``rates``) both read this module's formulas; only the rate
-engine adds the gains of a whole pulse, the intensity search and the cutoffs.
+clamped at zero and summed over the four detectors.  The Monte Carlo
+(``session``) and the rate engine (``rates``) both read these formulas; only
+the rate engine adds the gains over a pulse's photons, the intensity search
+and the cutoffs, so a session's set-up loads this module and not ``rates``.
 """
 
 from __future__ import annotations

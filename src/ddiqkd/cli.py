@@ -11,7 +11,9 @@ else, help and every usage error included, goes to the full four-command
 argparse parser, the one source of those texts; only that path imports
 argparse.  Likewise only theory-table imports bsm (and with it encoding and
 qstate), only verify-appendix imports verify, and only keyrate-curve
-imports json, for its summary line.  A session report is written as
+imports rates, the rate engine, and json, for its summary line: set-up,
+this module and a loaded config, loads only _record, channel (the device
+model) and session.  A session report is written as
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for
 byte, by ``_report_json``: with ``indent`` json runs its pure-Python
 encoder, about 70 us of a 370 us session call on a 2-vCPU host.

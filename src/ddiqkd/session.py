@@ -18,7 +18,7 @@ is the (3, 9) array of the 27 matched cells: every tally it gives, per
 detector and photon class, is a sum of them.
 
 The cell probabilities are exact.  Of the 16 setting codes, each detector
-holds each role of ``rates.detector_routes(e_mis)`` in 4, with click
+holds each role of ``channel.detector_routes(e_mis)`` in 4, with click
 probability T: agreement (a lone click gives Bob Alice's bit) or error.
 With eta = t * eta_det and x = mu eta, Poisson thinning of a pulse's
 Poisson(mu) photons gives independent counts N ~ Poisson(x T) on the

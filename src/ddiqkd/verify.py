@@ -90,7 +90,7 @@ def check_flip_table() -> CheckResult:
 
     On all 16 setting codes x 4 detectors of ``bsm.sift_table``: exactly the
     8 basis-matched codes are kept, each with two detectors that restore
-    Alice's bit, and each detector holds each role of ``rates.detector_routes``
+    Alice's bit, and each detector holds each role of ``channel.detector_routes``
     for 4 codes (the sessions' weight 1/4).  The deviation is the largest
     |T - T of the cell's role| over the sifted cells of ``click_table()``.
     """
