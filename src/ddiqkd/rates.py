@@ -4,9 +4,10 @@ The device model of ``channel`` is pinned as follows.  With eta = eta_det *
 transmittance, x = mu eta and e = e_mis, a photon of a basis-matched pulse
 clicks a detector with probability eta T, T = (1-e)/2 or e/2 for its
 agreement or error role in ``detector_routes(e)``; every detector holds
-each role half the time.  Photons act independently, each detector dark-fires with
-probability d per gate, and only lone clicks are kept.  Over a pulse's
-Poisson(mu) photons, a detector of role T gives a lone click with probability
+each role half the time.  Photons act independently, each detector
+dark-fires with probability d per gate, and only lone clicks are kept.
+Over a pulse's Poisson(mu) photons, a detector of role T gives a lone
+click with probability
 
     (1-d)^3 [ d e^{-x} - e^{-x(1-T)} expm1(-x T) ]
 
