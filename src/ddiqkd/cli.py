@@ -16,7 +16,7 @@ this module and a loaded config, loads only _record, channel (the device
 model) and session.  A session report is written as
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for
 byte, by ``_report_json``: with ``indent`` json runs its pure-Python
-encoder, about 70 us of a 370 us session call on a 2-vCPU host.
+encoder.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 

@@ -3,10 +3,11 @@
 Alice encodes a BB84 polarization qubit; Bob's linear-optics network (LON)
 encodes his setting in the photon's path (which input port of the Bell
 measurement it occupies, or a phase-coherent superposition of both).  The
-module also carries the virtual-protocol construction used to show that the
-receiver's path encoding leaks nothing about the incoming photon: the
-reduced state of Bob's virtual register equals Alice's, independently of
-the input.
+16 photons of ``lon_states()`` state both once; the click table and the
+appendix checks read them there.  The module also carries the
+virtual-protocol construction used to show that the receiver's path
+encoding leaks nothing about the incoming photon: the reduced state of
+Bob's virtual register equals Alice's, independently of the input.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ __all__ = [
     "PathSetting",
     "ALICE_SETTINGS",
     "PATH_SETTINGS",
-    "bb84_state",
     "lon_states",
     "bell_basis_matrix",
     "hybrid_bell_expand",
     "VirtualSource",
     "rho_alice",
     "rho_bob",
-    "agreement_detectors",
 ]
 
 
@@ -101,11 +100,6 @@ _LON.flags.writeable = _LON_STATES.flags.writeable = False
 
 # Mode Gram tensor of the isometries, [i, j, a, b] = sum_m L_i[m, a] conj(L_j[m, b]).
 _LON_GRAM = (_LON[:, None, :, :, None] * _LON.conj()[None, :, :, None, :]).sum(axis=2)
-
-
-def bb84_state(setting: Bb84Setting) -> PureState:
-    """Polarization qubit for one of the four BB84 settings."""
-    return PureState(_KETS[setting.index].copy(), ("pol",))
 
 
 def lon_states() -> PureState:
@@ -221,15 +215,3 @@ def rho_bob(
             raise ValueError("register basis must be a 4x4 unitary")
         register = basis @ register @ basis.conj().swapaxes(-1, -2)
     return DensityMatrix(register)
-
-
-def agreement_detectors(alice: Bb84Setting, bob: PathSetting) -> tuple[int, int]:
-    """Detector pair (1-based) an ideal photon can reach for a basis-matched pair.
-
-    These are exactly the outcomes whose flip rule restores bit agreement.
-    """
-    if alice.basis is not bob.basis:
-        raise ValueError("settings are not basis-matched")
-    if alice.basis is Basis.RECTILINEAR:
-        return (1, 2) if alice.bit == bob.bit else (3, 4)
-    return (1, 3) if alice.bit == bob.bit else (2, 4)

@@ -101,16 +101,15 @@ class YieldTable(Record):
     All four detectors are statistically identical in the pinned model, so
     the arrays hold four equal entries along their leading axis; they are
     kept per detector because the Monte Carlo tallies are per detector.
-    ``eta`` may be an array, one entry per channel length.  ``k1`` is the
-    single-photon key fraction 1 - h(e1), which does not depend on mu.
+    ``eta`` may be an array, one entry per channel length.
     """
 
     def __init__(self, eta: float | np.ndarray, e_mis: float, p_dark: float):
         # eta: eta_det * channel transmittance
         eta = _require("eta", eta, arrays=True)
         e_mis, p_dark = _require("e_mis", e_mis), _require("p_dark", p_dark)
-        terms = map(_per_detector, _yield_terms(eta, e_mis, p_dark))
-        vars(self).update(zip(("y0", "y1", "e1", "k1"), terms), eta=eta, e_mis=e_mis, p_dark=p_dark)
+        terms = map(_per_detector, _yield_terms(eta, e_mis, p_dark)[:3])
+        vars(self).update(zip(("y0", "y1", "e1"), terms), eta=eta, e_mis=e_mis, p_dark=p_dark)
 
     def gains(self, mu) -> np.ndarray:
         """Q_i(mu), per detector."""

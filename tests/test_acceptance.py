@@ -17,7 +17,6 @@ from ddiqkd.encoding import (
     Basis,
     PathSetting,
     VirtualSource,
-    agreement_detectors,
     hybrid_bell_expand,
     lon_states,
     rho_alice,
@@ -33,6 +32,8 @@ from ddiqkd.rates import (
     yield_table,
 )
 from ddiqkd.session import SessionParams, run_session
+
+from oracles import agreement_detectors
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 

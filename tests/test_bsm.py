@@ -20,12 +20,13 @@ from ddiqkd.encoding import (
     Basis,
     Bb84Setting,
     PathSetting,
-    agreement_detectors,
     lon_states,
 )
 from ddiqkd.qstate import PureState, haar_amplitudes
 from ddiqkd.rates import RateParams, detector_routes, yield_table
 from ddiqkd.session import SessionParams, run_session
+
+from oracles import agreement_detectors
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
@@ -260,3 +261,19 @@ class TestTheoryTable:
     def test_visibility_range_checked(self):
         with pytest.raises(ValueError):
             theory_table(1.2)
+
+    @pytest.mark.parametrize("e_mis", [0.0, 0.015, 0.1, 0.5])
+    @pytest.mark.parametrize("visibility", [0.0, 0.3, 0.884, 1.0])
+    def test_visibility_is_an_effective_diagonal_misalignment(self, e_mis, visibility):
+        # the basis-matched diagonal rows at V are those of full visibility at
+        # misalignment e_d (worst difference 5.6e-17 over these points); every
+        # other row ignores V bit for bit
+        v = (1 - visibility) / 2
+        e_d = e_mis * (1 - v) + v * (1 - e_mis)
+        diagonal = [4 * a + b for a, alice in enumerate(ALICE_SETTINGS)
+                    for b, bob in enumerate(PATH_SETTINGS) if alice.basis is bob.basis is Basis.DIAGONAL]
+        others = np.setdiff1d(np.arange(16), diagonal)
+        assert diagonal == [10, 11, 14, 15]
+        table = click_table(e_mis, visibility)
+        np.testing.assert_allclose(table[diagonal], click_table(e_d)[diagonal], rtol=0, atol=1e-15)
+        assert table[others].tobytes() == click_table(e_mis)[others].tobytes()

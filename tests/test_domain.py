@@ -83,7 +83,7 @@ def _model_rates(**changes):
 
 
 def _yields(table):
-    return [(table.y0, 1.0), (table.y1, 1.0), (table.e1, 0.5), (table.k1, 1.0),
+    return [(table.y0, 1.0), (table.y1, 1.0), (table.e1, 0.5),
             (table.gains(0.5), 1.0), (table.qbers(0.5), 0.5)]
 
 

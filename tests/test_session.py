@@ -17,7 +17,6 @@ from ddiqkd.encoding import (
     Basis,
     Bb84Setting,
     PathSetting,
-    agreement_detectors,
 )
 from ddiqkd.rates import RateParams, detector_routes, yield_table
 from ddiqkd.session import (
@@ -26,6 +25,8 @@ from ddiqkd.session import (
     _cell_probabilities,
     run_session,
 )
+
+from oracles import agreement_detectors
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
