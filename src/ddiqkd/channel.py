@@ -37,12 +37,11 @@ __all__ = ["DOMAIN", "RateParams", "detector_routes", "poisson_pn", "transmittan
 DOMAIN = {
     ("e_mis",): ("[0, 0.5]", False, None),
     ("p_dark",): ("[0, 1)", False, None),
-    ("eta_det", "eta", "transmittance"): ("[0, 1]", False, None),
-    ("visibility",): ("[0, 1]", False, None),
+    ("eta_det", "eta", "transmittance", "visibility", "probabilities"): ("[0, 1]", False, None),
     ("mu",): ("(0, inf)", False, "{name} must be positive and finite"),
     ("f_ec",): ("[1, inf)", False, "{name} must be finite and >= 1"),
     ("alpha_db_per_km", "length", "length_km", "distances"):
-        ("[0, inf]", False, "{name}: loss coefficients and lengths must be nonnegative numbers"),
+        ("[0, inf)", False, "{name}: loss coefficients and lengths must be finite and nonnegative numbers"),
     ("seed", "photon number"): ("[0, inf)", True, "{name} must be a nonnegative integer"),
     ("n_samples",): ("[1, inf)", True, "{name} must be an integer >= 1"),
     ("n_pulses",): (f"[1, {2**63 - 1}]", True, None),  # the largest count Generator.multinomial takes
@@ -101,15 +100,10 @@ def poisson_pn(mu: float, n: int) -> float:
 def transmittance(alpha_db_per_km: float, length_km):
     """Transmittance 10^(-alpha L / 10) of a fiber at a length or an array of lengths.
 
-    Besides the domain, rejects the undefined total losses 0 * inf (a
-    lossless fiber of infinite length, an opaque one of zero length).  A
-    scalar length gives the Python float power; numpy's power over a longer
-    array may differ from it in the last bit.
+    A scalar length gives the Python float power; numpy's power over a
+    longer array may differ from it in the last bit.
     """
     alpha, length = _require("alpha_db_per_km", alpha_db_per_km), _require("length", length_km, True)
-    if (alpha == 0.0 and np.max(length, initial=0.0) == math.inf
-            or alpha == math.inf and np.min(length, initial=math.inf) == 0.0):
-        raise ValueError("total loss alpha * length is undefined (0 * inf)")
     if alpha <= 1.0:  # alpha * length stays within the largest double
         return 10.0 ** (-alpha * length / 10.0)
     # a larger alpha can pass it, a loss of -inf dB whose exact transmittance is 0.0;

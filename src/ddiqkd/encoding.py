@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from ._record import ValueRecord
+from .channel import _require
 from .qstate import DensityMatrix, PureState
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -45,9 +46,11 @@ class Bb84Setting(ValueRecord):
     """Alice's choice: (rect,0)->H, (rect,1)->V, (diag,0)->+45, (diag,1)->-45."""
 
     def __init__(self, basis: Basis, bit: int):
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        vars(self).update(basis=basis, bit=bit)
+        if not isinstance(basis, Basis):
+            raise ValueError("basis must be a Basis")
+        if type(bit) is bool or not isinstance(bit, (int, np.integer)) or bit not in (0, 1):
+            raise ValueError("bit must be the integer 0 or 1")
+        vars(self).update(basis=basis, bit=int(bit))
 
     @property
     def index(self) -> int:
@@ -147,7 +150,7 @@ class VirtualSource(ValueRecord):
     """
 
     def __init__(self, probs: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)):
-        p = np.asarray(probs, dtype=float)
+        p = np.asarray(_require("probabilities", probs, arrays=True), dtype=float)
         if p.shape != (4,) or not (p >= 0).all() or not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails
             raise ValueError("probabilities must be 4 nonnegative values summing to 1")
         vars(self).update(probs=tuple(float(x) for x in p))

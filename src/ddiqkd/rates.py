@@ -277,7 +277,7 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     """Every midpoint a bisection of [lo, hi] can visit in ``depth`` steps."""
     if depth == 0 or hi - lo <= tol:
         return []
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi  # as in _cutoff: 0.5 * (lo + hi) wherever that is finite, never inf
     return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
@@ -320,7 +320,7 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
         lo, hi = steps[k - 1], steps[k]
     known = {}
     while hi - lo > _CUTOFF_TOL_KM:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid not in known:
             mids = _midpoints(lo, hi, _CUTOFF_TOL_KM, 5)
             known.update(zip(mids, rate_at(np.array(mids))))
@@ -328,7 +328,7 @@ def _cutoff(rate_at, lengths: list[float], rates) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
@@ -344,8 +344,6 @@ def keyrate_curve(params: RateParams, lengths: list[float]) -> KeyRateCurve:
     if sorted(lengths) != list(lengths):
         raise ValueError("lengths must be sorted ascending")
     km, n = np.array(lengths, dtype=float), len(lengths)
-    if not (km < np.inf).all():  # an infinite length would bisect [lo, inf] forever
-        raise ValueError("lengths must be finite")
     eta, e, d = _eta(params, km), params.e_mis, params.p_dark  # one eta, both protocols
     joint = _side_by_side(_proposal_terms(eta, e, d), _reference_terms(params, eta))
     mu, rate = _optimize(_rate_of_mu(joint, params), False)

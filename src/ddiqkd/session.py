@@ -48,18 +48,14 @@ __all__ = ["SessionParams", "SessionReport", "run_session"]
 class SessionParams(ValueRecord):
     """One Monte Carlo session (signal intensity only) over a fiber of
     length_km, with the device-and-fiber model ``model`` of the key rate.
-    ``eta``, eta_det times the channel transmittance, is computed once; it
-    is not a field."""
+    Lengths and loss coefficients are finite in the model's domain, so the
+    report echoes both as JSON numbers.  ``eta``, eta_det times the channel
+    transmittance, is computed once; it is not a field."""
 
     def __init__(self, n_pulses: int, mu: float, length_km: float, model: RateParams):
         # a numpy scalar comes back a Python number, which the report echoes in JSON
         n_pulses, mu, length_km = map(_require, ("n_pulses", "mu", "length_km"), (n_pulses, mu, length_km))
-        eta = _eta(model, length_km)  # rejects an undefined loss
-        # the report echoes length_km and alpha_db_per_km, and JSON has no infinity
-        if length_km == np.inf:
-            raise ValueError("length_km must be finite")
-        if model.alpha_db_per_km == np.inf:
-            raise ValueError("alpha_db_per_km must be finite")
+        eta = _eta(model, length_km)
         vars(self).update(n_pulses=n_pulses, mu=float(mu), length_km=length_km, model=model, eta=eta)
 
 

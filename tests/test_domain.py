@@ -33,8 +33,7 @@ DOCUMENTED = {
     "visibility": (0.0, 1.0, True, True, False),
     "mu": (0.0, math.inf, False, False, False),
     "f_ec": (1.0, math.inf, True, False, False),
-    "loss": (0.0, math.inf, True, True, False),  # alpha_db_per_km and any length
-    "finite length": (0.0, math.inf, True, False, False),  # a session's or a curve's
+    "loss": (0.0, math.inf, True, False, False),  # alpha_db_per_km and any length
     "seed": (0, math.inf, True, False, True),
     "photon number": (0, math.inf, True, False, True),
     "n_samples": (1, math.inf, True, False, True),
@@ -122,15 +121,14 @@ CASES = {
     "yield_table": ("loss", lambda v: _yields(yield_table(MODEL, v))),
     "optimize_mu": ("loss", lambda v: [(out, 2.0) for out in optimize_mu(MODEL, v)]),
     "optimize_mu_bb84": ("loss", lambda v: [(out, 2.0) for out in optimize_mu_bb84(MODEL, v)]),
-    "keyrate_curve": ("finite length", lambda v: _curve(keyrate_curve(MODEL, [v]))),
+    "keyrate_curve": ("loss", lambda v: _curve(keyrate_curve(MODEL, [v]))),
     "security_regime": ("eta", lambda v: _regime(security_regime(v))),
     "click_table-e_mis": ("e_mis", lambda v: [(click_table(v, 1.0), 1.0)]),
     "click_table-visibility": ("visibility", lambda v: [(click_table(0.0, v), 1.0)]),
     "theory_table": ("visibility", lambda v: [(theory_table(v), 1.0)]),
     "SessionParams-n_pulses": ("n_pulses", lambda v: _report(run_session(_session(n_pulses=v), 1))),
     "SessionParams-mu": ("mu", lambda v: _report(run_session(_session(mu=v), 1))),
-    "SessionParams-length_km": ("finite length",
-                                lambda v: _report(run_session(_session(length_km=v), 1))),
+    "SessionParams-length_km": ("loss", lambda v: _report(run_session(_session(length_km=v), 1))),
     "run_session-seed": ("seed", lambda v: _report(run_session(_session(), v))),
     "appendix_checks-n_samples": ("n_samples", lambda v: _checks(appendix_checks(v, 7))),
     "appendix_checks-seed": ("seed", lambda v: _checks(appendix_checks(10, v))),

@@ -94,6 +94,22 @@ class TestBb84States:
         plus = alice_ket(Bb84Setting(Basis.DIAGONAL, 0))
         assert abs(np.vdot(h, plus)) ** 2 == pytest.approx(0.5, abs=1e-14)
 
+    @pytest.mark.parametrize("basis", ["rectilinear", "diagonal", None, PathSetting.A])
+    def test_basis_that_is_not_a_basis_rejected(self, basis):
+        # "rectilinear" used to give the +45 state's index 2
+        with pytest.raises(ValueError, match="basis"):
+            Bb84Setting(basis, 0)
+
+    @pytest.mark.parametrize("bit", [True, False, np.True_, 1.0, 0.0, "0"])
+    def test_bit_that_is_not_an_integer_rejected(self, bit):
+        # True used to compare equal to the int bit 1, and 1.0 to give the index 1.0
+        with pytest.raises(ValueError, match="bit"):
+            Bb84Setting(Basis.RECTILINEAR, bit)
+
+    def test_numpy_integer_bit_is_a_python_int(self):
+        setting = Bb84Setting(Basis.DIAGONAL, np.int64(1))
+        assert type(setting.bit) is int and setting == ALICE_SETTINGS[3] and setting.index == 3
+
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
             Bb84Setting(Basis.RECTILINEAR, 2)
@@ -251,6 +267,15 @@ class TestReceiverState:
     @pytest.mark.parametrize("probs", [(np.nan, 0.25, 0.25, 0.25), (0.25, 0.25, 0.5, np.nan),
                                        (np.inf, 0.25, 0.25, 0.25)])
     def test_non_finite_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError, match="probabilities"):
+            VirtualSource(probs)
+
+    @pytest.mark.parametrize("probs", [("0.25",) * 4, (True, False, False, False),
+                                       (np.True_, False, False, False), (0.25 + 0j,) * 4,
+                                       (None, 0.5, 0.25, 0.25)],
+                             ids=["str", "bool", "np.bool", "complex", "None"])
+    def test_probabilities_that_are_not_numbers_rejected(self, probs):
+        # strings and bools used to be read as the numbers they convert to
         with pytest.raises(ValueError, match="probabilities"):
             VirtualSource(probs)
 

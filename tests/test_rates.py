@@ -474,22 +474,19 @@ class TestKeyRate:
         with pytest.raises(ValueError, match="f_ec"):
             RateParams(f_ec=f_ec)
 
-    def test_infinite_length_has_zero_transmittance(self):
-        yt = yield_table(FIG_PARAMS, math.inf)
-        assert yt.eta == 0.0
-        assert key_rate(yt, FIG_PARAMS, 0.7) == 0.0
+    def test_infinite_length_rejected(self):
+        # an infinite length used to give eta = 0, and with alpha = 0 an undefined loss
         lossless = _rebuilt(FIG_PARAMS, alpha_db_per_km=0.0)
-        with pytest.raises(ValueError, match="undefined"):
-            yield_table(lossless, math.inf)
+        for params in (FIG_PARAMS, lossless):
+            with pytest.raises(ValueError, match="length: .* must be finite"):
+                yield_table(params, math.inf)
+            with pytest.raises(ValueError, match="length: .* must be finite"):
+                yield_table(params, np.array([10.0, math.inf]))
 
-    def test_infinite_loss_coefficient(self):
-        # inf * 0 km is undefined, as in SessionParams; any length > 0 blocks
-        opaque = _rebuilt(FIG_PARAMS, alpha_db_per_km=math.inf)
-        with pytest.raises(ValueError, match="undefined"):
-            yield_table(opaque, 0.0)
-        with pytest.raises(ValueError, match="undefined"):
-            key_rate(yield_table(opaque, np.array([0.0, 10.0])), opaque, 0.7)
-        assert yield_table(opaque, 10.0).eta == 0.0
+    def test_infinite_loss_coefficient_rejected(self):
+        # it used to block every length > 0, and to be undefined at 0 km
+        with pytest.raises(ValueError, match="alpha_db_per_km: .* must be finite"):
+            RateParams(alpha_db_per_km=math.inf)
 
     def test_array_evaluation_matches_scalar(self):
         lengths = np.array([0.0, 35.0, 120.0, 170.0])
@@ -823,6 +820,20 @@ class TestKeyrateCurve:
         # key at 0 km and none at inf used to bisect [0, inf] forever
         with pytest.raises(ValueError, match="finite"):
             keyrate_curve(FIG_PARAMS, lengths)
+
+    @pytest.mark.parametrize("lengths, cutoffs", [
+        ([1e308], (149.91435121692268, 164.93359976184632)),
+        ([0.0, 1.7e308], (149.88653779369133, 165.01704003154032)),
+    ], ids=["1e308", "0-1.7e308"])
+    def test_bisection_near_the_largest_double_evaluates_finite_lengths(self, lengths, cutoffs,
+                                                                        monkeypatch):
+        # the midpoint 0.5 * (lo + hi) of [0, 1.7e308] used to overflow to inf
+        evaluated = []
+        eta = rates._eta
+        monkeypatch.setattr(rates, "_eta", lambda *args: evaluated.append(args[1]) or eta(*args))
+        curve = keyrate_curve(RateParams(), lengths)
+        assert all(np.isfinite(km).all() for km in evaluated)
+        assert (curve.cutoff_proposal_km, curve.cutoff_bb84_km) == cutoffs
 
     @pytest.mark.parametrize("lengths", [[True, 5.0], [np.True_], ["1", "5"], [1.0, "5"],
                                          [0.5 + 0j], [None]],
