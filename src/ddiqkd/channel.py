@@ -125,12 +125,32 @@ class RateParams(ValueRecord):
 
 
 def _entropy(x):
-    """Binary Shannon entropy h(x), elementwise, for x in [0, 1]; h(0) = h(1) = 0."""
-    return -x * np.log2(np.maximum(x, _TINY)) - (1.0 - x) * np.log2(np.maximum(1.0 - x, _TINY))
+    """Binary Shannon entropy h(x), elementwise, for x in [0, 1]; h(0) = h(1) = 0.
+
+    A float or a list of floats gives Python floats, from one np.log2 call
+    over the x and 1 - x of all items: numpy's bits, which math.log2 does
+    not always give.
+    """
+    if type(x) is float:
+        return _entropy([x])[0]
+    if type(x) is list:
+        logs = np.log2([max(v, _TINY) for v in x] + [max(1.0 - v, _TINY) for v in x]).tolist()
+        return list(map(_entropy_of, x, logs, logs[len(x):]))
+    return _entropy_of(x, np.log2(np.maximum(x, _TINY)), np.log2(np.maximum(1.0 - x, _TINY)))
+
+
+def _entropy_of(x, log_x, log_rest):
+    """h(x) from log2(x) and log2(1 - x), each floored at _TINY."""
+    return -x * log_x - (1.0 - x) * log_rest
 
 
 def _ratio(num, den, empty: float):
-    """num / den, and ``empty`` where den is 0."""
+    """num / den, and ``empty`` where den is 0: elementwise over arrays, else
+    in Python arithmetic, item by item over lists."""
+    if type(den) is list:
+        return list(map(_ratio, num, den, [empty] * len(den)))
+    if not isinstance(den, np.ndarray):
+        return num / den if den > 0 else empty
     positive = den > 0.0
     return np.where(positive, num / np.where(positive, den, 1.0), empty)
 
@@ -150,11 +170,19 @@ def detector_routes(e_mis: float = 0.0):
 
 
 def _secret_rate(y0, y1, k1, gain, err_gain, mu, params: RateParams):
-    """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero."""
-    p0 = np.exp(-mu)
+    """p0 Y0 + p1 Y1 k1 - Q f h(E), with k1 = 1 - h(e1), not yet clamped at zero.
+
+    Arrays broadcast.  Lists of floats, one item per detector, give a list of
+    Python floats, from one np.exp and one np.log2 call."""
+    per_detector = type(gain) is list
+    p0 = np.exp(-mu).item() if per_detector else np.exp(-mu)
     privacy = p0 * y0 + mu * p0 * y1 * k1
-    correction = gain * params.f_ec * _entropy(_ratio(err_gain, gain, 0.0))
-    return privacy - correction
+
+    def rate(q, h):
+        return privacy - q * params.f_ec * h
+
+    h = _entropy(_ratio(err_gain, gain, 0.0))
+    return list(map(rate, gain, h)) if per_detector else rate(gain, h)
 
 
 def _yield_terms(eta, e_mis, p_dark):

@@ -16,7 +16,8 @@ this module and a loaded config, loads only _record, channel (the device
 model) and session.  A session report is written as
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, byte for
 byte, by ``_report_json``: with ``indent`` json runs its pure-Python
-encoder.
+encoder.  Every ``--out`` file is written as bytes, with "\\n" line ends on
+every OS, through ``os.open`` with ``O_TRUNC`` (``_emit``).
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error
 (an ``--out`` file that cannot be written included).
 
@@ -28,6 +29,7 @@ fires with probability p_dark / 2 per gate.
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import cached_property
 from types import SimpleNamespace
@@ -69,17 +71,18 @@ class Config(ValueRecord):
                           distances=distances, visibility=visibility)
 
     def validate(self):
-        """The CLI's own rules (distances nonempty and sorted), then the
-        model's domain, in which every float is finite, its ValueError a
-        ConfigError."""
+        """The model's domain, in which every float is finite, and the CLI's
+        own rule, distances nonempty and sorted, each entry checked before
+        sorted() compares them; every ValueError is a ConfigError."""
         if not self.distances:
             raise ConfigError("distances must be nonempty")
-        if sorted(self.distances) != list(self.distances):
-            raise ConfigError("distances must be sorted ascending")
         try:
+            for length in self.distances:
+                _require("distances", length)
+            if sorted(self.distances) != list(self.distances):
+                raise ValueError("distances must be sorted ascending")
             for name in ("p_dark", "seed", "visibility"):  # p_dark is the receiver's, twice a detector's
                 _require(name, getattr(self, name))
-            _require("distances", self.distances, arrays=True)
             self.session_params
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -163,11 +166,18 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, out: str | None):
-    """Write ``text`` to the file ``out``, or to stdout if none is given."""
+    """Write ``text`` to stdout, or as UTF-8 bytes with "\\n" line ends on
+    every OS to the file ``out``, which O_TRUNC empties if it exists and
+    which gets ``open()``'s mode (0o666 less the umask) if it does not."""
     if out:
+        data = memoryview(text.encode())
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+            try:
+                while data:  # os.write may write less than it is given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise ConfigError(f"cannot write output {out}: {exc}") from None
     else:

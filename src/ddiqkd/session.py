@@ -30,7 +30,9 @@ its class.  Each role's value, weighted 4/16, is a sifted cell of each of
 D1..D4; a class's not-sifted cell is P(class k) / 2 less its sifted cells.
 Every factor is a probability, so the table stays finite at any mu (the
 form exp(-x) expm1(x T) would overflow once x T exceeds ~710).  One np.exp
-and one np.expm1 call take the Poisson means; the rest is Python floats.
+and one np.expm1 call take the Poisson means; the rest is Python floats,
+and so is the report: its tallies and ratios are Python ints and floats,
+and its key calls numpy only for exp(-mu) and the log2 of the entropies.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record, ValueRecord
-from .channel import RateParams, _eta, _require, _secret_rate, _yield_terms, detector_routes
+from .channel import RateParams, _eta, _ratio, _require, _secret_rate, _yield_terms, detector_routes
 
 __all__ = ["SessionParams", "SessionReport", "run_session"]
 
@@ -74,31 +76,33 @@ class SessionReport(Record):
         if counts.shape != (3, 9):
             raise ValueError("counts must be a (3, 9) array")
         counts.flags.writeable = False
-        pulses = counts.sum(axis=1).tolist()  # matched pulses of each photon class
-        tally = counts[:, :8].reshape(3, 2, 4)  # (photon class, error, detector)
-        sums = {"successes": tally.sum(axis=(0, 1)), "errors": tally[:, 1].sum(axis=0),
-                "vacuum_successes": tally[0].sum(axis=0), "single_successes": tally[1].sum(axis=0)}
-        for array in sums.values():
-            array.flags.writeable = False
-        vars(self).update(sums, params=params, seed=seed, counts=counts, single_errors=tally[1, 1],
+        rows = counts.tolist()  # per photon class: error 0 on D1..D4, error 1 on D1..D4, not sifted
+        pulses = list(map(sum, rows))  # matched pulses of each photon class
+        wrong = [row[4:8] for row in rows]
+        hits = [[a + b for a, b in zip(row[:4], errors)] for row, errors in zip(rows, wrong)]
+        tallies = {"successes": list(map(sum, zip(*hits))), "errors": list(map(sum, zip(*wrong))),
+                   "vacuum_successes": hits[0], "single_successes": hits[1], "single_errors": wrong[1]}
+        arrays = np.array(list(tallies.values()), dtype=np.int64)
+        arrays.flags.writeable = False  # and so are its rows, the tally attributes
+        vars(self).update(zip(tallies, arrays), params=params, seed=seed, counts=counts, _tallies=tallies,
                           matched_pulses=sum(pulses), vacuum_pulses=pulses[0], single_pulses=pulses[1])
 
     @property
     def sifted_length(self) -> int:
-        return int(self.successes.sum())
+        return sum(self._tallies["successes"])
 
     @cached_property
     def _ratios(self) -> dict:
-        """The per-detector ratios, each a tuple of Python floats divided
+        """The per-detector ratios, each a list of Python floats divided
         from the tallies as Python ints, and 0.0 where the denominator is 0:
         the one statement of each, read by the methods below and ``to_dict``.
         Below 2**53 a count converts exactly, so each quotient is numpy's."""
-        successes, single = self.successes.tolist(), self.single_successes.tolist()
-        return {"gains": _fractions(successes, self.matched_pulses),
-                "qbers": _fractions(self.errors.tolist(), successes),
-                "vacuum_yields": _fractions(self.vacuum_successes.tolist(), self.vacuum_pulses),
-                "single_yields": _fractions(single, self.single_pulses),
-                "single_qbers": _fractions(self.single_errors.tolist(), single)}
+        t = self._tallies
+        return {"gains": _ratio(t["successes"], [self.matched_pulses] * 4, 0.0),
+                "qbers": _ratio(t["errors"], t["successes"], 0.0),
+                "vacuum_yields": _ratio(t["vacuum_successes"], [self.vacuum_pulses] * 4, 0.0),
+                "single_yields": _ratio(t["single_successes"], [self.single_pulses] * 4, 0.0),
+                "single_qbers": _ratio(t["single_errors"], t["single_successes"], 0.0)}
 
     def gains(self) -> np.ndarray:
         """Q_i estimates: lone-click fraction among basis-matched pulses."""
@@ -127,12 +131,14 @@ class SessionReport(Record):
         matched pulses times the max{.,0} key terms per detector, from the
         tallied gains and error gains with the model's exact Y0, Y1 and e1.
         A detector with no successes has nothing to distill and gives 0."""
-        params = self.params
+        params, gains, matched = self.params, self._ratios["gains"], self.matched_pulses
         y0, y1, _, k1 = _yield_terms(params.eta, params.model.e_mis, params.model.p_dark)
-        gains = self.gains()
-        terms = _secret_rate(y0, y1, k1, gains, self.errors / max(self.matched_pulses, 1),
-                             params.mu, params.model)
-        return float(self.matched_pulses * np.where(gains > 0.0, np.maximum(terms, 0.0), 0.0).sum())
+        per_pulse = float(max(matched, 1))  # each count a float before dividing, as numpy divides
+        err_gains = [float(errors) / per_pulse for errors in self._tallies["errors"]]
+        total = 0.0  # left to right, as numpy sums four items (Python 3.12's sum() compensates)
+        for gain, term in zip(gains, _secret_rate(y0, y1, k1, gains, err_gains, params.mu, params.model)):
+            total += term if gain > 0.0 and term > 0.0 else 0.0
+        return matched * total
 
     @property
     def rate_per_pulse(self) -> float:
@@ -140,7 +146,7 @@ class SessionReport(Record):
         return self.secret_key_length / self.params.n_pulses
 
     def to_dict(self) -> dict:
-        params, model, ratios = self.params, self.params.model, self._ratios
+        params, model, ratios, tallies = self.params, self.params.model, self._ratios, self._tallies
         return {
             "config": {
                 "n_pulses": params.n_pulses,
@@ -156,19 +162,19 @@ class SessionReport(Record):
             "matched_pulses": self.matched_pulses,
             "sifted_length": self.sifted_length,
             "per_detector": {
-                "successes": self.successes.tolist(),
-                "errors": self.errors.tolist(),
+                "successes": list(tallies["successes"]),
+                "errors": list(tallies["errors"]),
                 "gains": list(ratios["gains"]),
                 "qbers": list(ratios["qbers"]),
                 "vacuum": {
                     "pulses": self.vacuum_pulses,
-                    "successes": self.vacuum_successes.tolist(),
+                    "successes": list(tallies["vacuum_successes"]),
                     "yields": list(ratios["vacuum_yields"]),
                 },
                 "single_photon": {
                     "pulses": self.single_pulses,
-                    "successes": self.single_successes.tolist(),
-                    "errors": self.single_errors.tolist(),
+                    "successes": list(tallies["single_successes"]),
+                    "errors": list(tallies["single_errors"]),
                     "yields": list(ratios["single_yields"]),
                     "qbers": list(ratios["single_qbers"]),
                 },
@@ -179,13 +185,6 @@ class SessionReport(Record):
                 "rate_per_pulse": self.rate_per_pulse,
             },
         }
-
-
-def _fractions(counts: list, totals) -> tuple:
-    """counts[i] / totals[i] (one total: the same for all), 0.0 where a total is 0."""
-    if not isinstance(totals, list):
-        totals = [totals] * len(counts)
-    return tuple([count / total if total > 0 else 0.0 for count, total in zip(counts, totals)])
 
 
 def _cell_probabilities(params: SessionParams) -> np.ndarray:

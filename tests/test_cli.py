@@ -3,8 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
 import random
 import re
+import stat
 import subprocess
 import sys
 
@@ -134,6 +136,14 @@ class TestConfig:
         assert main(["session", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["a", None, 1j, True, np.array([1.0, 2.0])],
+                             ids=["str", "None", "complex", "bool", "array"])
+    def test_distances_that_are_not_lengths_are_config_errors(self, entry):
+        # each entry is checked against the model's domain before sorted() compares them
+        for distances in ((1.0, entry), (entry, 1.0), (entry,)):
+            with pytest.raises(ConfigError, match="distances must be a real number"):
+                Config(distances=distances).validate()
 
     @pytest.mark.parametrize("value", ["0,nan", "inf", "10,inf"])
     def test_non_finite_distances_rejected(self, value, parse_config):
@@ -486,6 +496,30 @@ class TestUsage:
                 main(argv)
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["session", "--pulses", "1000"], ["keyrate-curve", "--distances", "0"], ["theory-table"],
+    ])
+    def test_out_over_a_longer_file_holds_exactly_the_new_bytes(self, argv, tmp_path, capsys):
+        old, fresh = tmp_path / "old.out", tmp_path / "fresh.out"
+        old.write_bytes(b"x\r\n" * 100_000)
+        assert main(argv + ["--out", str(old)]) == 0
+        assert main(argv + ["--out", str(fresh)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+        assert fresh.read_bytes().endswith(b"\n") and b"\r" not in fresh.read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_out_gets_the_mode_open_gives(self, umask, tmp_path, capsys):
+        # the file is created as open() creates one: 0o666 less the umask
+        previous = os.umask(umask)
+        try:
+            assert main(["theory-table", "--out", str(tmp_path / "table.csv")]) == 0
+            with open(tmp_path / "opened.csv", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("table.csv", "opened.csv")]
+        assert modes[0] == modes[1]
 
     @pytest.mark.parametrize("argv", [
         ["session", "--pulses", "1000"], ["keyrate-curve", "--distances", "0"], ["theory-table"],

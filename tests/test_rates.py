@@ -169,6 +169,30 @@ class TestBinaryEntropy:
         x = np.random.default_rng(6).random(1000)
         assert np.abs(_entropy(x) - _entropy(1 - x)).max() < 1e-14
 
+    @staticmethod
+    def _arguments():
+        """Uniform and log-uniform points of [0, 1], with its ends, 1/2 and the
+        smallest normal double that floors the logs."""
+        rng = np.random.default_rng(61)
+        points = [rng.random(3000), 10.0 ** rng.uniform(-320, 0, 3000), 1.0 - rng.random(1000) * 1e-9]
+        return np.concatenate(points + [[0.0, 2.2250738585072014e-308, 0.5, 1.0 - 2**-53, 1.0]])
+
+    def test_one_log2_call_gives_each_items_bits(self):
+        """The Python forms take one np.log2 over all their items; each result
+        is the one np.log2 gives the item alone, and in arrays of four."""
+        x = self._arguments()
+        x = np.maximum(np.concatenate([x, 1.0 - x]), 2.2250738585072014e-308)  # what _entropy logs
+        batched = np.log2(x.tolist()).tolist()
+        assert batched == [np.log2(v).item() for v in x.tolist()]
+        assert batched == np.concatenate([np.log2(x[i:i + 4]) for i in range(0, len(x), 4)]).tolist()
+
+    def test_python_forms_are_the_array_form_bit_for_bit(self):
+        x = self._arguments()
+        array = _entropy(x).tolist()
+        assert _entropy(x.tolist()) == array
+        assert [_entropy(v) for v in x.tolist()] == array
+        assert all(type(h) is float for h in _entropy(x[:8].tolist()) + [_entropy(0.25)])
+
 
 class TestYieldTable:
     @pytest.mark.parametrize("e_mis", [-0.1, 0.5000000000000001, 0.7, math.nan])

@@ -26,7 +26,7 @@ from ddiqkd.session import (
     run_session,
 )
 
-from oracles import agreement_detectors
+from oracles import agreement_detectors, numpy_secret_key_length
 
 PATHS = (PathSetting.A, PathSetting.C, PathSetting.B0, PathSetting.BPI)
 
@@ -850,6 +850,34 @@ def _rate_terms_from(gains, err_gains, yt, params, mu):
             - gains[i] * params.f_ec * h(qber)
         )
     return out
+
+
+def test_key_length_is_the_numpy_oracles_bit_for_bit():
+    """secret_key_length, in Python floats, has the repr of the numpy-array
+    oracle's on 10^4 seeded sessions over the model's domain: random models,
+    mu in [1e-3, 30], up to 2**60 pulses (past 2**53 a count's conversion to
+    float before dividing matters), detectors without successes, p_dark near 1
+    and e_mis = 0.5."""
+    rng = np.random.default_rng(38)
+    seen = {"past 2**53": 0, "a detector without successes": 0, "positive": 0}
+    for seed in range(10_000):
+        model = RateParams(
+            eta_det=rng.choice([rng.random(), 1.0, 1e-3 * rng.random()]),
+            p_dark=rng.choice([0.0, 1e-5 * rng.random(), rng.random(), 1.0 - 10.0 ** -rng.uniform(1, 15)]),
+            alpha_db_per_km=rng.uniform(0.0, 0.5), e_mis=rng.choice([0.0, 0.5, 0.5 * rng.random()]),
+            f_ec=rng.uniform(1.0, 1.5))
+        params = SessionParams(n_pulses=int(2.0 ** rng.uniform(0.0, 60.0)), mu=10.0 ** rng.uniform(-3.0, 1.477),
+                               length_km=rng.uniform(0.0, 100.0), model=model)
+        counts = rng.multinomial(params.n_pulses, _cell_probabilities(params))[:27].reshape(3, 9)
+        if seed % 3 == 0:
+            detector = rng.integers(4)
+            counts[:, [detector, detector + 4]] = 0
+        rep = SessionReport(params, seed, counts)
+        assert repr(rep.secret_key_length) == repr(numpy_secret_key_length(rep)), (seed, params)
+        seen["past 2**53"] += rep.matched_pulses > 2**53
+        seen["a detector without successes"] += 0 in rep.successes
+        seen["positive"] += rep.secret_key_length > 0.0
+    assert min(seen.values()) >= 500, seen
 
 
 class TestAnalyticRateAgreesWithSessions:
